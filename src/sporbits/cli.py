@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from sporbits.groebner import BudgetExceeded, GBBudget, buchberger
+from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, buchberger
 from sporbits.involutions import (
     FpfInvolution,
     basics_decomposition,
@@ -49,9 +49,6 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_BUDGET = GBBudget()
-DEEP_BUDGET = GBBudget(max_pairs=2_000_000, max_degree=80, max_seconds=3600.0)
-
 
 def _budget(args) -> GBBudget:
     base = DEEP_BUDGET if getattr(args, "deep", False) else GBBudget()
@@ -80,7 +77,7 @@ def _iota(text: str) -> FpfInvolution:
 
 
 def cmd_enumerate(args) -> int:
-    items = enumerate_fpf(args.n, bound=max(args.n, 5))
+    items = enumerate_fpf(args.n)
     _emit(
         args,
         {
@@ -148,6 +145,12 @@ def cmd_pairperms(args) -> int:
 
 def cmd_groebner(args) -> int:
     blob = json.loads(open(args.ideal).read())
+    if not (
+        isinstance(blob, dict)
+        and "generators" in blob
+        and (blob.get("variables") or "matrix_size" in blob)
+    ):
+        raise ValueError(f'{args.ideal}: needs "generators" and "variables" or "matrix_size"')
     names = blob.get("variables")
     if names:
         vs = VariableSet(tuple(names), matrix_size=blob.get("matrix_size", 0))
@@ -181,7 +184,10 @@ def cmd_orbit_ideal(args) -> int:
 
 def cmd_classify(args) -> int:
     rows = json.loads(open(args.matrix).read())
-    M = [[Fraction(str(x)) for x in row] for row in rows]
+    try:
+        M = [[Fraction(str(x)) for x in row] for row in rows]
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{args.matrix}: bad matrix entry: {exc}") from exc
     iota = classify_orbit(M)
     _emit(args, {"iota": list(iota.word)})
     return EXIT_OK
@@ -223,9 +229,9 @@ def cmd_verify_all(args) -> int:
         if not ok:
             failures.append(name)
 
-    nmax = args.n
-    for n in range(1, nmax + 1):
-        items = enumerate_fpf(n, bound=max(nmax, 5))
+    # enumerate every size first, so an over-cap --n fails before any check
+    families = [(n, enumerate_fpf(n)) for n in range(1, args.n + 1)]
+    for n, items in families:
         record(
             f"length_formula_2n={2*n}",
             all(fpf_length(i) == length(i.permutation()) for i in items),
@@ -371,6 +377,8 @@ def main(argv=None) -> int:
             cfg = json.loads(open(args.config).read())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"bad config file: {exc}")
+        if not isinstance(cfg, dict):
+            parser.error("bad config file: expected a JSON object")
         defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
         parser.set_defaults(**defaults)
         for action in parser._actions:

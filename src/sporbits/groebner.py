@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from sporbits.orders import TermOrder, lex_order, weight_refined_order, elimination_order
+from sporbits.orders import TermOrder, weight_refined_order, elimination_order
 from sporbits.polynomials import Monomial, Polynomial, VariableSet
 
 
@@ -30,12 +30,9 @@ class GBBudget:
     max_degree: int = 60
     max_seconds: float = 600.0
 
-    def scaled(self, factor: float) -> "GBBudget":
-        return GBBudget(
-            max_pairs=int(self.max_pairs * factor),
-            max_degree=int(self.max_degree * factor),
-            max_seconds=self.max_seconds * factor,
-        )
+
+#: the raised caps of deep mode, for the larger algebraic checks
+DEEP_BUDGET = GBBudget(max_pairs=2_000_000, max_degree=80, max_seconds=3600.0)
 
 
 class BudgetExceeded(RuntimeError):

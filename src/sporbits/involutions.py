@@ -236,11 +236,7 @@ class NoUniqueMeet(ValueError):
         super().__init__(f"no unique meet; maximal common lower bounds: {words}")
 
 
-def glb(
-    elements: Iterable[FpfInvolution],
-    n: int | None = None,
-    bound: int = DEFAULT_ENUM_BOUND,
-) -> FpfInvolution:
+def glb(elements: Iterable[FpfInvolution], n: int | None = None) -> FpfInvolution:
     """Greatest lower bound in the opposite Bruhat order, by poset search.
 
     glb of the empty set is the top element j_bar(n) (n must then be given).
@@ -256,7 +252,7 @@ def glb(
     if any(e.n != half for e in elems):
         raise ValueError("size mismatch")
     lower = [
-        k for k in enumerate_fpf(half, bound) if all(opposite_leq(k, e) for e in elems)
+        k for k in enumerate_fpf(half) if all(opposite_leq(k, e) for e in elems)
     ]
     maximal = [
         k for k in lower if not any(k != m and opposite_leq(k, m) for m in lower)
@@ -332,12 +328,8 @@ class InfeasibleBox(ValueError):
     """No fixed-point-free involution realizes the requested essential set."""
 
 
-def _unique_with_boxes(
-    n: int, target: frozenset[tuple[int, int, int]], bound: int
-) -> FpfInvolution:
-    matches = [
-        k for k in enumerate_fpf(n, bound) if symplectic_essential_boxes(k) == target
-    ]
+def _unique_with_boxes(n: int, target: frozenset[tuple[int, int, int]]) -> FpfInvolution:
+    matches = [k for k in enumerate_fpf(n) if symplectic_essential_boxes(k) == target]
     if not matches:
         raise InfeasibleBox(f"no involution of size {2*n} has essential set {sorted(target)}")
     if len(matches) > 1:
@@ -346,9 +338,7 @@ def _unique_with_boxes(
     return matches[0]
 
 
-def construct_a_even(
-    n: int, i: int, j: int, rank: int, bound: int = DEFAULT_ENUM_BOUND
-) -> FpfInvolution:
+def construct_a_even(n: int, i: int, j: int, rank: int) -> FpfInvolution:
     """The involution of size 2n whose symplectic essential set is exactly
     {(i, j, rank)} with rank even.
 
@@ -359,12 +349,10 @@ def construct_a_even(
         raise InfeasibleBox(f"box ({i},{j}) is not strictly upper-triangular for size {2*n}")
     if rank % 2 != 0:
         raise InfeasibleBox("even family needs an even rank condition")
-    return _unique_with_boxes(n, frozenset({(i, j, rank)}), bound)
+    return _unique_with_boxes(n, frozenset({(i, j, rank)}))
 
 
-def construct_a_odd(
-    n: int, i: int, j: int, rank: int, bound: int = DEFAULT_ENUM_BOUND
-) -> FpfInvolution:
+def construct_a_odd(n: int, i: int, j: int, rank: int) -> FpfInvolution:
     """The involution of size 2n with exactly the boxes (i-1, i, rank-1) and
     (i, j, rank), rank odd.
 
@@ -378,12 +366,10 @@ def construct_a_odd(
     if j == i + 1:
         raise InfeasibleBox("an odd rank condition on the superdiagonal is forbidden")
     target = frozenset({(i - 1, i, rank - 1), (i, j, rank)})
-    return _unique_with_boxes(n, target, bound)
+    return _unique_with_boxes(n, target)
 
 
-def basics_decomposition(
-    iota: FpfInvolution, bound: int = DEFAULT_ENUM_BOUND
-) -> frozenset[FpfInvolution]:
+def basics_decomposition(iota: FpfInvolution) -> frozenset[FpfInvolution]:
     """The basic elements attached to iota's symplectic essential boxes.
 
     Even boxes contribute the single-box element with the same rank condition;
@@ -394,9 +380,9 @@ def basics_decomposition(
     out = set()
     for (i, j, r) in symplectic_essential_boxes(iota):
         if r % 2 == 0:
-            out.add(construct_a_even(iota.n, i, j, r, bound))
+            out.add(construct_a_even(iota.n, i, j, r))
         else:
-            out.add(construct_a_odd(iota.n, i, j, r, bound))
+            out.add(construct_a_odd(iota.n, i, j, r))
     return frozenset(out)
 
 

@@ -37,16 +37,9 @@ class TermOrder:
     name: str
     vs: VariableSet
     key: Callable[[Monomial], tuple] = field(compare=False)
-    #: weights per variable when the order refines a weight vector, else None
-    weights: tuple[int, ...] | None = None
-    #: number of trailing variables forming the elimination block, if any
-    n_elim: int = 0
 
     def leading_monomial(self, terms: dict) -> Monomial:
         return max(terms, key=self.key)
-
-    def sorted_monomials(self, terms: dict) -> list[Monomial]:
-        return sorted(terms, key=self.key, reverse=True)
 
 
 def lex_order(vs: VariableSet, ranking: Sequence[int] | None = None) -> TermOrder:
@@ -111,9 +104,7 @@ def weight_refined_order(
     def key(mono: Monomial) -> tuple:
         return (sum(mono), -sum(e * wt for e, wt in zip(mono, w)), tie_key(mono))
 
-    return TermOrder(
-        name=f"weight{w}/{tie.name}", vs=vs, key=key, weights=w
-    )
+    return TermOrder(name=f"weight{w}/{tie.name}", vs=vs, key=key)
 
 
 def elimination_order(
@@ -136,4 +127,4 @@ def elimination_order(
     def key(mono: Monomial) -> tuple:
         return (mono[base:], inner_key(mono[:base] + (0,) * k))
 
-    return TermOrder(name=f"elim[{k}]/{inner.name}", vs=vs, key=key, n_elim=k)
+    return TermOrder(name=f"elim[{k}]/{inner.name}", vs=vs, key=key)

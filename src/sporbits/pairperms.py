@@ -5,6 +5,10 @@ The defining property used here is the conjugation identity w^-1 o jbar o w =
 iota (composition of one-line words as functions).  The orientation was fixed
 by requiring the known value P(4321) = {1342, 3124}; a module self-test
 asserts it on import.
+
+The minimal conjugators are found by a rule, not a search of S_2n: each arc of
+iota goes to one block of jbar, in one of n! block orders (see
+pair_permutations).  Words of size 2n <= MAX_SIZE = 12 are accepted.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from sporbits.involutions import FpfInvolution, j_bar, pair_statistics
+from sporbits.involutions import FpfInvolution, j_bar
 from sporbits.permutations import Permutation, length
 
-#: default cap on the word size searched by brute force (|S_8| = 40320)
-DEFAULT_SEARCH_BOUND = 8
+#: largest word size accepted: 6! = 720 block orders at 2n = 12
+MAX_SIZE = 12
 
 
 def conjugation_check(w: Permutation, iota: FpfInvolution) -> bool:
@@ -44,36 +48,30 @@ class PairPermutationSet:
         }
 
 
-def pair_permutations(
-    iota: FpfInvolution, bound: int = DEFAULT_SEARCH_BOUND
-) -> PairPermutationSet:
-    """Exhaustive minimal-length conjugator search over S_2n.
+def pair_permutations(iota: FpfInvolution) -> PairPermutationSet:
+    """All minimal-length conjugators w with w^-1 o jbar o w = iota, sorted by
+    word.
 
-    The expected minimum c + 2r (from the arc statistics) prunes the scan, but
-    the result is still the set of ALL minimal-length words passing the
-    conjugation check, sorted by word.
+    Every conjugator sends each arc (a<b) of iota onto a block {2k-1, 2k} of
+    jbar.  Sending a -> 2k, b -> 2k-1 instead of a -> 2k-1, b -> 2k adds
+    exactly one inversion, the pair (a, b), since no value lies strictly
+    between 2k-1 and 2k; so the minimum is attained only among the n! block
+    orders with a -> 2k-1, b -> 2k, and the shortest of those are returned.
+    Raises ValueError above word size MAX_SIZE.
     """
     size = iota.size
-    if size > bound:
-        raise ValueError(f"word size {size} exceeds the search bound {bound}")
-    stats = pair_statistics(iota)
-    target = stats.c + 2 * stats.r
-    best_len: int | None = None
-    best: list[Permutation] = []
-    for word in itertools.permutations(range(1, size + 1)):
-        w = Permutation(word)
-        l = length(w)
-        if l < target or (best_len is not None and l > best_len):
-            continue
-        if conjugation_check(w, iota):
-            if best_len is None or l < best_len:
-                best_len, best = l, [w]
-            elif l == best_len:
-                best.append(w)
-    if best_len is None:
-        raise RuntimeError(f"no conjugator found for {iota}")  # cannot happen
-    best.sort(key=lambda p: p.word)
-    return PairPermutationSet(iota, tuple(best), best_len)
+    if size > MAX_SIZE:
+        raise ValueError(f"word size {size} exceeds the cap {MAX_SIZE}")
+    candidates = []
+    for blocks in itertools.permutations(range(1, iota.n + 1)):
+        word = [0] * size
+        for (a, b), k in zip(iota.arcs, blocks):
+            word[a - 1], word[b - 1] = 2 * k - 1, 2 * k
+        w = Permutation(tuple(word))
+        candidates.append((length(w), w))
+    best = min(l for l, _ in candidates)
+    perms = sorted((w for l, w in candidates if l == best), key=lambda p: p.word)
+    return PairPermutationSet(iota, tuple(perms), best)
 
 
 def _self_test() -> None:

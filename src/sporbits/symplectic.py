@@ -17,7 +17,6 @@ from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
-    buchberger,
     ideal_intersection,
     in_ideal,
     initial_ideal,
@@ -26,11 +25,10 @@ from sporbits.groebner import (
 )
 from sporbits.involutions import (
     FpfInvolution,
-    enumerate_fpf,
     j_bar,
     symplectic_essential_boxes,
 )
-from sporbits.orders import TermOrder, antidiagonal_order, weight_refined_order
+from sporbits.orders import antidiagonal_order, weight_refined_order
 from sporbits.pairperms import pair_permutations
 from sporbits.permutations import Permutation, essential_boxes, rank_matrix
 from sporbits.polynomials import Polynomial, VariableSet
@@ -71,29 +69,7 @@ def build_mjmt(n: int, vs: VariableSet | None = None) -> list[list[Polynomial]]:
 
 def determinant(A: Sequence[Sequence]) -> object:
     """Exact determinant by minor expansion, memoized over column subsets."""
-    size = len(A)
-    memo: dict[tuple[int, ...], object] = {}
-
-    def minor(cols: tuple[int, ...]):
-        if not cols:
-            return 1
-        if cols in memo:
-            return memo[cols]
-        row = size - len(cols)
-        total = None
-        for pos, c in enumerate(cols):
-            entry = A[row][c]
-            if _is_zero(entry):
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1 :])
-            term = entry * sub if pos % 2 == 0 else -(entry * sub)
-            total = term if total is None else total + term
-        if total is None:
-            total = _zero_like(A)
-        memo[cols] = total
-        return total
-
-    return minor(tuple(range(size)))
+    return _expand(A, by_pairs=False)
 
 
 def pfaffian(A: Sequence[Sequence]) -> object:
@@ -107,22 +83,33 @@ def pfaffian(A: Sequence[Sequence]) -> object:
         if not _is_zero(A[i][i]):
             raise ValueError("diagonal must vanish")
         for j in range(i + 1, size):
-            if not _equal(A[i][j], -A[j][i]):
+            if A[i][j] != -A[j][i]:
                 raise ValueError("matrix is not antisymmetric")
+    return _expand(A, by_pairs=True)
+
+
+def _expand(A: Sequence[Sequence], by_pairs: bool) -> object:
+    """Signed expansion memoized over index subsets.  The determinant expands
+    the next row over the remaining columns; the pfaffian (by_pairs) pairs the
+    first remaining index with each of the others."""
+    size = len(A)
     memo: dict[tuple[int, ...], object] = {}
 
-    def pf(indices: tuple[int, ...]):
+    def expand(indices: tuple[int, ...]):
         if not indices:
             return 1
         if indices in memo:
             return memo[indices]
-        first, rest = indices[0], indices[1:]
+        if by_pairs:
+            row, rest = indices[0], indices[1:]
+        else:
+            row, rest = size - len(indices), indices
         total = None
         for pos, j in enumerate(rest):
-            entry = A[first][j]
+            entry = A[row][j]
             if _is_zero(entry):
                 continue
-            sub = pf(rest[:pos] + rest[pos + 1 :])
+            sub = expand(rest[:pos] + rest[pos + 1 :])
             term = entry * sub if pos % 2 == 0 else -(entry * sub)
             total = term if total is None else total + term
         if total is None:
@@ -130,7 +117,7 @@ def pfaffian(A: Sequence[Sequence]) -> object:
         memo[indices] = total
         return total
 
-    return pf(tuple(range(size)))
+    return expand(tuple(range(size)))
 
 
 def pfaffian_of_indices(A: Sequence[Sequence], indices: Sequence[int]) -> object:
@@ -142,12 +129,6 @@ def pfaffian_of_indices(A: Sequence[Sequence], indices: Sequence[int]) -> object
 
 def _is_zero(x) -> bool:
     return x.is_zero() if isinstance(x, Polynomial) else x == 0
-
-
-def _equal(x, y) -> bool:
-    if isinstance(x, Polynomial) or isinstance(y, Polynomial):
-        return x == y
-    return x == y
 
 
 def _zero_like(A):
@@ -183,9 +164,6 @@ def fulton_generators(p: Permutation, vs: VariableSet | None = None) -> Ideal:
     permutation yields the zero ideal."""
     vs = vs or VariableSet.matrix(p.size)
     return Ideal(vs, [poly for _, _, poly in fulton_minors(p, vs)])
-
-
-schubert_ideal = fulton_generators
 
 
 def union_schubert_ideal(
@@ -305,10 +283,11 @@ def mat_rank(A: Sequence[Sequence[Fraction]]) -> int:
 
 def classify_orbit(M: Sequence[Sequence]) -> FpfInvolution:
     """The involution indexing the orbit of an invertible matrix: the unique
-    iota whose rank matrix matches the northwest ranks of MJM^T."""
+    iota whose rank matrix matches the northwest ranks of MJM^T, read off
+    those ranks."""
     Mq = mat_from(M)
     size = len(Mq)
-    if size % 2 != 0 or any(len(r) != size for r in Mq):
+    if size == 0 or size % 2 != 0 or any(len(r) != size for r in Mq):
         raise ValueError("need a square matrix of even size")
     if mat_rank(Mq) != size:
         raise ValueError("singular input")
@@ -319,10 +298,19 @@ def classify_orbit(M: Sequence[Sequence]) -> FpfInvolution:
         tuple(mat_rank([row[:j] for row in A[:i]]) for j in range(1, size + 1))
         for i in range(1, size + 1)
     )
-    for iota in enumerate_fpf(n):
-        if rank_matrix(iota.permutation()) == ranks:
-            return iota
-    raise ValueError("no involution matches the rank profile (bug?)")
+    # row i of a permutation's rank matrix steps up over row i-1 exactly from
+    # column p(i) on, so the word is read off and then checked
+    word = tuple(
+        next((j for j, (a, b) in enumerate(zip(above, row), start=1) if b > a), 0)
+        for above, row in zip(((0,) * size,) + ranks, ranks)
+    )
+    try:
+        iota = FpfInvolution(word)
+    except ValueError:
+        iota = None
+    if iota is None or rank_matrix(iota.permutation()) != ranks:
+        raise ValueError("no involution matches the rank profile (bug?)")
+    return iota
 
 
 def random_lower_triangular(size: int, rng) -> Matrix:
@@ -364,7 +352,9 @@ def random_symplectic(n: int, rng, n_transvections: int = 4) -> Matrix:
 def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> bool:
     """Check that the Fulton generators are a Groebner basis under the
     antidiagonal order: every generator leads with its antidiagonal term and
-    every S-polynomial reduces to zero against the generators."""
+    every S-polynomial reduces to zero against the generators.  Raises
+    BudgetExceeded once max_pairs S-pairs have been reduced or past the time
+    cap; its stats count the S-pairs reduced so far."""
     budget = budget or GBBudget()
     start = time.monotonic()
     vs = VariableSet.matrix(p.size)
@@ -378,12 +368,13 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
         mono = tuple(antidiag.get(v, 0) for v in range(len(vs)))
         if order.leading_monomial(poly.terms) != mono:
             return False
-    for i, j in itertools.combinations(range(len(gens)), 2):
+    for done, (f, g) in enumerate(itertools.combinations(gens, 2)):
+        stats = {"pairs_processed": done, "basis_size": len(gens)}
+        if done >= budget.max_pairs:
+            raise BudgetExceeded("pair cap", stats)
         if time.monotonic() - start > budget.max_seconds:
-            raise BudgetExceeded(
-                "time cap", {"pairs_processed": i * len(gens) + j, "basis_size": len(gens)}
-            )
-        if not normal_form(s_polynomial(gens[i], gens[j], order), gens, order).is_zero():
+            raise BudgetExceeded("time cap", stats)
+        if not normal_form(s_polynomial(f, g, order), gens, order).is_zero():
             return False
     return True
 

@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from sporbits.groebner import GBBudget
+from sporbits.groebner import DEEP_BUDGET
 from sporbits.involutions import (
     FpfInvolution,
     basics_decomposition,
@@ -34,8 +34,6 @@ from sporbits.symplectic import (
     verify_degeneration,
     verify_knutson_miller,
 )
-
-DEEP_BUDGET = GBBudget(max_pairs=2_000_000, max_degree=80, max_seconds=3600.0)
 
 
 def report(number: int, title: str, ok: bool):

@@ -38,6 +38,11 @@ class TestEnumerate:
         _, second = run(capsys, "enumerate", "--n", "3")
         assert first == second
 
+    def test_over_cap_is_usage_error(self, capsys):
+        assert main(["enumerate", "--n", "6"]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert main(["verify-all", "--n", "6"]) == EXIT_USAGE
+
 
 class TestPoset:
     def test_json_edges(self, capsys):
@@ -95,6 +100,12 @@ class TestGroebner:
         assert code == EXIT_OK
         assert sorted(blob["reduced_basis"]) == ["x-y", "y^2-1"]
 
+    def test_missing_generators_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"variables": ["x", "y"]}))
+        assert main(["groebner", "--ideal", str(path)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
     def test_budget_exit_code(self, capsys, tmp_path):
         blob = {"variables": ["x", "y"], "generators": ["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"]}
         path = tmp_path / "ideal.json"
@@ -129,6 +140,12 @@ class TestOrbitIdealAndClassify:
         code, blob = run_json(capsys, "classify", "--matrix", str(path))
         assert code == EXIT_OK
         assert blob["iota"] == [2, 1, 4, 3]
+
+    def test_classify_zero_denominator_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([["1/0", "0"], ["0", "1"]]))
+        assert main(["classify", "--matrix", str(path)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
 
 
 class TestVerifiers:
@@ -182,3 +199,11 @@ class TestConfig:
         cfg.write_text("{not json")
         with pytest.raises(SystemExit):
             main(["--config", str(cfg), "enumerate", "--n", "2"])
+
+    def test_config_list_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([1, 2]))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "enumerate", "--n", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err

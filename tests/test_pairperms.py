@@ -79,9 +79,36 @@ class TestPairPermutations:
             (1, 2, 5, 3, 4, 6),
         }
 
+    def test_brute_force_oracle_2n8(self):
+        for word in ("43216587", "21563487", "87654321", "56781234", "35172846"):
+            iota = fpf(word)
+            best, words = brute_pair_permutations(iota)
+            result = pair_permutations(iota)
+            assert result.common_length == best
+            assert {p.word for p in result.perms} == words
+
+    def test_rule_at_2n_10_and_12(self):
+        for word in (
+            "10,9,8,7,6,5,4,3,2,1",
+            "6,7,8,9,10,1,2,3,4,5",
+            "3,5,1,6,2,4,10,9,8,7",
+            "12,11,10,9,8,7,6,5,4,3,2,1",
+            "7,8,9,10,11,12,1,2,3,4,5,6",
+            "4,3,2,1,9,11,12,10,5,8,6,7",
+        ):
+            iota = fpf(word)
+            stats = pair_statistics(iota)
+            result = pair_permutations(iota)
+            assert result.perms
+            assert result.common_length == stats.c + 2 * stats.r
+            for w in result.perms:
+                assert length(w) == result.common_length
+                assert conjugation_check(w, iota)
+
     def test_search_bound(self):
+        pair_permutations(j_bar(6))
         with pytest.raises(ValueError):
-            pair_permutations(j_bar(5), bound=4)
+            pair_permutations(j_bar(7))
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sporbits.groebner import GBBudget, ideal_equals, in_ideal
+from sporbits.groebner import BudgetExceeded, GBBudget, ideal_equals, in_ideal
 from sporbits.involutions import FpfInvolution, enumerate_fpf, j_bar
 from sporbits.orders import antidiagonal_order, grevlex_order
 from sporbits.pairperms import pair_permutations
@@ -281,6 +281,15 @@ class TestClassifyOrbit:
                 s = random_symplectic(2, rng)
                 assert classify_orbit(mat_mul(mat_mul(b, M), s)) == iota
 
+    def test_2n12(self):
+        rng = random.Random(12)
+        for word in ("12,11,10,9,8,7,6,5,4,3,2,1", "4,3,2,1,9,11,12,10,5,8,6,7"):
+            iota = fpf(word)
+            M = permutation_matrix(pair_permutations(iota).perms[0])
+            b = random_lower_triangular(12, rng)
+            s = random_symplectic(6, rng)
+            assert classify_orbit(mat_mul(mat_mul(b, M), s)) == iota
+
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             classify_orbit([[0, 0], [0, 0]])
@@ -312,6 +321,14 @@ class TestVerifiers:
 
     def test_knutson_miller_2143(self):
         assert verify_knutson_miller(perm("2143"))
+
+    def test_knutson_miller_pair_cap(self):
+        # 2143 has two Fulton generators, so one S-pair; a cap of 0 stops
+        # before it is reduced
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_knutson_miller(perm("2143"), GBBudget(max_pairs=0))
+        assert exc.value.reason == "pair cap"
+        assert exc.value.stats == {"pairs_processed": 0, "basis_size": 2}
 
     def test_column_weights(self):
         vs = VariableSet.matrix(4)
