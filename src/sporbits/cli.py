@@ -30,7 +30,7 @@ from sporbits.involutions import (
     wiring_ascii,
 )
 from sporbits.orders import antidiagonal_order, grevlex_order, lex_order
-from sporbits.pairperms import conjugation_check, pair_permutations
+from sporbits.pairperms import MAX_SIZE, conjugation_check, pair_permutations
 from sporbits.permutations import Permutation, length
 from sporbits.polynomials import VariableSet, parse_polynomial
 from sporbits.symplectic import (
@@ -151,12 +151,17 @@ def cmd_groebner(args) -> int:
         and (blob.get("variables") or "matrix_size" in blob)
     ):
         raise ValueError(f'{args.ideal}: needs "generators" and "variables" or "matrix_size"')
-    names = blob.get("variables")
-    if names:
-        vs = VariableSet(tuple(names), matrix_size=blob.get("matrix_size", 0))
-    else:
-        vs = VariableSet.matrix(blob["matrix_size"])
-    gens = [parse_polynomial(vs, s) for s in blob["generators"]]
+    names, size = blob.get("variables", []), blob.get("matrix_size", 0)
+    if "matrix_size" in blob and not (type(size) is int and 1 <= size <= MAX_SIZE):
+        raise ValueError(f'{args.ideal}: "matrix_size" must be an integer in 1..{MAX_SIZE}')
+    for key, value in (("variables", names), ("generators", blob["generators"])):
+        if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+            raise ValueError(f'{args.ideal}: "{key}" must be a list of strings')
+    vs = VariableSet(tuple(names), matrix_size=size) if names else VariableSet.matrix(size)
+    try:
+        gens = [parse_polynomial(vs, s) for s in blob["generators"]]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{args.ideal}: bad generator: {exc}") from exc
     if args.order == "antidiagonal":
         order = antidiagonal_order(vs)
     elif args.order == "grevlex":

@@ -49,22 +49,20 @@ class Ideal:
     """Generators plus cached reduced Groebner bases, one per term order."""
 
     vs: VariableSet
-    generators: tuple[Polynomial, ...]
-    _gb_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    generators: Sequence[Polynomial]
+    _gb_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __init__(self, vs: VariableSet, generators: Sequence[Polynomial]):
-        self.vs = vs
-        self.generators = tuple(g for g in generators if not g.is_zero())
-        self._gb_cache = {}
+    def __post_init__(self):
+        self.generators = tuple(g for g in self.generators if not g.is_zero())
 
     def is_zero(self) -> bool:
         return not self.generators
 
     def groebner_basis(self, order: TermOrder, budget: GBBudget | None = None) -> list[Polynomial]:
-        cached = self._gb_cache.get(order.name)
+        cached = self._gb_cache.get(order)
         if cached is None:
             cached = buchberger(list(self.generators), order, budget)
-            self._gb_cache[order.name] = cached
+            self._gb_cache[order] = cached
         return list(cached)
 
     def to_json(self) -> dict:

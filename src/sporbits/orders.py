@@ -1,8 +1,10 @@
-"""Monomial orders.
+"""Monomial orders as values.
 
-A TermOrder wraps a key function from exponent tuples to sortable tuples; the
-largest key is the leading monomial.  All orders built here are genuine term
-orders (total, multiplicative, with 1 minimal):
+A TermOrder is a matrix order in Robbiano's sense: integer weight rows stacked
+over a variable ranking.  Monomials compare by their dot product with each row
+in turn, then lexicographically in the ranking, and orders compare and hash by
+that matrix.  The presets are data, all genuine term orders (total,
+multiplicative, with 1 minimal):
 
 * lex with an explicit variable ranking,
 * graded reverse lex,
@@ -25,6 +27,7 @@ ideals are taken.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from sporbits.polynomials import Monomial, VariableSet
@@ -32,11 +35,29 @@ from sporbits.polynomials import Monomial, VariableSet
 
 @dataclass(frozen=True)
 class TermOrder:
-    """A total multiplicative monomial order with 1 minimal."""
+    """The matrix order of the `weights` rows stacked over the permutation
+    matrix of `ranking` (variable indices from highest to lowest).  The key
+    is built once from the matrix unless one is given; `name` is display
+    only and takes no part in equality."""
 
-    name: str
     vs: VariableSet
-    key: Callable[[Monomial], tuple] = field(compare=False)
+    weights: tuple[tuple[int, ...], ...]
+    ranking: tuple[int, ...]
+    name: str = field(compare=False)
+    key: Callable[[Monomial], tuple] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        rows, rank = self.weights, self.ranking
+        if sorted(rank) != list(range(len(self.vs))):
+            raise ValueError("ranking must be a permutation of all variable indices")
+        if any(len(row) != len(self.vs) for row in rows):
+            raise ValueError("every weight row needs one entry per variable")
+        if self.key is None:
+            # under the identity ranking (the only one of 0 or 1 variables,
+            # where itemgetter yields no tuple) a monomial is its own lex key
+            pick = tuple if rank == tuple(range(len(rank))) else itemgetter(*rank)
+            dots = lambda m: (tuple([sum(map(mul, r, m)) for r in rows]), pick(m))
+            object.__setattr__(self, "key", dots if rows else pick)
 
     def leading_monomial(self, terms: dict) -> Monomial:
         return max(terms, key=self.key)
@@ -46,22 +67,14 @@ def lex_order(vs: VariableSet, ranking: Sequence[int] | None = None) -> TermOrde
     """Lexicographic order; ranking lists variable indices from highest to
     lowest (default: index order)."""
     rank = tuple(ranking) if ranking is not None else tuple(range(len(vs)))
-    if sorted(rank) != list(range(len(vs))):
-        raise ValueError("ranking must be a permutation of all variable indices")
-
-    def key(mono: Monomial) -> tuple:
-        return tuple(mono[v] for v in rank)
-
-    return TermOrder(name=f"lex{rank}", vs=vs, key=key)
+    return TermOrder(vs, (), rank, f"lex{rank}")
 
 
 def grevlex_order(vs: VariableSet) -> TermOrder:
     """Graded reverse lexicographic order in index order."""
-
-    def key(mono: Monomial) -> tuple:
-        return (sum(mono), tuple(-e for e in reversed(mono)))
-
-    return TermOrder(name="grevlex", vs=vs, key=key)
+    n = len(vs)
+    rows = tuple((1,) * (n - k) + (0,) * k for k in range(n))
+    return TermOrder(vs, rows, tuple(range(n)), "grevlex")
 
 
 def antidiagonal_ranking(vs: VariableSet) -> tuple[int, ...]:
@@ -82,8 +95,7 @@ def antidiagonal_ranking(vs: VariableSet) -> tuple[int, ...]:
 def antidiagonal_order(vs: VariableSet) -> TermOrder:
     """Lex with the NE-to-SW raster ranking: the leading term of every minor
     of the generic matrix is its antidiagonal product."""
-    order = lex_order(vs, antidiagonal_ranking(vs))
-    return TermOrder(name="antidiagonal", vs=vs, key=order.key)
+    return TermOrder(vs, (), antidiagonal_ranking(vs), "antidiagonal")
 
 
 def weight_refined_order(
@@ -99,19 +111,17 @@ def weight_refined_order(
     if any(x < 0 for x in w):
         raise ValueError("negative weights rejected")
     tie = tie_break if tie_break is not None else lex_order(vs)
-    tie_key = tie.key
-
-    def key(mono: Monomial) -> tuple:
-        return (sum(mono), -sum(e * wt for e, wt in zip(mono, w)), tie_key(mono))
-
-    return TermOrder(name=f"weight{w}/{tie.name}", vs=vs, key=key)
+    rows = ((1,) * len(w), tuple(-x for x in w)) + tie.weights
+    return TermOrder(vs, rows, tie.ranking, f"weight{w}/{tie.name}")
 
 
 def elimination_order(
     vs: VariableSet, n_elim: int | None = None, inner: TermOrder | None = None
 ) -> TermOrder:
     """Block order: the trailing elimination block compares first (lex within
-    the block), so any monomial touching it beats every base-ring monomial."""
+    the block), so any monomial touching it beats every base-ring monomial.
+    An inner order on the base ring is padded over the block, which ties by
+    the time the inner rows are read."""
     k = vs.n_elim if n_elim is None else n_elim
     if k <= 0:
         raise ValueError("no elimination block")
@@ -122,9 +132,8 @@ def elimination_order(
             if vs.matrix_size and vs.matrix_size**2 == base
             else lex_order(vs)
         )
-    inner_key = inner.key
-
-    def key(mono: Monomial) -> tuple:
-        return (mono[base:], inner_key(mono[:base] + (0,) * k))
-
-    return TermOrder(name=f"elim[{k}]/{inner.name}", vs=vs, key=key)
+    pad = len(vs) - len(inner.vs)
+    block = tuple(tuple(int(c == v) for c in range(len(vs))) for v in range(base, len(vs)))
+    rows = block + tuple(row + (0,) * pad for row in inner.weights)
+    rank = inner.ranking + tuple(range(len(inner.vs), len(vs)))
+    return TermOrder(vs, rows, rank, f"elim[{k}]/{inner.name}")

@@ -382,14 +382,7 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
 def column_weights(vs: VariableSet) -> tuple[int, ...]:
     """The degeneration weights: m[i,j] weighs ceil(j/2) - 1, auxiliaries 0."""
     n = vs.matrix_size
-    out = []
-    for name in vs.names:
-        if name.startswith("m[") and vs.index[name] < n * n:
-            j = int(name[:-1].split(",")[1])
-            out.append((j + 1) // 2 - 1)
-        else:
-            out.append(0)
-    return tuple(out)
+    return tuple((k % n) // 2 if k < n * n else 0 for k in range(len(vs)))
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sporbits.cli import (
     EXIT_BUDGET,
@@ -8,6 +10,14 @@ from sporbits.cli import (
     EXIT_USAGE,
     EXIT_VERIFICATION_FAILED,
     main,
+)
+
+
+#: small arbitrary JSON values
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
 )
 
 
@@ -105,6 +115,50 @@ class TestGroebner:
         path.write_text(json.dumps({"variables": ["x", "y"]}))
         assert main(["groebner", "--ideal", str(path)]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            {"matrix_size": "abc", "generators": ["m[1,1]"]},
+            {"matrix_size": 13, "generators": ["m[1,1]"]},
+            {"matrix_size": 0, "generators": []},
+            {"variables": ["x", 1], "generators": ["x"]},
+            {"variables": "xy", "generators": ["x"]},
+            {"variables": ["x"], "generators": [1]},
+            {"variables": ["x"], "generators": ["1/0*x"]},
+        ],
+        ids=["size-not-int", "size-over-cap", "size-zero", "variable-not-str",
+             "variables-not-list", "generator-not-str", "generator-zero-denominator"],
+    )
+    def test_malformed_ideal_is_usage_error(self, capsys, tmp_path, blob):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(blob))
+        assert main(["groebner", "--ideal", str(path)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        blob=st.fixed_dictionaries(
+            {
+                "variables": st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3, unique=True),
+                "generators": st.lists(st.sampled_from(["x^2-y", "x*y - 1", "y*z^2-x", "2/3*x", "1", "0", "x+"]), max_size=3),
+            },
+            optional={"matrix_size": st.integers(-1, 13)},
+        )
+        | st.fixed_dictionaries(
+            {
+                "matrix_size": st.integers(-1, 13),
+                "generators": st.lists(st.sampled_from(["m[1,1]^2", "m[1,2]*m[2,1]-1", "m[2,2]", "1/0"]), max_size=3),
+            }
+        )
+        | st.fixed_dictionaries({}, optional={key: _JSON for key in ("variables", "generators", "matrix_size")})
+    )
+    def test_any_ideal_file_ends_in_a_contract_exit(self, capsys, tmp_path, blob):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(blob))
+        code = main(["groebner", "--ideal", str(path), "--max-seconds", "2"])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET)
+        capsys.readouterr()
 
     def test_budget_exit_code(self, capsys, tmp_path):
         blob = {"variables": ["x", "y"], "generators": ["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"]}

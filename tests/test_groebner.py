@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,7 @@ from sporbits.groebner import (
     s_polynomial,
 )
 from sporbits.orders import (
+    TermOrder,
     antidiagonal_order,
     antidiagonal_ranking,
     elimination_order,
@@ -116,6 +120,113 @@ class TestOrders:
         vs = VariableSet.named("x", "y").with_elimination("t")
         order = elimination_order(vs)
         assert order.key((0, 0, 1)) > order.key((5, 5, 0))
+
+
+# Reference keys written straight from each preset's definition, apart from
+# the weight-matrix construction: both must order every monomial alike.
+
+
+def _ref_lex(rank):
+    return lambda m: tuple(m[v] for v in rank)
+
+
+def _ref_grevlex(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _ref_weight(w, tie_key):
+    return lambda m: (sum(m), -sum(e * x for e, x in zip(m, w)), tie_key(m))
+
+
+def _ref_elimination(vs, k, inner_key):
+    base = len(vs) - k
+    return lambda m: (m[base:], inner_key(m[:base] + (0,) * k))
+
+
+def _ref_presets():
+    """(order, reference key) pairs: every preset on three named variables,
+    and on a 2x2 matrix ring with a t block."""
+    xyz = VariableSet.named("x", "y", "z")
+    xyt = VariableSet.named("x", "y").with_elimination("t")
+    w = (2, 0, 1)
+    cases = [
+        (lex_order(xyz), _ref_lex((0, 1, 2))),
+        (lex_order(xyz, (2, 0, 1)), _ref_lex((2, 0, 1))),
+        (grevlex_order(xyz), _ref_grevlex),
+        (weight_refined_order(xyz, w), _ref_weight(w, _ref_lex((0, 1, 2)))),
+        (weight_refined_order(xyz, w, grevlex_order(xyz)), _ref_weight(w, _ref_grevlex)),
+        (elimination_order(xyt), _ref_elimination(xyt, 1, _ref_lex((0, 1, 2)))),
+        (
+            elimination_order(xyt, inner=grevlex_order(VariableSet.named("x", "y"))),
+            _ref_elimination(xyt, 1, lambda m: _ref_grevlex(m[:2])),
+        ),
+    ]
+    base = VariableSet.matrix(2)
+    ext = base.with_elimination("t")
+    anti, anti_ext = _ref_lex(antidiagonal_ranking(base)), _ref_lex(antidiagonal_ranking(ext))
+    w4, w5 = (0, 1, 2, 1), (0, 1, 2, 1, 0)
+    cases += [
+        (lex_order(ext), _ref_lex(range(5))),
+        (grevlex_order(ext), _ref_grevlex),
+        (antidiagonal_order(ext), anti_ext),
+        (weight_refined_order(base, w4, antidiagonal_order(base)), _ref_weight(w4, anti)),
+        (weight_refined_order(ext, w5, antidiagonal_order(ext)), _ref_weight(w5, anti_ext)),
+        (elimination_order(ext), _ref_elimination(ext, 1, anti_ext)),
+        (elimination_order(ext, n_elim=1, inner=antidiagonal_order(base)),
+         _ref_elimination(ext, 1, anti)),
+    ]
+    return [pytest.param(order, ref, id=f"{len(order.vs)}vars-{order.name}") for order, ref in cases]
+
+
+class TestTermOrder:
+    @pytest.mark.parametrize("order, ref", _ref_presets())
+    def test_matches_reference_key(self, order, ref):
+        monos = [m for m in itertools.product(range(4), repeat=len(order.vs)) if sum(m) <= 3]
+        assert sorted(monos, key=order.key) == sorted(monos, key=ref)
+        assert len({order.key(m) for m in monos}) == len(monos)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            lex_order(VariableSet.named("x")),
+            grevlex_order(VariableSet.named("x")),
+            elimination_order(VariableSet.named().with_elimination("x")),
+        ],
+        ids=["lex", "grevlex", "elimination"],
+    )
+    def test_one_variable_ring(self, order):
+        assert order.leading_monomial({(2,): 1, (1,): 1, (0,): 1}) == (2,)
+        x, one = Polynomial.variable(order.vs, 0), Polynomial.constant(order.vs, 1)
+        assert buchberger([x * x * x - x, x * x - one], order) == [x * x - one]
+
+    def test_rejects_wrong_width_row(self, xy):
+        with pytest.raises(ValueError):
+            TermOrder(xy, ((1, 1, 1),), (0, 1), "bad")
+
+    def test_rejects_non_permutation_ranking(self, xy):
+        with pytest.raises(ValueError):
+            TermOrder(xy, (), (0, 0), "bad")
+        with pytest.raises(ValueError):
+            lex_order(xy, [1])
+
+    def test_equal_by_matrix_not_name(self, xy):
+        assert lex_order(xy) == TermOrder(xy, (), (0, 1), "another name")
+        assert hash(lex_order(xy)) == hash(TermOrder(xy, (), (0, 1), "x"))
+        assert lex_order(xy) != lex_order(xy, (1, 0))
+        assert lex_order(xy) != grevlex_order(xy)
+
+    def test_replace_key(self, xy):
+        order = grevlex_order(xy)
+        calls = []
+
+        def spy(mono):
+            calls.append(mono)
+            return order.key(mono)
+
+        traced = dataclasses.replace(order, key=spy)
+        assert traced == order and traced.key is spy
+        assert traced.leading_monomial(poly(xy, "x*y + y^3").terms) == (0, 3)
+        assert calls
 
 
 class TestNormalForm:
@@ -288,10 +399,74 @@ class TestIdealClass:
         order = lex_order(xy)
         first = I.groebner_basis(order)
         assert I.groebner_basis(order) == first
-        assert order.name in I._gb_cache
+        assert order in I._gb_cache
+
+    def test_gb_cache_shared_by_equal_orders(self, xy):
+        I = Ideal(xy, [poly(xy, "x^2 - 1"), poly(xy, "x*y - 1")])
+        first = I.groebner_basis(lex_order(xy))
+        assert I.groebner_basis(TermOrder(xy, (), (0, 1), "plain lex")) == first
+        assert len(I._gb_cache) == 1
+
+    def test_gb_cache_ignores_name(self, xy):
+        gens = [poly(xy, "x^2 + y"), poly(xy, "x*y - 1")]
+        I = Ideal(xy, gens)
+        lex = lex_order(xy)
+        grevlex = grevlex_order(xy)
+        impostor = TermOrder(xy, grevlex.weights, grevlex.ranking, lex.name)
+        assert I.groebner_basis(lex) != buchberger(gens, grevlex)
+        assert I.groebner_basis(impostor) == buchberger(gens, grevlex)
 
     def test_to_json(self, xy):
         I = Ideal(xy, [poly(xy, "x - y")])
         blob = I.to_json()
         assert blob["variables"] == ["x", "y"]
         assert blob["generators"] == ["x-y"]
+
+
+def _random_poly(vs, rng, max_degree=3):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        degree = rng.randint(0, max_degree)
+        cuts = sorted(rng.randint(0, degree) for _ in range(len(vs) - 1))
+        mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        terms[mono] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return Polynomial(vs, terms)
+
+
+class TestSympyOracle:
+    """Differential check of buchberger against sympy.groebner, which is not
+    a dependency: the test skips where sympy is missing."""
+
+    def test_random_ideals(self):
+        sympy = pytest.importorskip("sympy")
+        vs = VariableSet.named("x", "y", "z")
+        syms = sympy.symbols("x y z")
+        rng = random.Random(20261018)
+        budget = GBBudget(max_pairs=500, max_degree=12, max_seconds=0.25)
+        matched = exhausted = 0
+        for _ in range(80):
+            gens = [_random_poly(vs, rng) for _ in range(rng.randint(2, 3))]
+            exprs = [
+                sympy.Poly.from_dict(
+                    {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms.items()}, *syms
+                ).as_expr()
+                for g in gens
+            ]
+            for name, order in (("lex", lex_order(vs)), ("grevlex", grevlex_order(vs))):
+                try:
+                    ours = buchberger(gens, order, budget)
+                except BudgetExceeded:
+                    exhausted += 1
+                    continue
+                theirs = []
+                for g in sympy.groebner(exprs, *syms, order=name).exprs:
+                    p = Polynomial(
+                        vs,
+                        {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(g, *syms).terms()},
+                    )
+                    theirs.append(p.scale(1 / p.terms[order.leading_monomial(p.terms)]))
+                theirs.sort(key=lambda p: order.key(order.leading_monomial(p.terms)))
+                assert ours == theirs, (name, [str(g) for g in gens])
+                matched += 1
+        # a run where most cases exhaust the budget checks nothing
+        assert matched >= 120, (matched, exhausted)
