@@ -2,20 +2,31 @@
 reduced Groebner bases, intersection by elimination, initial forms and
 initial ideals under a column-weight vector, and ideal equality.
 
-Everything is deterministic: the pair queue uses the normal selection
-strategy (lowest lcm degree first, ties by the term order, then by index) and
-reduced bases are sorted by leading monomial.  Budgets cap the number of
-S-pairs processed, the total degree of intermediate polynomials, and wall
-time; exceeding one raises BudgetExceeded carrying the partial statistics,
-never a silently truncated answer.
+Division is heap-ordered (Monagan-Pearce, "Sparse polynomial division using
+a heap", 2011): the pending terms of a reduction sit in a heap under the term
+order, each term's order key is computed once, when the term enters, and the
+terms leave largest first, exactly as a rescan for the maximum would take
+them.  A divisor set is prepared once per basis (`Reducers`), and Buchberger
+keeps it up to date as the basis grows.
+
+Everything is deterministic: the pair queue is a heap under the normal
+selection strategy (lowest lcm degree first, ties by the term order, then by
+index), each pair entering it once, when it is created; reduced bases are
+sorted by leading monomial.  Budgets cap the number of S-pairs processed, the
+total degree of intermediate polynomials, and wall time; exceeding one raises
+BudgetExceeded carrying the partial statistics, never a silently truncated
+answer.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, itemgetter, le, neg, sub
 from typing import Sequence
 
 from sporbits.orders import TermOrder, weight_refined_order, elimination_order
@@ -77,73 +88,110 @@ class Ideal:
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_add(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+class Reducers:
+    """A divisor set prepared for division under one term order.
+
+    Each nonzero divisor is an entry (rank, lead, lead coefficient, tail),
+    where rank is (degree, order key) of the leading monomial; entries are
+    tried in ascending rank, low-degree leads first, ties in the order the
+    divisors were added.  `add` keeps that order, so a set grown one divisor
+    at a time equals one prepared from the whole list at once.
+    """
+
+    def __init__(self, G: Sequence[Polynomial], order: TermOrder):
+        self.order = order
+        self.entries: list[tuple[tuple, Monomial, Fraction, list[tuple[Monomial, Fraction]]]] = []
+        for g in G:
+            self.add(g)
+
+    def add(self, g: Polynomial) -> Monomial | None:
+        """Add a divisor; returns its leading monomial (None for zero)."""
+        if g.is_zero():
+            return None
+        lead = self.order.leading_monomial(g.terms)
+        tail = [(m, c) for m, c in g.terms.items() if m != lead]
+        entry = ((sum(lead), self.order.key(lead)), lead, g.terms[lead], tail)
+        insort(self.entries, entry, key=itemgetter(0))
+        return lead
 
 
 def _reduce_terms(
-    terms: dict[Monomial, Fraction],
-    reducers: list[tuple[Monomial, Fraction, list[tuple[Monomial, Fraction]]]],
-    key,
+    terms: dict[Monomial, Fraction], reducers: list, order: TermOrder
 ) -> dict[Monomial, Fraction]:
-    """Full normal form of a term dict against prepared reducers."""
-    work = dict(terms)
+    """Full normal form of a term dict against prepared reducer entries.
+
+    The pending terms are keyed by their negated order key, so a min-heap of
+    those keys pops the largest first, and each key is computed once, when
+    its term enters; the monomial is read back off the key's exponent block
+    (the TermOrder key contract).  A term that cancels leaves the dict but
+    stays in the heap and is skipped when popped; the heap is rebuilt once
+    such dead keys outnumber the live ones.  A popped term never comes back,
+    because every reduction adds only smaller terms, so the terms leave in
+    the order of a rescan for the largest and the remainder is the same.
+    """
+    key, exponents = order.key, order.exponents
+    work = {tuple(map(neg, key(m))): c for m, c in terms.items()}
+    heap = list(work)
+    heapq.heapify(heap)
     out: dict[Monomial, Fraction] = {}
-    while work:
-        mono = max(work, key=key)
-        coeff = work.pop(mono)
-        for lead, lead_c, tail in reducers:
+    while heap:
+        nkey = heapq.heappop(heap)
+        coeff = work.pop(nkey, None)
+        if coeff is None:
+            continue
+        mono = tuple(map(neg, exponents(nkey)))
+        for _, lead, lead_c, tail in reducers:
             if _divides(lead, mono):
                 q = _mono_sub(mono, lead)
                 factor = coeff / lead_c
                 for m2, c2 in tail:
-                    mm = _mono_add(m2, q)
-                    c = work.get(mm, Fraction(0)) - factor * c2
-                    if c:
-                        work[mm] = c
+                    k2 = tuple(map(neg, key(_mono_add(m2, q))))
+                    c = work.get(k2)
+                    if c is None:
+                        work[k2] = -factor * c2
+                        heapq.heappush(heap, k2)
                     else:
-                        work.pop(mm, None)
+                        c -= factor * c2
+                        if c:
+                            work[k2] = c
+                        else:
+                            del work[k2]
+                if len(heap) > 2 * len(work):  # mostly dead keys
+                    heap = list(work)
+                    heapq.heapify(heap)
                 break
         else:
             out[mono] = coeff
     return out
 
 
-def _prepare(
-    G: Sequence[Polynomial], order: TermOrder
-) -> list[tuple[Monomial, Fraction, list[tuple[Monomial, Fraction]]]]:
-    reducers = []
-    for g in G:
-        if g.is_zero():
-            continue
-        lead = order.leading_monomial(g.terms)
-        lead_c = g.terms[lead]
-        tail = [(m, c) for m, c in g.terms.items() if m != lead]
-        reducers.append((lead, lead_c, tail))
-    # try low-degree leads first; deterministic
-    reducers.sort(key=lambda r: (sum(r[0]), order.key(r[0])))
-    return reducers
-
-
-def normal_form(f: Polynomial, G: Sequence[Polynomial], order: TermOrder) -> Polynomial:
+def normal_form(f: Polynomial, G: Sequence[Polynomial] | Reducers, order: TermOrder) -> Polynomial:
     """Remainder of f under multivariate division by G: no monomial of the
     result is divisible by any leading monomial of G, and f - result lies in
-    the ideal generated by G."""
-    reducers = _prepare(G, order)
-    if not reducers:
+    the ideal generated by G.  G may be given prepared, as Reducers built
+    under the same order."""
+    if not isinstance(G, Reducers):
+        G = Reducers(G, order)
+    elif G.order != order:
+        raise ValueError("reducers prepared under another term order")
+    if not G.entries:
         return f
-    return Polynomial(f.vs, _reduce_terms(f.terms, reducers, order.key))
+    return Polynomial(f.vs, _reduce_terms(f.terms, G.entries, order))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
@@ -178,13 +226,22 @@ def buchberger(
 
     G: list[Polynomial] = []
     leads: list[Monomial] = []
+    reducers = Reducers((), order)
     for g in generators:
         if not g.is_zero():
             g = _monic(g, order)
             G.append(g)
-            leads.append(order.leading_monomial(g.terms))
+            leads.append(reducers.add(g))
 
-    pairs = {(i, j) for i, j in itertools.combinations(range(len(G)), 2)}
+    # (lcm degree, lcm key, i, j): pushed once, when the pair is created
+    pairs: list[tuple[int, tuple, int, int]] = []
+
+    def push(i: int, j: int) -> None:
+        lcm = _mono_lcm(leads[i], leads[j])
+        heapq.heappush(pairs, (sum(lcm), key(lcm), i, j))
+
+    for i, j in itertools.combinations(range(len(G)), 2):
+        push(i, j)
     done: set[tuple[int, int]] = set()
     stats = {"pairs_processed": 0, "basis_size": len(G), "max_degree": max((g.total_degree() for g in G), default=0)}
 
@@ -213,53 +270,45 @@ def buchberger(
         return False
 
     while pairs:
-        pair = min(
-            pairs,
-            key=lambda ij: (
-                sum(_mono_lcm(leads[ij[0]], leads[ij[1]])),
-                key(_mono_lcm(leads[ij[0]], leads[ij[1]])),
-                ij,
-            ),
-        )
-        pairs.discard(pair)
-        done.add(pair)
-        i, j = pair
+        _, _, i, j = heapq.heappop(pairs)
+        done.add((i, j))
         stats["pairs_processed"] += 1
         check_budget()
         if coprime(i, j) or chain(i, j):
             continue
-        h = normal_form(s_polynomial(G[i], G[j], order), G, order)
+        h = normal_form(s_polynomial(G[i], G[j], order), reducers, order)
         if h.is_zero():
             continue
         h = _monic(h, order)
         stats["max_degree"] = max(stats["max_degree"], h.total_degree())
         check_budget()
         G.append(h)
-        leads.append(order.leading_monomial(h.terms))
+        leads.append(reducers.add(h))
         new = len(G) - 1
         stats["basis_size"] = len(G)
         for k in range(new):
-            pairs.add((k, new))
+            push(k, new)
 
-    return _reduce_basis(G, order)
+    return _reduce_basis(reducers, G[0].vs) if G else []
 
 
-def _reduce_basis(G: Sequence[Polynomial], order: TermOrder) -> list[Polynomial]:
-    """Minimalize then fully tail-reduce a Groebner basis."""
-    items = [(order.leading_monomial(g.terms), g) for g in G if not g.is_zero()]
-    # minimal: drop any element whose lead is divisible by another lead
-    minimal: list[tuple[Monomial, Polynomial]] = []
-    for lead, g in sorted(items, key=lambda lg: (sum(lg[0]), order.key(lg[0]))):
-        if not any(_divides(l2, lead) for l2, _ in minimal):
-            minimal.append((lead, g))
+def _reduce_basis(basis: Reducers, vs: VariableSet) -> list[Polynomial]:
+    """Minimalize then fully tail-reduce a Groebner basis, given prepared."""
+    # minimal: drop any element whose lead is divisible by an earlier lead
+    minimal: list = []
+    for entry in basis.entries:
+        if not any(_divides(other[1], entry[1]) for other in minimal):
+            minimal.append(entry)
+    # no other lead divides a minimal lead, so each element keeps its lead
     reduced = []
-    for idx, (lead, g) in enumerate(minimal):
-        others = [h for k, (_, h) in enumerate(minimal) if k != idx]
-        r = normal_form(g, others, order) if others else g
-        if not r.is_zero():
-            reduced.append(_monic(r, order))
-    reduced.sort(key=lambda p: order.key(order.leading_monomial(p.terms)))
-    return reduced
+    for idx, (rank, lead, lead_c, tail) in enumerate(minimal):
+        terms = {lead: lead_c, **dict(tail)}
+        others = minimal[:idx] + minimal[idx + 1:]
+        if others:
+            terms = _reduce_terms(terms, others, basis.order)
+        reduced.append((rank[1], Polynomial(vs, terms).scale(Fraction(1) / lead_c)))
+    reduced.sort(key=itemgetter(0))
+    return [p for _, p in reduced]
 
 
 def in_ideal(f: Polynomial, gb: Sequence[Polynomial], order: TermOrder) -> bool:
@@ -317,7 +366,13 @@ def initial_ideal(
         return Ideal(I.vs, [])
     order = weight_refined_order(I.vs, weights, tie_break)
     gb = I.groebner_basis(order, budget)
-    return Ideal(I.vs, [initial_form(g, weights) for g in gb])
+    J = Ideal(I.vs, [initial_form(g, weights) for g in gb])
+    if all(g.is_homogeneous() for g in gb):
+        # for a homogeneous reduced basis under an order refining the weights
+        # the initial forms are the reduced basis of the initial ideal
+        # (Sturmfels, Groebner Bases and Convex Polytopes, Prop. 1.13)
+        J._gb_cache[order] = list(J.generators)
+    return J
 
 
 def ideal_equals(

@@ -38,13 +38,19 @@ class TermOrder:
     """The matrix order of the `weights` rows stacked over the permutation
     matrix of `ranking` (variable indices from highest to lowest).  The key
     is built once from the matrix unless one is given; `name` is display
-    only and takes no part in equality."""
+    only and takes no part in equality.
+
+    Key contract: `key(m)` is one flat tuple, the dot products of m with the
+    weight rows followed by the exponents of m in `ranking` order, so keys
+    compare exactly as the matrix order does and `exponents(key(m)) == m`.
+    A key given in place of the built one must keep that shape."""
 
     vs: VariableSet
     weights: tuple[tuple[int, ...], ...]
     ranking: tuple[int, ...]
     name: str = field(compare=False)
     key: Callable[[Monomial], tuple] | None = field(default=None, compare=False, repr=False)
+    exponents: Callable[[tuple], Monomial] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows, rank = self.weights, self.ranking
@@ -52,11 +58,18 @@ class TermOrder:
             raise ValueError("ranking must be a permutation of all variable indices")
         if any(len(row) != len(self.vs) for row in rows):
             raise ValueError("every weight row needs one entry per variable")
+        # under the identity ranking (the only one of 0 or 1 variables, where
+        # itemgetter yields no tuple) a monomial is its own lex key
+        start = len(rows)
+        if rank == tuple(range(len(rank))):
+            pick, back = tuple, lambda k: k[start:]
+        else:
+            pick = itemgetter(*rank)
+            # the key position of each variable's exponent, in index order
+            back = itemgetter(*(start + rank.index(v) for v in range(len(rank))))
+        object.__setattr__(self, "exponents", back)
         if self.key is None:
-            # under the identity ranking (the only one of 0 or 1 variables,
-            # where itemgetter yields no tuple) a monomial is its own lex key
-            pick = tuple if rank == tuple(range(len(rank))) else itemgetter(*rank)
-            dots = lambda m: (tuple([sum(map(mul, r, m)) for r in rows]), pick(m))
+            dots = lambda m: tuple([sum(map(mul, r, m)) for r in rows]) + pick(m)
             object.__setattr__(self, "key", dots if rows else pick)
 
     def leading_monomial(self, terms: dict) -> Monomial:

@@ -9,6 +9,8 @@ from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
+    Reducers,
+    _reduce_terms,
     buchberger,
     ideal_equals,
     ideal_intersection,
@@ -18,6 +20,7 @@ from sporbits.groebner import (
     normal_form,
     s_polynomial,
 )
+from sporbits.involutions import FpfInvolution
 from sporbits.orders import (
     TermOrder,
     antidiagonal_order,
@@ -28,6 +31,7 @@ from sporbits.orders import (
     weight_refined_order,
 )
 from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
+from sporbits.symplectic import column_weights, orbit_ideal
 
 
 @pytest.fixture
@@ -215,6 +219,15 @@ class TestTermOrder:
         assert lex_order(xy) != lex_order(xy, (1, 0))
         assert lex_order(xy) != grevlex_order(xy)
 
+    @pytest.mark.parametrize("order, ref", _ref_presets())
+    def test_key_ends_with_ranked_exponents(self, order, ref):
+        n = len(order.vs)
+        for m in itertools.product(range(3), repeat=n):
+            k = order.key(m)
+            assert k[len(k) - n:] == tuple(m[v] for v in order.ranking)
+            assert len(k) == len(order.weights) + n
+            assert order.exponents(k) == m
+
     def test_replace_key(self, xy):
         order = grevlex_order(xy)
         calls = []
@@ -374,6 +387,17 @@ class TestInitialIdeals:
         order = lex_order(xy)
         assert init.groebner_basis(order) == [poly(xy, "x^2")]
 
+    def test_homogeneous_basis_seeds_the_cache(self, xy):
+        I = Ideal(xy, [poly(xy, "x^2 + x*y"), poly(xy, "x*y^2 - y^3")])
+        init = initial_ideal(I, [0, 1])
+        order = weight_refined_order(xy, [0, 1])
+        assert order in init._gb_cache
+        assert init.groebner_basis(order) == buchberger(list(init.generators), order)
+
+    def test_inhomogeneous_basis_is_not_seeded(self, xy):
+        init = initial_ideal(Ideal(xy, [poly(xy, "x^2 - y"), poly(xy, "x*y - 1")]), [0, 1])
+        assert weight_refined_order(xy, [0, 1]) not in init._gb_cache
+
     def test_weight_zero_is_identity(self, xy):
         I = Ideal(xy, [poly(xy, "x^2 + y^2"), poly(xy, "x*y")])
         init = initial_ideal(I, [0, 0])
@@ -433,6 +457,20 @@ def _random_poly(vs, rng, max_degree=3):
     return Polynomial(vs, terms)
 
 
+def _to_sympy(p, syms):
+    import sympy
+
+    return sympy.Poly.from_dict(
+        {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}, *syms
+    ).as_expr()
+
+
+def _from_sympy(expr, vs, syms):
+    import sympy
+
+    return Polynomial(vs, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(expr, *syms).terms()})
+
+
 class TestSympyOracle:
     """Differential check of buchberger against sympy.groebner, which is not
     a dependency: the test skips where sympy is missing."""
@@ -446,12 +484,7 @@ class TestSympyOracle:
         matched = exhausted = 0
         for _ in range(80):
             gens = [_random_poly(vs, rng) for _ in range(rng.randint(2, 3))]
-            exprs = [
-                sympy.Poly.from_dict(
-                    {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms.items()}, *syms
-                ).as_expr()
-                for g in gens
-            ]
+            exprs = [_to_sympy(g, syms) for g in gens]
             for name, order in (("lex", lex_order(vs)), ("grevlex", grevlex_order(vs))):
                 try:
                     ours = buchberger(gens, order, budget)
@@ -460,13 +493,137 @@ class TestSympyOracle:
                     continue
                 theirs = []
                 for g in sympy.groebner(exprs, *syms, order=name).exprs:
-                    p = Polynomial(
-                        vs,
-                        {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(g, *syms).terms()},
-                    )
+                    p = _from_sympy(g, vs, syms)
                     theirs.append(p.scale(1 / p.terms[order.leading_monomial(p.terms)]))
                 theirs.sort(key=lambda p: order.key(order.leading_monomial(p.terms)))
                 assert ours == theirs, (name, [str(g) for g in gens])
                 matched += 1
         # a run where most cases exhaust the budget checks nothing
         assert matched >= 120, (matched, exhausted)
+
+
+def _rescan_reduce_terms(terms, reducers, key):
+    """The normal form before heap division, kept as the reference: rescan
+    every pending term for the largest at each step."""
+    work = dict(terms)
+    out = {}
+    while work:
+        mono = max(work, key=key)
+        coeff = work.pop(mono)
+        for _, lead, lead_c, tail in reducers:
+            if all(x <= y for x, y in zip(lead, mono)):
+                q = tuple(x - y for x, y in zip(mono, lead))
+                factor = coeff / lead_c
+                for m2, c2 in tail:
+                    mm = tuple(x + y for x, y in zip(m2, q))
+                    c = work.get(mm, Fraction(0)) - factor * c2
+                    if c:
+                        work[mm] = c
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            out[mono] = coeff
+    return out
+
+
+class TestHeapDivision:
+    @pytest.mark.parametrize("order, ref", _ref_presets())
+    def test_matches_rescan_reference(self, order, ref):
+        rng = random.Random(7)
+        for _ in range(60):
+            G = [_random_poly(order.vs, rng) for _ in range(rng.randint(1, 4))]
+            # f lies near the ideal of G, so terms cancel during its division
+            f = _random_poly(order.vs, rng)
+            for g in G:
+                f = f + _random_poly(order.vs, rng, 2) * g
+            reducers = Reducers(G, order).entries
+            ours = _reduce_terms(f.terms, reducers, order)
+            ref = _rescan_reduce_terms(f.terms, reducers, order.key)
+            # same terms, left in the same order
+            assert list(ours.items()) == list(ref.items())
+
+    def test_cancelled_terms(self, xy):
+        # x^2 cancels the -x*y of f, then x*y^2 produces x*y again
+        order = lex_order(xy)
+        G = [poly(xy, "x^2 - x*y"), poly(xy, "x*y^2 - x*y")]
+        f = poly(xy, "x^2 + x*y^2 - x*y")
+        reducers = Reducers(G, order).entries
+        assert _reduce_terms(f.terms, reducers, order) == {(1, 1): 1}
+        assert _rescan_reduce_terms(f.terms, reducers, order.key) == {(1, 1): 1}
+        assert normal_form(f, G, order) == poly(xy, "x*y")
+        # and one that cancels for good leaves no term behind
+        assert _reduce_terms(poly(xy, "x^2 - x*y").terms, reducers, order) == {}
+
+    def test_reducers_grown_one_at_a_time(self, xy):
+        order = grevlex_order(xy)
+        G = [poly(xy, "y^2 - 1"), poly(xy, "x^2 - y"), poly(xy, "x"), poly(xy, "x^2 + 3"), poly(xy, "0")]
+        grown = Reducers([], order)
+        for g in G:
+            grown.add(g)
+        assert grown.entries == Reducers(G, order).entries
+        # low-degree leads first; equal leads in the order they were added
+        assert [str(Polynomial(xy, {e[1]: e[2], **dict(e[3])})) for e in grown.entries] == [
+            "x", "y^2-1", "x^2-y", "x^2+3"
+        ]
+
+    def test_prepared_reducers_need_their_order(self, xy):
+        G = [poly(xy, "x^2 - y")]
+        f = poly(xy, "x^3")
+        assert normal_form(f, Reducers(G, lex_order(xy)), lex_order(xy)) == normal_form(f, G, lex_order(xy))
+        with pytest.raises(ValueError):
+            normal_form(f, Reducers(G, lex_order(xy)), grevlex_order(xy))
+
+    def test_remainder_matches_sympy_reduced(self):
+        sympy = pytest.importorskip("sympy")
+        vs = VariableSet.named("x", "y", "z")
+        syms = sympy.symbols("x y z")
+        rng = random.Random(4)
+        budget = GBBudget(max_pairs=500, max_degree=12, max_seconds=0.25)
+        compared = 0
+        for _ in range(30):
+            gens = [_random_poly(vs, rng) for _ in range(rng.randint(2, 3))]
+            for name, order in (("lex", lex_order(vs)), ("grevlex", grevlex_order(vs))):
+                try:
+                    gb = buchberger(gens, order, budget)
+                except BudgetExceeded:
+                    continue
+                for _ in range(2):
+                    f = sum((_random_poly(vs, rng, 4) for _ in range(3)), Polynomial.zero(vs))
+                    _, rem = sympy.reduced(_to_sympy(f, syms), [_to_sympy(g, syms) for g in gb], *syms, order=name)
+                    assert normal_form(f, gb, order) == _from_sympy(rem, vs, syms), (name, str(f))
+                    compared += 1
+        assert compared >= 90, compared
+
+
+# (basis size, max degree) after each of the first pairs, with the cap at
+# which the run completes: BudgetExceeded.stats at pair caps 0, 1, ... pin the
+# order pairs are taken in.  Recorded with the min()-over-a-set pair selection
+# that the pair heap replaced.
+_PAIR_TRACES = {
+    "xyz-grevlex": ([(3, 2), (4, 2), (5, 3), (6, 3)] + [(7, 3)] * 17, 21),
+    "xyz-lex": ([(3, 2), (4, 3), (5, 3), (6, 3)] + [(7, 4)] * 4 + [(8, 4)] * 20, 28),
+    "216543-weight": ([(2, 4), (3, 5), (4, 6)] + [(5, 7)] * 7, 10),
+}
+
+
+def _pair_trace_case(name):
+    if name == "216543-weight":
+        I = orbit_ideal(FpfInvolution.from_any("216543"))
+        vs = I.vs
+        return list(I.generators), weight_refined_order(vs, column_weights(vs), antidiagonal_order(vs))
+    vs = VariableSet.named("x", "y", "z")
+    gens = [poly(vs, t) for t in ("x^2 + y*z - 2", "x*y + z^2 - 1", "y^2 - x*z + x")]
+    return gens, (grevlex_order(vs) if name == "xyz-grevlex" else lex_order(vs))
+
+
+class TestPairOrder:
+    @pytest.mark.parametrize("name", sorted(_PAIR_TRACES))
+    def test_budget_stats_at_each_pair_cap(self, name):
+        trace, complete = _PAIR_TRACES[name]
+        gens, order = _pair_trace_case(name)
+        for cap, (size, degree) in enumerate(trace):
+            with pytest.raises(BudgetExceeded) as exc:
+                buchberger(gens, order, GBBudget(max_pairs=cap))
+            assert exc.value.stats == {"pairs_processed": cap + 1, "basis_size": size, "max_degree": degree}
+        assert buchberger(gens, order, GBBudget(max_pairs=complete)) == buchberger(gens, order)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from sporbits.groebner import BudgetExceeded, GBBudget, ideal_equals, in_ideal
+from sporbits.groebner import BudgetExceeded, GBBudget, buchberger, ideal_equals, in_ideal, initial_ideal
 from sporbits.involutions import FpfInvolution, enumerate_fpf, j_bar
-from sporbits.orders import antidiagonal_order, grevlex_order
+from sporbits.orders import antidiagonal_order, grevlex_order, weight_refined_order
 from sporbits.pairperms import pair_permutations
 from sporbits.permutations import Permutation
 from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
@@ -352,6 +352,23 @@ class TestVerifiers:
     def test_degeneration_3412(self):
         report = verify_degeneration(fpf("3412"))
         assert report.equal is True
+
+    @pytest.mark.parametrize(
+        "word", ["2143", "3412", "4321", "214365", "215634", "216543", "341265", "351624", "432165"]
+    )
+    def test_initial_ideals_carry_their_reduced_basis(self, word):
+        # both sides of the degeneration check: the initial forms of the
+        # reduced basis are the reduced basis of the initial ideal
+        iota = fpf(word)
+        vs = VariableSet.matrix(iota.size)
+        weights, tie = column_weights(vs), antidiagonal_order(vs)
+        refined = weight_refined_order(vs, weights, tie)
+        sources = [orbit_ideal(iota, vs), union_schubert_ideal(pair_permutations(iota).perms, vs)]
+        for source in sources:
+            init = initial_ideal(source, weights, tie_break=tie)
+            # the dense orbit's ideal is zero and has nothing to seed
+            assert (refined in init._gb_cache) is not source.is_zero()
+            assert init.groebner_basis(refined) == buchberger(list(init.generators), refined)
 
     def test_degeneration_budget_exhaustion_reported(self):
         report = verify_degeneration(fpf("4321"), GBBudget(max_pairs=0))
