@@ -5,7 +5,7 @@ rank.
 The package splits into a combinatorial half (permutations, fixed-point-free
 involutions, pair permutations) and an algebraic half (sparse rational
 polynomials, Buchberger, ideal intersection, initial ideals, pfaffian
-catalogs).
+orbit-closure ideals).
 """
 
 from sporbits.permutations import (

@@ -26,7 +26,7 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter, le, neg, sub
+from operator import add, itemgetter, le, mul, neg, sub
 from typing import Sequence
 
 from sporbits.orders import TermOrder, weight_refined_order, elimination_order
@@ -348,10 +348,11 @@ def initial_form(f: Polynomial, weights: Sequence[int]) -> Polynomial:
         raise ValueError("negative weights rejected")
     if f.is_zero():
         return f
-    def wt(mono: Monomial) -> int:
-        return sum(e * x for e, x in zip(mono, w))
-    best = min(wt(m) for m in f.terms)
-    return Polynomial(f.vs, {m: c for m, c in f.terms.items() if wt(m) == best})
+    weighed = [sum(map(mul, m, w)) for m in f.terms]
+    best = min(weighed)
+    return Polynomial(
+        f.vs, {m: c for (m, c), x in zip(f.terms.items(), weighed) if x == best}
+    )
 
 
 def initial_ideal(

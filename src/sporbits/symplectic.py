@@ -1,13 +1,14 @@
 """The algebraic side: the symplectic form J, the antisymmetric matrix MJM^T
 in a generic matrix of variables, pfaffians, Fulton ideals of matrix Schubert
-varieties, the small catalog of orbit-closure ideals, numeric orbit
-classification, and the two computational verifiers (Knutson-Miller and the
-orbit degeneration).
+varieties, orbit-closure ideals by one pfaffian rule over the symplectic
+essential boxes, numeric orbit classification, and the two computational
+verifiers (Knutson-Miller and the orbit degeneration).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,13 +25,9 @@ from sporbits.groebner import (
     normal_form,
     s_polynomial,
 )
-from sporbits.involutions import (
-    FpfInvolution,
-    j_bar,
-    symplectic_essential_boxes,
-)
+from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
 from sporbits.orders import antidiagonal_order, weight_refined_order
-from sporbits.pairperms import pair_permutations
+from sporbits.pairperms import MAX_SIZE, pair_permutations
 from sporbits.permutations import Permutation, essential_boxes, rank_matrix
 from sporbits.polynomials import Polynomial, VariableSet
 
@@ -141,11 +138,6 @@ def _zero_like(A):
 # Fulton / Schubert ideals
 
 
-def _minor(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
-    sub = [[Polynomial.matrix_entry(vs, i, j) for j in cols] for i in rows]
-    return determinant(sub)
-
-
 def fulton_minors(
     p: Permutation, vs: VariableSet | None = None
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], Polynomial]]:
@@ -156,7 +148,8 @@ def fulton_minors(
     for (i, j, r) in sorted(essential_boxes(p)):
         for rows in itertools.combinations(range(1, i + 1), r + 1):
             for cols in itertools.combinations(range(1, j + 1), r + 1):
-                out.append((rows, cols, _minor(vs, rows, cols)))
+                sub = [[Polynomial.matrix_entry(vs, a, b) for b in cols] for a in rows]
+                out.append((rows, cols, determinant(sub)))
     return out
 
 
@@ -190,46 +183,60 @@ def union_schubert_ideal(
 
 
 # ---------------------------------------------------------------------------
-# the orbit-ideal catalog
+# orbit-closure ideals
+
+#: most terms orbit_ideal expands for one involution, summed over its
+#: pfaffians; at 2n <= 10, 7,3,2,10,9,8,1,6,5,4 needs the most: 1,170,050
+MAX_PFAFFIAN_TERMS = 1_200_000
 
 
-class NotInCatalog(ValueError):
-    """The requested orbit closure has no known generating set."""
+def pfaffian_terms(n: int, q: int) -> int:
+    """Terms of a q x q principal pfaffian of MJM^T at size 2n (Cauchy-Binet
+    over q/2 of the n column pairs; no two products share a monomial)."""
+    return math.comb(n, q // 2) * math.factorial(q)
+
+
+def orbit_pfaffian_indices(iota: FpfInvolution) -> list[tuple[int, ...]]:
+    """Index sets T of the pfaffians pf(A_T) of A = MJM^T that orbit_ideal
+    takes as generators.  Each symplectic essential box (i, j, r), in sorted
+    order, gives every T in {1..j} of even size q, r+1 <= q <= 2r+2, with at
+    least r+1 elements in {1..i}; each T is kept once.
+
+    pf(A_T) vanishes on the closure: the rows of A_T in {1..i} have rank at
+    most r and the other q - r - 1 rows add at most that, so rank A_T < q.
+    The sets cut the closure out: if r+1 rows S in {1..i} are independent on
+    r+1 columns C in {1..j}, a basis R of the rows of A_{S u C} containing S
+    has pf(A_R) != 0, as a skew matrix is nonsingular on a basis of its rows.
+
+    ValueError, before any expansion, when there is something to expand and
+    2n > MAX_SIZE or the pfaffians have more than MAX_PFAFFIAN_TERMS terms.
+    """
+    boxes = sorted(symplectic_essential_boxes(iota))
+    if not boxes:
+        return []
+    if iota.size > MAX_SIZE:
+        raise ValueError(f"orbit ideals are built for 2n <= {MAX_SIZE}, not {iota.size}")
+    index_sets = list(dict.fromkeys(
+        T
+        for i, j, r in boxes
+        for q in range(r + 1 + (r + 1) % 2, min(2 * r + 2, j) + 1, 2)
+        for T in itertools.combinations(range(1, j + 1), q)
+        if sum(t <= i for t in T) > r
+    ))
+    terms = sum(pfaffian_terms(iota.n, len(T)) for T in index_sets)
+    if terms > MAX_PFAFFIAN_TERMS:
+        raise ValueError(f"{iota} needs {terms} pfaffian terms, over {MAX_PFAFFIAN_TERMS}")
+    return index_sets
 
 
 def orbit_ideal(iota: FpfInvolution, vs: VariableSet | None = None) -> Ideal:
-    """Known generators for the orbit-closure ideal of iota.
-
-    Covered shapes: j_bar(n) (dense orbit, zero ideal); 4321 + j_bar(n-2);
-    the two explicit size-6 catalog entries 216543 and 351624; and the
-    one-box shape (box at (2r-1, 2r) with rank 2r-2) whose single Fulton
-    condition is a perfect square with pfaffian square root.  Everything else
-    is reported as out of catalog.
-    """
-    n = iota.n
-    vs = vs or VariableSet.matrix(2 * n)
-    if iota == j_bar(n):
+    """The pfaffians on orbit_pfaffian_indices(iota); zero for the dense orbit."""
+    index_sets = orbit_pfaffian_indices(iota)
+    vs = vs or VariableSet.matrix(iota.size)
+    if not index_sets:
         return Ideal(vs, [])
-    A = build_mjmt(n, vs)
-
-    def pf(indices):
-        return pfaffian_of_indices(A, indices)
-
-    if iota.word[:4] == (4, 3, 2, 1) and (
-        n == 2 or iota.word[4:] == tuple(v + 4 for v in j_bar(n - 2).word)
-    ):
-        return Ideal(vs, [pf([1, 2]), pf([1, 3])])
-    if iota.word == (2, 1, 6, 5, 4, 3):
-        return Ideal(vs, [pf([1, 2, 3, 4]), pf([1, 2, 3, 5])])
-    if iota.word == (3, 5, 1, 6, 2, 4):
-        return Ideal(vs, [pf([1, 2]), pf([1, 2, 3, 4])])
-    boxes = sorted(symplectic_essential_boxes(iota))
-    if len(boxes) == 1:
-        i, j, rank = boxes[0]
-        if j == i + 1 and i % 2 == 1 and rank == i - 1:
-            r = (i + 1) // 2
-            return Ideal(vs, [pf(list(range(1, 2 * r + 1)))])
-    raise NotInCatalog(f"no known generators for {iota}")
+    A = build_mjmt(iota.n, vs)
+    return Ideal(vs, [pfaffian_of_indices(A, T) for T in index_sets])
 
 
 # ---------------------------------------------------------------------------

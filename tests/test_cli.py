@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -177,10 +178,28 @@ class TestOrbitIdealAndClassify:
         assert code == EXIT_OK
         assert len(blob["generators"]) == 2
 
-    def test_orbit_ideal_not_in_catalog(self, capsys):
+    def test_orbit_ideal_456123(self, capsys):
         code, blob = run_json(capsys, "orbit-ideal", "--iota", "456123")
-        assert code == EXIT_USAGE
-        assert "error" in blob
+        assert code == EXIT_OK
+        assert len(blob["generators"]) == 3
+
+    @pytest.mark.parametrize("command", ["orbit-ideal", "verify-degeneration"])
+    @pytest.mark.parametrize(
+        "word",
+        [
+            # box (9,10,8): pf(1..10) would expand to C(6,5) * 10! terms
+            "2,1,4,3,6,5,8,7,11,12,9,10",
+            # box (8,10,6): pfaffians of 8 x 8 and 10 x 10 on {1..10}
+            "2,1,4,3,6,5,11,12,10,9,7,8",
+            # 4321 padded to 2n = 14, above the size cap
+            "4,3,2,1,6,5,8,7,10,9,12,11,14,13",
+        ],
+    )
+    def test_oversize_orbit_ideal_refused_before_expanding(self, capsys, command, word):
+        start = time.process_time()
+        assert main([command, "--iota", word]) == EXIT_USAGE
+        assert time.process_time() - start < 1.0
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_classify(self, capsys, tmp_path):
         rows = [

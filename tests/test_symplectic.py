@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from sporbits.groebner import BudgetExceeded, GBBudget, buchberger, ideal_equals, in_ideal, initial_ideal
-from sporbits.involutions import FpfInvolution, enumerate_fpf, j_bar
+from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, buchberger, ideal_equals, in_ideal, initial_ideal
+from sporbits.involutions import FpfInvolution, enumerate_fpf, j_bar, opposite_leq
 from sporbits.orders import antidiagonal_order, grevlex_order, weight_refined_order
 from sporbits.pairperms import pair_permutations
-from sporbits.permutations import Permutation
+from sporbits.permutations import Permutation, rank_matrix
 from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
 from sporbits.symplectic import (
-    NotInCatalog,
+    MAX_PFAFFIAN_TERMS,
     build_mjmt,
     classify_orbit,
     column_weights,
@@ -22,8 +22,10 @@ from sporbits.symplectic import (
     mat_rank,
     mat_transpose,
     orbit_ideal,
+    orbit_pfaffian_indices,
     pfaffian,
     pfaffian_of_indices,
+    pfaffian_terms,
     random_lower_triangular,
     random_symplectic,
     symplectic_form,
@@ -231,21 +233,56 @@ class TestOrbitIdeal:
         I = orbit_ideal(iota, vs)
         assert I.generators == (pfaffian_of_indices(A, [1, 2, 3, 4]),)
 
-    def test_not_in_catalog(self):
-        # box (2,3) with rank 0 matches no catalog shape
-        with pytest.raises(NotInCatalog):
-            orbit_ideal(fpf("456123"))
+    def test_rule_refuses_nothing_up_to_2n10(self):
+        # all 945 involutions at 2n = 10 pass the term bound; the largest
+        # pfaffian needed is 8 x 8 and 7,3,2,10,9,8,1,6,5,4 needs the most
+        most, sizes = 0, set()
+        for n in range(1, 6):
+            for iota in enumerate_fpf(n):
+                index_sets = orbit_pfaffian_indices(iota)
+                sizes |= {len(T) for T in index_sets}
+                most = max(most, sum(pfaffian_terms(n, len(T)) for T in index_sets))
+        assert sizes == {2, 4, 6, 8}
+        assert most == 1_170_050 <= MAX_PFAFFIAN_TERMS
+
+    @pytest.mark.parametrize("n, q", [(2, 2), (2, 4), (3, 4), (3, 6), (4, 4)])
+    def test_pfaffian_terms_counts_the_expansion(self, n, q):
+        A = build_mjmt(n)
+        assert len(pfaffian_of_indices(A, range(1, q + 1)).terms) == pfaffian_terms(n, q)
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            # box (9,10,8): one 10 x 10 pfaffian, C(6,5) * 10! terms
+            "2,1,4,3,6,5,8,7,11,12,9,10",
+            # box (8,10,6): 8 x 8 and 10 x 10 pfaffians on {1..10}
+            "2,1,4,3,6,5,11,12,10,9,7,8",
+            # 4321 padded to 2n = 14, above the size cap
+            "4,3,2,1,6,5,8,7,10,9,12,11,14,13",
+        ],
+    )
+    def test_oversize_refused_before_expanding(self, word):
+        with pytest.raises(ValueError):
+            orbit_pfaffian_indices(fpf(word))
+
+    def test_dense_orbit_has_zero_ideal_at_any_size(self):
+        assert orbit_ideal(j_bar(7)).generators == ()
+
+    def test_456123(self):
+        # box (2,3) with rank 0: every 2 x 2 pfaffian on {1,2,3} that meets
+        # {1,2}; index sets {1,2} u S alone would give pf{1,2} only
+        vs = VariableSet.matrix(6)
+        A = build_mjmt(3, vs)
+        I = orbit_ideal(fpf("456123"), vs)
+        assert I.generators == (A[0][1], A[0][2], A[1][2])
 
     def test_generators_vanish_on_random_orbit_points(self):
         # b * M_w * s for a conjugator w of iota lies in the orbit closure,
-        # so every catalog generator vanishes there
+        # so every generator vanishes there
         rng = random.Random(7)
         for word in ("4321", "3412"):
             iota = fpf(word)
-            try:
-                I = orbit_ideal(iota)
-            except NotInCatalog:
-                continue
+            I = orbit_ideal(iota)
             for w in pair_permutations(iota).perms:
                 Mw = permutation_matrix(w)
                 for _ in range(5):
@@ -255,6 +292,65 @@ class TestOrbitIdeal:
                     point = [x for row in pt_matrix for x in row]
                     for g in I.generators:
                         assert g.evaluate(point) == 0
+
+    def test_generators_cut_out_the_closure(self):
+        # oracle from rank matrices, not from the rule: the orbit of kappa
+        # lies in the closure of the orbit of iota iff kappa <= iota in the
+        # opposite order, iff rank_matrix(kappa) <= rank_matrix(iota)
+        # entrywise.  The generators of iota must vanish at points
+        # b * M_w * s of the orbit of kappa exactly then.
+        rng = random.Random(5)
+        for n in (1, 2, 3):
+            size = 2 * n
+            items = enumerate_fpf(n)
+            ideals = {iota: orbit_ideal(iota) for iota in items}
+            ranks = {iota: rank_matrix(iota.permutation()) for iota in items}
+            for kappa in items:
+                Mw = permutation_matrix(pair_permutations(kappa).perms[0])
+                points = []
+                for _ in range(2):
+                    b = random_lower_triangular(size, rng)
+                    s = random_symplectic(n, rng)
+                    points.append([x for row in mat_mul(mat_mul(b, Mw), s) for x in row])
+                for iota in items:
+                    inside = opposite_leq(kappa, iota)
+                    assert inside == all(
+                        a <= c
+                        for ra, rc in zip(ranks[kappa], ranks[iota])
+                        for a, c in zip(ra, rc)
+                    )
+                    for point in points:
+                        vanish = all(g.evaluate(point) == 0 for g in ideals[iota].generators)
+                        assert vanish == inside, (str(iota), str(kappa))
+
+    @pytest.mark.parametrize("n, sample", [(4, 105), (5, 30)], ids=["2n8-all", "2n10-sample"])
+    def test_pfaffians_cut_out_the_closure(self, n, sample):
+        # the same rank-matrix oracle for every iota against every kappa at
+        # 2n = 8 and 30 random kappas at 2n = 10, with each pfaffian pf(A_T)
+        # evaluated on the numeric A = M J M^T rather than expanded
+        rng = random.Random(8)
+        size = 2 * n
+        items = enumerate_fpf(n)
+        index_sets = {iota: orbit_pfaffian_indices(iota) for iota in items}
+        every_set = set().union(*index_sets.values())
+        ranks = {iota: rank_matrix(iota.permutation()) for iota in items}
+        J = mat_from(symplectic_form(n))
+        for kappa in rng.sample(items, sample):
+            Mw = permutation_matrix(pair_permutations(kappa).perms[0])
+            for _ in range(2):
+                b = random_lower_triangular(size, rng)
+                s = random_symplectic(n, rng)
+                M = mat_mul(mat_mul(b, Mw), s)
+                A = mat_mul(mat_mul(M, J), mat_transpose(M))
+                zero = {T: pfaffian_of_indices(A, T) == 0 for T in every_set}
+                for iota in items:
+                    inside = all(
+                        a <= c
+                        for ra, rc in zip(ranks[kappa], ranks[iota])
+                        for a, c in zip(ra, rc)
+                    )
+                    vanish = all(zero[T] for T in index_sets[iota])
+                    assert vanish == inside, (str(iota), str(kappa))
 
 
 class TestClassifyOrbit:
@@ -352,6 +448,11 @@ class TestVerifiers:
     def test_degeneration_3412(self):
         report = verify_degeneration(fpf("3412"))
         assert report.equal is True
+
+    @pytest.mark.parametrize("iota", enumerate_fpf(3), ids=str)
+    def test_degeneration_every_involution_2n6(self, iota):
+        report = verify_degeneration(iota, DEEP_BUDGET)
+        assert report.equal is True, report.witnesses
 
     @pytest.mark.parametrize(
         "word", ["2143", "3412", "4321", "214365", "215634", "216543", "341265", "351624", "432165"]
