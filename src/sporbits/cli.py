@@ -2,7 +2,7 @@
 
 One binary with subcommands; flags win over an optional JSON config file.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exhaustion.
+(or memory) exhaustion.
 """
 
 from __future__ import annotations
@@ -13,32 +13,27 @@ import random
 import sys
 from fractions import Fraction
 
+from sporbits.checks import PER_SIZE_CHECKS, classification_invariance, degeneration
 from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, buchberger
 from sporbits.involutions import (
     FpfInvolution,
     basics_decomposition,
     enumerate_fpf,
-    fpf_length,
     glb,
     in_basic_family,
-    j_bar,
     odd_rank_constraint_holds,
-    pair_statistics,
     poset_dot,
     symplectic_essential_boxes,
     upper_covers,
     wiring_ascii,
 )
 from sporbits.orders import antidiagonal_order, grevlex_order, lex_order
-from sporbits.pairperms import MAX_SIZE, conjugation_check, pair_permutations
-from sporbits.permutations import Permutation, length
+from sporbits.pairperms import MAX_SIZE, pair_permutations
+from sporbits.permutations import Permutation
 from sporbits.polynomials import VariableSet, parse_polynomial
 from sporbits.symplectic import (
     classify_orbit,
-    mat_mul,
     orbit_ideal,
-    random_lower_triangular,
-    random_symplectic,
     verify_degeneration,
     verify_knutson_miller,
 )
@@ -213,66 +208,19 @@ def cmd_verify_degeneration(args) -> int:
 
 def cmd_verify_all(args) -> int:
     """Batch invariant suite at combinatorial scale plus the 2n=4 degenerations."""
-    rng = random.Random(args.seed)
-    failures: list[str] = []
-    checks: list[list] = []
-
-    def record(name: str, ok: bool, detail: str = ""):
-        checks.append([name, bool(ok), detail])
-        if not ok:
-            failures.append(name)
-
     # enumerate every size first, so an over-cap --n fails before any check
     families = [(n, enumerate_fpf(n)) for n in range(1, args.n + 1)]
-    for n, items in families:
-        record(
-            f"length_formula_2n={2*n}",
-            all(fpf_length(i) == length(i.permutation()) for i in items),
-        )
-        record(
-            f"odd_rank_constraint_2n={2*n}",
-            all(odd_rank_constraint_holds(i) for i in items),
-        )
-        if n <= 4:
-            ok = True
-            for iota in items:
-                parts = basics_decomposition(iota)
-                if not all(in_basic_family(p) for p in parts):
-                    ok = False
-                    break
-                if glb(parts, n=n) != iota:
-                    ok = False
-                    break
-            record(f"basic_decomposition_2n={2*n}", ok)
-        if n <= 3:
-            ok = True
-            for iota in items:
-                stats = pair_statistics(iota)
-                pp = pair_permutations(iota)
-                if any(length(w) != stats.c + 2 * stats.r for w in pp.perms):
-                    ok = False
-                    break
-                if any(not conjugation_check(w, iota) for w in pp.perms):
-                    ok = False
-                    break
-            record(f"pair_permutation_length_2n={2*n}", ok)
+    checks = [
+        [f"{name}_2n={2*n}", *check(items)]
+        for n, items in families
+        for name, check, max_n in PER_SIZE_CHECKS
+        if n <= max_n
+    ]
     for word in ("2143", "3412", "4321"):
-        report = verify_degeneration(_iota(word), _budget(args))
-        record(
-            f"degeneration_{word}",
-            report.equal is True,
-            report.budget_exhausted or "",
-        )
-    # classification is constant on orbits
-    ok = True
-    for _ in range(args.samples):
-        b = random_lower_triangular(4, rng)
-        s = random_symplectic(2, rng)
-        base = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-        if classify_orbit(mat_mul(mat_mul(b, base), s)) != j_bar(2):
-            ok = False
-            break
-    record("classification_invariance_2n=4", ok)
+        checks.append([f"degeneration_{word}", *degeneration(_iota(word), _budget(args))])
+    rng = random.Random(args.seed)
+    checks.append(["classification_invariance_2n=4", *classification_invariance(args.samples, rng)])
+    failures = [name for name, ok, _ in checks if not ok]
     _emit(args, {"checks": checks, "failures": failures})
     return EXIT_OK if not failures else EXIT_VERIFICATION_FAILED
 
@@ -383,6 +331,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceeded as exc:
         print(json.dumps({"budget_exhausted": exc.reason, "stats": exc.stats}))
+        return EXIT_BUDGET
+    except MemoryError:
+        print(json.dumps({"budget_exhausted": "memory", "stats": {}}))
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -328,45 +328,59 @@ class InfeasibleBox(ValueError):
     """No fixed-point-free involution realizes the requested essential set."""
 
 
-def _unique_with_boxes(n: int, target: frozenset[tuple[int, int, int]]) -> FpfInvolution:
-    matches = [k for k in enumerate_fpf(n) if symplectic_essential_boxes(k) == target]
-    if not matches:
-        raise InfeasibleBox(f"no involution of size {2*n} has essential set {sorted(target)}")
-    if len(matches) > 1:
-        words = ", ".join(str(m) for m in matches)
-        raise InfeasibleBox(f"ambiguous essential set {sorted(target)}: {words}")
-    return matches[0]
+def involution_of_ranks(ranks: Sequence[Sequence[int]]) -> FpfInvolution | None:
+    """The fixed-point-free involution whose rank matrix is `ranks`, or None.
+    Row i of a permutation's rank matrix steps up over row i-1 exactly from
+    column p(i) on, so the word is read off and then checked."""
+    ranks = tuple(map(tuple, ranks))
+    word = tuple(
+        next((j for j, (a, b) in enumerate(zip(above, row), start=1) if b > a), 0)
+        for above, row in zip(((0,) * len(ranks),) + ranks, ranks)
+    )
+    try:
+        iota = FpfInvolution(word)
+    except ValueError:
+        return None
+    return iota if rank_matrix(iota.permutation()) == ranks else None
+
+
+def _with_boxes(n: int, target: frozenset[tuple[int, int, int]]) -> FpfInvolution:
+    """The involution of size 2n whose symplectic essential set is `target`,
+    by the rank rule: its rank matrix is the largest one that is at most
+    r + (a-i)+ + (b-j)+ for each box (i, j, r) and its mirror (j, i, r), at
+    most min(a, b), grows by at most one per step south or east, and is even
+    on the diagonal (northwest blocks of an antisymmetric matrix)."""
+    size = 2 * n
+    R = [[0] * (size + 1) for _ in range(size + 1)]
+    for a, b in itertools.product(range(1, size + 1), repeat=2):
+        bound = min(
+            [a, b, R[a - 1][b] + 1, R[a][b - 1] + 1]
+            + [r + max(a - x, 0) + max(b - y, 0) for i, j, r in target for x, y in ((i, j), (j, i))]
+        )
+        R[a][b] = bound - bound % 2 if a == b else bound
+    iota = involution_of_ranks(row[1:] for row in R[1:])
+    if iota is None or symplectic_essential_boxes(iota) != target:
+        raise InfeasibleBox(f"no involution of size {size} has essential set {sorted(target)}")
+    return iota
 
 
 def construct_a_even(n: int, i: int, j: int, rank: int) -> FpfInvolution:
     """The involution of size 2n whose symplectic essential set is exactly
-    {(i, j, rank)} with rank even.
-
-    Found by exhaustive search over the enumeration (the postcondition is the
-    contract); raises InfeasibleBox when no or several involutions match.
-    """
-    if not (1 <= i < j <= 2 * n):
-        raise InfeasibleBox(f"box ({i},{j}) is not strictly upper-triangular for size {2*n}")
+    {(i, j, rank)} with rank even, built by the rank rule of `_with_boxes`;
+    raises InfeasibleBox when no involution has that essential set."""
     if rank % 2 != 0:
         raise InfeasibleBox("even family needs an even rank condition")
-    return _unique_with_boxes(n, frozenset({(i, j, rank)}))
+    return _with_boxes(n, frozenset({(i, j, rank)}))
 
 
 def construct_a_odd(n: int, i: int, j: int, rank: int) -> FpfInvolution:
     """The involution of size 2n with exactly the boxes (i-1, i, rank-1) and
-    (i, j, rank), rank odd.
-
-    An odd rank condition on the superdiagonal (j = i + 1 ... with i = p+1,
-    meaning a lone odd box next to the diagonal) is infeasible and reported.
-    """
+    (i, j, rank), rank odd, built by the rank rule of `_with_boxes`; raises
+    InfeasibleBox when no involution has them (as for j = i + 1: a diagram
+    cell on the superdiagonal always has even rank)."""
     if rank % 2 != 1:
         raise InfeasibleBox("odd family needs an odd rank condition")
-    if i < 2 or not (i < j <= 2 * n):
-        raise InfeasibleBox(f"box ({i},{j}) infeasible for the odd family at size {2*n}")
-    if j == i + 1:
-        raise InfeasibleBox("an odd rank condition on the superdiagonal is forbidden")
-    target = frozenset({(i - 1, i, rank - 1), (i, j, rank)})
-    return _unique_with_boxes(n, target)
+    return _with_boxes(n, frozenset({(i - 1, i, rank - 1), (i, j, rank)}))
 
 
 def basics_decomposition(iota: FpfInvolution) -> frozenset[FpfInvolution]:

@@ -25,10 +25,14 @@ from sporbits.groebner import (
     normal_form,
     s_polynomial,
 )
-from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
+from sporbits.involutions import (
+    FpfInvolution,
+    involution_of_ranks,
+    symplectic_essential_boxes,
+)
 from sporbits.orders import antidiagonal_order, weight_refined_order
 from sporbits.pairperms import MAX_SIZE, pair_permutations
-from sporbits.permutations import Permutation, essential_boxes, rank_matrix
+from sporbits.permutations import Permutation, essential_boxes
 from sporbits.polynomials import Polynomial, VariableSet
 
 
@@ -306,17 +310,8 @@ def classify_orbit(M: Sequence[Sequence]) -> FpfInvolution:
         tuple(mat_rank([row[:j] for row in A[:i]]) for j in range(1, size + 1))
         for i in range(1, size + 1)
     )
-    # row i of a permutation's rank matrix steps up over row i-1 exactly from
-    # column p(i) on, so the word is read off and then checked
-    word = tuple(
-        next((j for j, (a, b) in enumerate(zip(above, row), start=1) if b > a), 0)
-        for above, row in zip(((0,) * size,) + ranks, ranks)
-    )
-    try:
-        iota = FpfInvolution(word)
-    except ValueError:
-        iota = None
-    if iota is None or rank_matrix(iota.permutation()) != ranks:
+    iota = involution_of_ranks(ranks)
+    if iota is None:
         raise ValueError("no involution matches the rank profile (bug?)")
     return iota
 

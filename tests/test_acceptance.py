@@ -8,17 +8,14 @@ import itertools
 import random
 import time
 
-from sporbits.groebner import DEEP_BUDGET
+from sporbits import checks
+from sporbits.groebner import DEEP_BUDGET, GBBudget
 from sporbits.involutions import (
     FpfInvolution,
-    basics_decomposition,
     enumerate_fpf,
-    fpf_length,
     glb,
     in_basic_family,
     j_bar,
-    odd_rank_constraint_holds,
-    pair_statistics,
 )
 from sporbits.pairperms import conjugation_check, pair_permutations
 from sporbits.permutations import Permutation, all_permutations, length
@@ -27,10 +24,7 @@ from sporbits.symplectic import (
     classify_orbit,
     determinant,
     mat_identity,
-    mat_mul,
     pfaffian,
-    random_lower_triangular,
-    random_symplectic,
     verify_degeneration,
     verify_knutson_miller,
 )
@@ -47,25 +41,14 @@ def fpf(text):
 
 def test_criterion_1_length_formula():
     start = time.monotonic()
-    ok = all(
-        fpf_length(iota) == length(iota.permutation())
-        for n in range(1, 6)
-        for iota in enumerate_fpf(n)
-    )
+    ok = all(checks.length_formula(enumerate_fpf(n))[0] for n in range(1, 6))
     elapsed = time.monotonic() - start
     report(1, f"length formula n+2c+4r on all 2n<=10 ({elapsed:.1f}s)", ok and elapsed < 10)
 
 
 def test_criterion_2_basic_decomposition():
     start = time.monotonic()
-    ok = True
-    for n in range(1, 5):
-        for iota in enumerate_fpf(n):
-            parts = basics_decomposition(iota)
-            if not all(in_basic_family(p) for p in parts):
-                ok = False
-            if glb(parts, n=n) != iota:
-                ok = False
+    ok = all(checks.basic_decomposition(enumerate_fpf(n))[0] for n in range(1, 5))
     elapsed = time.monotonic() - start
     report(2, f"basic-element decomposition on all 2n<=8 ({elapsed:.1f}s)", ok and elapsed < 120)
 
@@ -83,11 +66,9 @@ def test_criterion_4_pair_permutations():
     result = pair_permutations(fpf("4321"))
     ok = {w.word for w in result.perms} == {(1, 3, 4, 2), (3, 1, 2, 4)}
     for n in (1, 2, 3):
+        ok = ok and checks.pair_permutation_length(enumerate_fpf(n))[0]
         for iota in enumerate_fpf(n):
-            stats = pair_statistics(iota)
             pp = pair_permutations(iota)
-            if any(length(w) != stats.c + 2 * stats.r for w in pp.perms):
-                ok = False
             # exhaustive minimality: nothing shorter conjugates j_bar to iota
             shorter_exists = any(
                 length(w) < pp.common_length and conjugation_check(w, iota)
@@ -101,11 +82,7 @@ def test_criterion_4_pair_permutations():
 
 
 def test_criterion_5_odd_rank_constraint():
-    ok = all(
-        odd_rank_constraint_holds(iota)
-        for n in range(1, 5)
-        for iota in enumerate_fpf(n)
-    )
+    ok = all(checks.odd_rank_constraint(enumerate_fpf(n))[0] for n in range(1, 5))
     report(5, "odd-rank constraint on all 2n<=8", ok)
 
 
@@ -123,13 +100,10 @@ def test_criterion_6_knutson_miller():
 
 def test_criterion_7_degeneration_2n4():
     start = time.monotonic()
-    rainbow = verify_degeneration(fpf("4321"))
-    dense = verify_degeneration(j_bar(2))
     ok = (
-        rainbow.equal is True
-        and rainbow.budget_exhausted is None
-        and dense.equal is True
-        and dense.left_generators == ()
+        checks.degeneration(fpf("4321"), GBBudget()) == (True, "")
+        and checks.degeneration(j_bar(2), GBBudget()) == (True, "")
+        and verify_degeneration(j_bar(2)).left_generators == ()
     )
     elapsed = time.monotonic() - start
     report(7, f"degeneration at 2n=4: 4321 and dense orbit ({elapsed:.1f}s)", ok and elapsed < 600)
@@ -161,12 +135,5 @@ def test_criterion_9_pfaffian_squares():
 
 def test_criterion_10_orbit_classification():
     ok = all(classify_orbit(mat_identity(2 * n)) == j_bar(n) for n in (1, 2, 3))
-    rng = random.Random(2024)
-    base = mat_identity(4)
-    for _ in range(100):
-        b = random_lower_triangular(4, rng)
-        s = random_symplectic(2, rng)
-        if classify_orbit(mat_mul(mat_mul(b, base), s)) != j_bar(2):
-            ok = False
-            break
+    ok = ok and checks.classification_invariance(100, random.Random(2024))[0]
     report(10, "classification: identity and 100 random group actions", ok)

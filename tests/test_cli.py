@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sporbits import cli
 from sporbits.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -201,6 +202,16 @@ class TestOrbitIdealAndClassify:
         assert time.process_time() - start < 1.0
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_out_of_memory_is_budget_exit(self, capsys, monkeypatch):
+        def exhaust(iota):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "orbit_ideal", exhaust)
+        assert main(["orbit-ideal", "--iota", "2143"]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == '{"budget_exhausted": "memory", "stats": {}}\n'
+        assert captured.err == ""
+
     def test_classify(self, capsys, tmp_path):
         rows = [
             ["1", "0", "0", "0"],
@@ -248,6 +259,32 @@ class TestVerifiers:
         names = [row[0] for row in blob["checks"]]
         assert "length_formula_2n=4" in names
         assert "degeneration_4321" in names
+
+    def test_verify_all_readme_example(self, capsys):
+        # the README example: every row, in order
+        code, blob = run_json(
+            capsys, "verify-all", "--n", "3", "--seed", "7", "--samples", "20"
+        )
+        assert code == EXIT_OK
+        names = [
+            "length_formula_2n=2",
+            "odd_rank_constraint_2n=2",
+            "basic_decomposition_2n=2",
+            "pair_permutation_length_2n=2",
+            "length_formula_2n=4",
+            "odd_rank_constraint_2n=4",
+            "basic_decomposition_2n=4",
+            "pair_permutation_length_2n=4",
+            "length_formula_2n=6",
+            "odd_rank_constraint_2n=6",
+            "basic_decomposition_2n=6",
+            "pair_permutation_length_2n=6",
+            "degeneration_2143",
+            "degeneration_3412",
+            "degeneration_4321",
+            "classification_invariance_2n=4",
+        ]
+        assert blob == {"checks": [[name, True, ""] for name in names], "failures": []}
 
 
 class TestConfig:

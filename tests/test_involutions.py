@@ -6,6 +6,7 @@ from sporbits.involutions import (
     FpfInvolution,
     NoUniqueMeet,
     InfeasibleBox,
+    _with_boxes,
     basics_decomposition,
     conjugate_by_transposition,
     construct_a_even,
@@ -258,6 +259,31 @@ class TestBasicFamilies:
             construct_a_odd(3, 2, 3, 1)  # odd rank on the superdiagonal
         with pytest.raises(InfeasibleBox):
             construct_a_even(2, 3, 2, 0)  # not upper triangular
+
+    def test_rank_rule_matches_scan_2n_le_10(self):
+        # the scan over every involution that the rank rule replaced is the
+        # oracle: for every single-box and odd-family target with indices in
+        # 0..2n+1 and rank in -1..2n, both give the same involution or none
+        realizable = 0
+        for n in range(1, 6):
+            size = 2 * n
+            scan = {}
+            for k in enumerate_fpf(n):
+                scan.setdefault(symplectic_essential_boxes(k), []).append(k)
+            for i, j, r in itertools.product(range(size + 2), range(size + 2), range(-1, size + 1)):
+                for target in (
+                    frozenset({(i, j, r)}),
+                    frozenset({(i - 1, i, r - 1), (i, j, r)}),
+                ):
+                    matches = scan.get(target, [])
+                    assert len(matches) <= 1, (target, matches)
+                    try:
+                        built = _with_boxes(n, target)
+                    except InfeasibleBox:
+                        built = None
+                    assert built == (matches[0] if matches else None), target
+                    realizable += built is not None
+        assert realizable == 100
 
     def test_construction_unambiguous_2n_le_8(self):
         # essential sets of basic elements pin down a unique involution
