@@ -61,6 +61,7 @@ from sporbits.groebner import (
     ideal_intersection,
     initial_form,
     initial_ideal,
+    is_groebner_basis,
     normal_form,
 )
 from sporbits.symplectic import (

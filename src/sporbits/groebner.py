@@ -1,13 +1,14 @@
 """Buchberger's algorithm and the ideal operations built on it: normal forms,
-reduced Groebner bases, intersection by elimination, initial forms and
-initial ideals under a column-weight vector, and ideal equality.
+reduced Groebner bases and their certificate, intersection by elimination,
+initial forms and initial ideals under a column-weight vector, and ideal
+equality.
 
-Division is heap-ordered (Monagan-Pearce, "Sparse polynomial division using
-a heap", 2011): the pending terms of a reduction sit in a heap under the term
-order, each term's order key is computed once, when the term enters, and the
-terms leave largest first, exactly as a rescan for the maximum would take
-them.  A divisor set is prepared once per basis (`Reducers`), and Buchberger
-keeps it up to date as the basis grows.
+Inside the kernel a term is its packed order key (orders.TermOrder), packed
+once on entry and unpacked once on exit: a monomial product is one addition,
+a divisibility test one AND.  Division is heap-ordered (Monagan-Pearce,
+"Sparse polynomial division using a heap", 2011), against a divisor set
+prepared once per basis (`Reducers`) that Buchberger grows with the basis.
+Every S-polynomial is built one way, from two prepared divisors' tails.
 
 Everything is deterministic: the pair queue is a heap under the normal
 selection strategy (lowest lcm degree first, ties by the term order, then by
@@ -26,10 +27,10 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter, le, mul, neg, sub
+from operator import itemgetter, mul
 from typing import Sequence
 
-from sporbits.orders import TermOrder, weight_refined_order, elimination_order
+from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, weight_refined_order
 from sporbits.polynomials import Monomial, Polynomial, VariableSet
 
 
@@ -84,87 +85,86 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers
+# the packed kernel: every term is its key under the term order
+
+#: (rank, lead, lead coefficient, tail of (key, coefficient)); rank is (degree, lead)
+Entry = tuple[tuple[int, int], int, Fraction, list[tuple[int, Fraction]]]
+_OVERFLOW = f"a product overflows the {FIELD_BITS}-bit key fields"
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
+def _pack(f: Polynomial, order: TermOrder) -> dict[int, Fraction]:
+    return {order.key(m): c for m, c in f.terms.items()}
 
 
-def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
-
-
-def _mono_add(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
+def _unpack(terms: dict[int, Fraction], vs: VariableSet, order: TermOrder) -> Polynomial:
+    return Polynomial(vs, {order.exponents(k): c for k, c in terms.items()})
 
 
 class Reducers:
-    """A divisor set prepared for division under one term order.
-
-    Each nonzero divisor is an entry (rank, lead, lead coefficient, tail),
-    where rank is (degree, order key) of the leading monomial; entries are
-    tried in ascending rank, low-degree leads first, ties in the order the
-    divisors were added.  `add` keeps that order, so a set grown one divisor
-    at a time equals one prepared from the whole list at once.
-    """
+    """A divisor set prepared for division under one term order: Entries
+    tried in ascending rank, low-degree leads first, ties in the order added.
+    `add` keeps that order, so a set grown one divisor at a time equals one
+    prepared from the whole list at once."""
 
     def __init__(self, G: Sequence[Polynomial], order: TermOrder):
         self.order = order
-        self.entries: list[tuple[tuple, Monomial, Fraction, list[tuple[Monomial, Fraction]]]] = []
+        self.entries: list[Entry] = []
         for g in G:
             self.add(g)
 
-    def add(self, g: Polynomial) -> Monomial | None:
-        """Add a divisor; returns its leading monomial (None for zero)."""
-        if g.is_zero():
+    def add(self, g: Polynomial | dict[int, Fraction]) -> Entry | None:
+        """Add a polynomial or packed term dict; returns its entry, or None."""
+        terms = g if isinstance(g, dict) else _pack(g, self.order)
+        if not terms:
             return None
-        lead = self.order.leading_monomial(g.terms)
-        tail = [(m, c) for m, c in g.terms.items() if m != lead]
-        entry = ((sum(lead), self.order.key(lead)), lead, g.terms[lead], tail)
+        lead = max(terms)
+        entry = ((lead & FIELD_MASK, lead), lead, terms[lead], [(k, c) for k, c in terms.items() if k != lead])
         insort(self.entries, entry, key=itemgetter(0))
-        return lead
+        return entry
 
 
-def _reduce_terms(
-    terms: dict[Monomial, Fraction], reducers: list, order: TermOrder
-) -> dict[Monomial, Fraction]:
-    """Full normal form of a term dict against prepared reducer entries.
+def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Fraction]:
+    """The S-polynomial of two entries with leads dividing `lcm`: each tail
+    shifted to the lcm and divided by its lead coefficient, g's subtracted
+    from f's.  The leads cancel by construction."""
+    (_, lf, cf, tf), (_, lg, cg, tg) = f, g
+    out = {k + lcm - lf: c / cf for k, c in tf}
+    for k, c in tg:
+        k += lcm - lg
+        out[k] = out.get(k, 0) - c / cg
+    if any(k & guards for k in out):
+        raise ValueError(_OVERFLOW)
+    return {k: c for k, c in out.items() if c}
 
-    The pending terms are keyed by their negated order key, so a min-heap of
-    those keys pops the largest first, and each key is computed once, when
-    its term enters; the monomial is read back off the key's exponent block
-    (the TermOrder key contract).  A term that cancels leaves the dict but
-    stays in the heap and is skipped when popped; the heap is rebuilt once
-    such dead keys outnumber the live ones.  A popped term never comes back,
-    because every reduction adds only smaller terms, so the terms leave in
-    the order of a rescan for the largest and the remainder is the same.
-    """
-    key, exponents = order.key, order.exponents
-    work = {tuple(map(neg, key(m))): c for m, c in terms.items()}
-    heap = list(work)
+
+def _reduce_terms(work: dict[int, Fraction], reducers: list[Entry], guards: int) -> dict[int, Fraction]:
+    """Full normal form of a packed term dict, consumed, against prepared
+    reducer entries.  A min-heap of negated keys pops the largest term first.
+    A term that cancels stays in the heap, skipped when popped, until dead
+    keys outnumber live ones and the heap is rebuilt.  A popped term never
+    comes back, as reductions add only smaller terms, so terms leave as a
+    rescan for the largest would take them.  A product that sets a guard bit
+    has overflowed its field and raises ValueError."""
+    heap = [-k for k in work]
     heapq.heapify(heap)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[int, Fraction] = {}
     while heap:
-        nkey = heapq.heappop(heap)
-        coeff = work.pop(nkey, None)
+        k = -heapq.heappop(heap)
+        coeff = work.pop(k, None)
         if coeff is None:
             continue
-        mono = tuple(map(neg, exponents(nkey)))
         for _, lead, lead_c, tail in reducers:
-            if _divides(lead, mono):
-                q = _mono_sub(mono, lead)
+            q = k - lead
+            if not q & guards:
                 factor = coeff / lead_c
-                for m2, c2 in tail:
-                    k2 = tuple(map(neg, key(_mono_add(m2, q))))
+                for k2, c2 in tail:
+                    k2 += q
                     c = work.get(k2)
                     if c is None:
+                        if k2 & guards:
+                            raise ValueError(_OVERFLOW)
                         work[k2] = -factor * c2
-                        heapq.heappush(heap, k2)
+                        heapq.heappush(heap, -k2)
                     else:
                         c -= factor * c2
                         if c:
@@ -172,11 +172,11 @@ def _reduce_terms(
                         else:
                             del work[k2]
                 if len(heap) > 2 * len(work):  # mostly dead keys
-                    heap = list(work)
+                    heap = [-k for k in work]
                     heapq.heapify(heap)
                 break
         else:
-            out[mono] = coeff
+            out[k] = coeff
     return out
 
 
@@ -189,23 +189,34 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial] | Reducers, order: TermOr
         G = Reducers(G, order)
     elif G.order != order:
         raise ValueError("reducers prepared under another term order")
-    if not G.entries:
-        return f
-    return Polynomial(f.vs, _reduce_terms(f.terms, G.entries, order))
+    return _unpack(_reduce_terms(_pack(f, order), G.entries, order.guards), f.vs, order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    lf, lg = order.leading_monomial(f.terms), order.leading_monomial(g.terms)
-    lcm = _mono_lcm(lf, lg)
-    cf, cg = f.terms[lf], g.terms[lg]
-    mf = Polynomial(f.vs, {_mono_sub(lcm, lf): Fraction(1) / cf})
-    mg = Polynomial(g.vs, {_mono_sub(lcm, lg): Fraction(1) / cg})
-    return mf * f - mg * g
+    """The S-polynomial of two nonzero polynomials, built as every S-pair of
+    the kernel is (`_s_pair`)."""
+    ef, eg = Reducers((), order).add(f), Reducers((), order).add(g)
+    lcm = order.key(tuple(map(max, order.exponents(ef[1]), order.exponents(eg[1]))))
+    return _unpack(_s_pair(ef, eg, lcm, order.guards), f.vs, order)
 
 
-def _monic(p: Polynomial, order: TermOrder) -> Polynomial:
-    lead = order.leading_monomial(p.terms)
-    return p.scale(Fraction(1) / p.terms[lead])
+def is_groebner_basis(G: Sequence[Polynomial], order: TermOrder, budget: GBBudget | None = None) -> bool:
+    """Certificate that G is a Groebner basis: every S-pair of G reduces to
+    zero against G, with no pair criterion.  BudgetExceeded at max_pairs
+    reduced S-pairs or past the time cap counts the S-pairs reduced so far."""
+    budget = budget or GBBudget()
+    start = time.monotonic()
+    reducers = Reducers((), order)
+    entries = [e for e in map(reducers.add, G) if e is not None]
+    leads = [order.exponents(e[1]) for e in entries]
+    for done, (i, j) in enumerate(itertools.combinations(range(len(entries)), 2)):
+        if done >= budget.max_pairs or time.monotonic() - start > budget.max_seconds:
+            reason = "pair cap" if done >= budget.max_pairs else "time cap"
+            raise BudgetExceeded(reason, {"pairs_processed": done, "basis_size": len(G)})
+        s = _s_pair(entries[i], entries[j], order.key(tuple(map(max, leads[i], leads[j]))), order.guards)
+        if _reduce_terms(s, reducers.entries, order.guards):
+            return False
+    return True
 
 
 def buchberger(
@@ -222,25 +233,30 @@ def buchberger(
     """
     budget = budget or GBBudget()
     start = time.monotonic()
-    key = order.key
+    guards = order.guards
 
-    G: list[Polynomial] = []
-    leads: list[Monomial] = []
+    G = [g for g in generators if not g.is_zero()]
     reducers = Reducers((), order)
-    for g in generators:
-        if not g.is_zero():
-            g = _monic(g, order)
-            G.append(g)
-            leads.append(reducers.add(g))
+    # the monic elements in the order they were found, and their leads
+    basis: list[Entry] = []
+    leads: list[Monomial] = []
 
-    # (lcm degree, lcm key, i, j): pushed once, when the pair is created
-    pairs: list[tuple[int, tuple, int, int]] = []
+    def add(terms: dict[int, Fraction]) -> None:
+        lead_c = terms[max(terms)]
+        basis.append(reducers.add({k: c / lead_c for k, c in terms.items()}))
+        leads.append(order.exponents(basis[-1][1]))
+
+    for g in G:
+        add(_pack(g, order))
+
+    # (lcm degree, lcm, i, j): pushed once, when the pair is created
+    pairs: list[tuple[int, int, int, int]] = []
 
     def push(i: int, j: int) -> None:
-        lcm = _mono_lcm(leads[i], leads[j])
-        heapq.heappush(pairs, (sum(lcm), key(lcm), i, j))
+        lcm = order.key(tuple(map(max, leads[i], leads[j])))
+        heapq.heappush(pairs, (lcm & FIELD_MASK, lcm, i, j))
 
-    for i, j in itertools.combinations(range(len(G)), 2):
+    for i, j in itertools.combinations(range(len(basis)), 2):
         push(i, j)
     done: set[tuple[int, int]] = set()
     stats = {"pairs_processed": 0, "basis_size": len(G), "max_degree": max((g.total_degree() for g in G), default=0)}
@@ -253,39 +269,29 @@ def buchberger(
         if time.monotonic() - start > budget.max_seconds:
             raise BudgetExceeded("time cap", stats)
 
-    def coprime(i: int, j: int) -> bool:
-        return all(min(a, b) == 0 for a, b in zip(leads[i], leads[j]))
-
-    def chain(i: int, j: int) -> bool:
-        lcm = _mono_lcm(leads[i], leads[j])
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if (
-                _divides(leads[k], lcm)
-                and (min(i, k), max(i, k)) in done
-                and (min(j, k), max(j, k)) in done
-            ):
-                return True
-        return False
+    def chain(i: int, j: int, lcm: int) -> bool:
+        return any(
+            k not in (i, j) and not (lcm - basis[k][1]) & guards
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k in range(len(basis))
+        )
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, lcm, i, j = heapq.heappop(pairs)
         done.add((i, j))
         stats["pairs_processed"] += 1
         check_budget()
-        if coprime(i, j) or chain(i, j):
+        # coprime leads: the lcm is their product
+        if lcm == basis[i][1] + basis[j][1] or chain(i, j, lcm):
             continue
-        h = normal_form(s_polynomial(G[i], G[j], order), reducers, order)
-        if h.is_zero():
+        h = _reduce_terms(_s_pair(basis[i], basis[j], lcm, guards), reducers.entries, guards)
+        if not h:
             continue
-        h = _monic(h, order)
-        stats["max_degree"] = max(stats["max_degree"], h.total_degree())
+        stats["max_degree"] = max(stats["max_degree"], max(k & FIELD_MASK for k in h))
         check_budget()
-        G.append(h)
-        leads.append(reducers.add(h))
-        new = len(G) - 1
-        stats["basis_size"] = len(G)
+        add(h)
+        new = len(basis) - 1
+        stats["basis_size"] = len(basis)
         for k in range(new):
             push(k, new)
 
@@ -293,22 +299,19 @@ def buchberger(
 
 
 def _reduce_basis(basis: Reducers, vs: VariableSet) -> list[Polynomial]:
-    """Minimalize then fully tail-reduce a Groebner basis, given prepared."""
+    """Minimalize then fully tail-reduce a prepared monic Groebner basis."""
+    guards = basis.order.guards
     # minimal: drop any element whose lead is divisible by an earlier lead
-    minimal: list = []
+    minimal: list[Entry] = []
     for entry in basis.entries:
-        if not any(_divides(other[1], entry[1]) for other in minimal):
+        if all((entry[1] - other[1]) & guards for other in minimal):
             minimal.append(entry)
     # no other lead divides a minimal lead, so each element keeps its lead
-    reduced = []
-    for idx, (rank, lead, lead_c, tail) in enumerate(minimal):
-        terms = {lead: lead_c, **dict(tail)}
-        others = minimal[:idx] + minimal[idx + 1:]
-        if others:
-            terms = _reduce_terms(terms, others, basis.order)
-        reduced.append((rank[1], Polynomial(vs, terms).scale(Fraction(1) / lead_c)))
-    reduced.sort(key=itemgetter(0))
-    return [p for _, p in reduced]
+    reduced = sorted(
+        (lead, _reduce_terms({lead: lead_c, **dict(tail)}, minimal[:idx] + minimal[idx + 1:], guards))
+        for idx, (_, lead, lead_c, tail) in enumerate(minimal)
+    )
+    return [_unpack(terms, vs, basis.order) for _, terms in reduced]
 
 
 def in_ideal(f: Polynomial, gb: Sequence[Polynomial], order: TermOrder) -> bool:

@@ -1,10 +1,10 @@
 """Monomial orders as values.
 
-A TermOrder is a matrix order in Robbiano's sense: integer weight rows stacked
-over a variable ranking.  Monomials compare by their dot product with each row
-in turn, then lexicographically in the ranking, and orders compare and hash by
-that matrix.  The presets are data, all genuine term orders (total,
-multiplicative, with 1 minimal):
+A TermOrder is a matrix order in Robbiano's sense: non-negative integer
+weight rows stacked over a variable ranking.  Monomials compare by their dot
+product with each row in turn, then lexicographically in the ranking, and
+orders compare and hash by that matrix.  The presets are data, all genuine
+term orders (total, multiplicative, with 1 minimal):
 
 * lex with an explicit variable ranking,
 * graded reverse lex,
@@ -16,9 +16,10 @@ multiplicative, with 1 minimal):
   vector.
 
 The weight-refined order compares total degree first, then prefers LOWER
-weight (the terms surviving t -> 0 are the minimal-weight ones), then falls
-back to a total tie-break.  Comparing raw weight first, with low weight large,
-would put 1 above positive-weight variables and so would not be a term order;
+weight (the terms surviving t -> 0 are the minimal-weight ones) by the row
+max(w) - w, which sorts like -w under the degree row, then falls back to a
+total tie-break.  Comparing raw weight first, with low weight large, would
+put 1 above positive-weight variables and so would not be a term order;
 grading by total degree restores well-ordering and agrees with the pure
 weight comparison on homogeneous polynomials, which is the only place initial
 ideals are taken.
@@ -27,10 +28,15 @@ ideals are taken.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter, mul
+from itertools import compress
+from operator import mul
 from typing import Callable, Sequence
 
 from sporbits.polynomials import Monomial, VariableSet
+
+#: width of one key field, and its largest value
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -40,37 +46,47 @@ class TermOrder:
     is built once from the matrix unless one is given; `name` is display
     only and takes no part in equality.
 
-    Key contract: `key(m)` is one flat tuple, the dot products of m with the
-    weight rows followed by the exponents of m in `ranking` order, so keys
-    compare exactly as the matrix order does and `exponents(key(m)) == m`.
-    A key given in place of the built one must keep that shape."""
+    Key contract (Monagan-Pearce, "POLY: a new polynomial data structure for
+    Maple 17", 2013): `key(m)` is one int of FIELD_BITS-wide fields, each
+    under a guard bit (`guards`), most significant first: the dot products of
+    m with the weight rows, the exponents of m in `ranking` order, and its
+    degree `key(m) & FIELD_MASK`.  So keys compare as the matrix order does,
+    key(a) + key(b) == key(a + b), a divides b exactly when (key(b) - key(a))
+    & guards == 0, exponents(key(m)) == m, and a monomial whose fields
+    overflow raises ValueError.  A given key must keep that contract."""
 
     vs: VariableSet
     weights: tuple[tuple[int, ...], ...]
     ranking: tuple[int, ...]
     name: str = field(compare=False)
-    key: Callable[[Monomial], tuple] | None = field(default=None, compare=False, repr=False)
-    exponents: Callable[[tuple], Monomial] = field(init=False, compare=False, repr=False)
+    key: Callable[[Monomial], int] | None = field(default=None, compare=False, repr=False)
+    exponents: Callable[[int], Monomial] = field(init=False, compare=False, repr=False)
+    guards: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows, rank = self.weights, self.ranking
-        if sorted(rank) != list(range(len(self.vs))):
+        rows, rank, n = self.weights, self.ranking, len(self.vs)
+        if sorted(rank) != list(range(n)):
             raise ValueError("ranking must be a permutation of all variable indices")
-        if any(len(row) != len(self.vs) for row in rows):
+        if any(len(row) != n for row in rows):
             raise ValueError("every weight row needs one entry per variable")
-        # under the identity ranking (the only one of 0 or 1 variables, where
-        # itemgetter yields no tuple) a monomial is its own lex key
-        start = len(rows)
-        if rank == tuple(range(len(rank))):
-            pick, back = tuple, lambda k: k[start:]
-        else:
-            pick = itemgetter(*rank)
-            # the key position of each variable's exponent, in index order
-            back = itemgetter(*(start + rank.index(v) for v in range(len(rank))))
-        object.__setattr__(self, "exponents", back)
+        if any(x < 0 for row in rows for x in row):
+            raise ValueError("weight rows must be non-negative")
+        slot, fields = FIELD_BITS + 1, len(rows) + n + 1
+        # per variable: its exponent shift, and its key (packed matrix column + degree 1)
+        shifts = [slot * (n - rank.index(v)) for v in range(n)]
+        row_shifts = [slot * (fields - 1 - r) for r in range(len(rows))]
+        cols = [sum(row[v] << h for row, h in zip(rows, row_shifts)) + (1 << s) + 1 for v, s in enumerate(shifts)]
+        cap = FIELD_MASK // max([1, *(x for row in rows for x in row)])  # fields fit up to this degree
+
+        def key(m: Monomial) -> int:
+            if sum(m) > cap and max([sum(m), *(sum(map(mul, row, m)) for row in rows)]) > FIELD_MASK:
+                raise ValueError(f"monomial {m} overflows the {FIELD_BITS}-bit key fields")
+            return sum(map(mul, compress(m, m), compress(cols, m)))  # nonzero exponents only
+
+        object.__setattr__(self, "exponents", lambda k: tuple([k >> s & FIELD_MASK for s in shifts]))
+        object.__setattr__(self, "guards", sum(1 << slot * f + FIELD_BITS for f in range(fields)))
         if self.key is None:
-            dots = lambda m: tuple([sum(map(mul, r, m)) for r in rows]) + pick(m)
-            object.__setattr__(self, "key", dots if rows else pick)
+            object.__setattr__(self, "key", key)
 
     def leading_monomial(self, terms: dict) -> Monomial:
         return max(terms, key=self.key)
@@ -124,7 +140,7 @@ def weight_refined_order(
     if any(x < 0 for x in w):
         raise ValueError("negative weights rejected")
     tie = tie_break if tie_break is not None else lex_order(vs)
-    rows = ((1,) * len(w), tuple(-x for x in w)) + tie.weights
+    rows = ((1,) * len(w), tuple(max(w) - x for x in w)) + tie.weights
     return TermOrder(vs, rows, tie.ranking, f"weight{w}/{tie.name}")
 
 

@@ -13,6 +13,7 @@ from sporbits.cli import (
     EXIT_VERIFICATION_FAILED,
     main,
 )
+from sporbits.orders import FIELD_MASK
 
 
 #: small arbitrary JSON values
@@ -161,6 +162,20 @@ class TestGroebner:
         code = main(["groebner", "--ideal", str(path), "--max-seconds", "2"])
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET)
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "generators, flags",
+        [([f"x^{FIELD_MASK + 1} - y"], []), ([f"x - y^{FIELD_MASK}", "x^2"], ["--max-degree", str(2 * FIELD_MASK)])],
+        ids=["term", "product"],
+    )
+    def test_over_wide_exponent_is_usage_error(self, capsys, tmp_path, generators, flags):
+        # a term, or a product during reduction, that overflows its key field
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"variables": ["x", "y"], "generators": generators}))
+        assert main(["groebner", "--ideal", str(path), *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_budget_exit_code(self, capsys, tmp_path):
         blob = {"variables": ["x", "y"], "generators": ["x^3 - 2*x*y", "x^2*y - 2*y^2 + x"]}

@@ -10,18 +10,20 @@ from sporbits.groebner import (
     GBBudget,
     Ideal,
     Reducers,
-    _reduce_terms,
     buchberger,
     ideal_equals,
     ideal_intersection,
     in_ideal,
     initial_form,
     initial_ideal,
+    is_groebner_basis,
     normal_form,
     s_polynomial,
 )
 from sporbits.involutions import FpfInvolution
 from sporbits.orders import (
+    FIELD_BITS,
+    FIELD_MASK,
     TermOrder,
     antidiagonal_order,
     antidiagonal_ranking,
@@ -221,12 +223,45 @@ class TestTermOrder:
 
     @pytest.mark.parametrize("order, ref", _ref_presets())
     def test_key_ends_with_ranked_exponents(self, order, ref):
-        n = len(order.vs)
+        # fields from the least significant: the degree, the exponents from
+        # the last-ranked variable up, then the weight rows from the last up
+        n, rows = len(order.vs), order.weights
+        fields = lambda k: [k >> (FIELD_BITS + 1) * f & FIELD_MASK for f in range(n + 1 + len(rows))]
         for m in itertools.product(range(3), repeat=n):
             k = order.key(m)
-            assert k[len(k) - n:] == tuple(m[v] for v in order.ranking)
-            assert len(k) == len(order.weights) + n
+            dots = [sum(e * x for e, x in zip(m, row)) for row in rows]
+            assert fields(k)[::-1] == dots + [m[v] for v in order.ranking] + [sum(m)]
+            assert k >> (FIELD_BITS + 1) * (n + 1 + len(rows)) == 0
             assert order.exponents(k) == m
+
+    @pytest.mark.parametrize("order, ref", _ref_presets())
+    def test_key_is_linear_and_guards_test_divisibility(self, order, ref):
+        monos = list(itertools.product(range(3), repeat=len(order.vs)))
+        key, guards = order.key, order.guards
+        for a in monos:
+            assert key(a) & guards == 0
+            for b in monos[::5]:
+                assert key(a) + key(b) == key(tuple(x + y for x, y in zip(a, b)))
+                divides = all(x <= y for x, y in zip(a, b))
+                assert ((key(b) - key(a)) & guards == 0) == divides, (a, b)
+
+    def test_over_wide_exponent_is_refused(self, xy):
+        for order in (lex_order(xy), grevlex_order(xy), weight_refined_order(xy, (3, 0))):
+            with pytest.raises(ValueError):
+                order.key((FIELD_MASK + 1, 0))
+        # the widest exponent fits unless a weight row scales it past the field
+        assert lex_order(xy).exponents(lex_order(xy).key((FIELD_MASK, 0))) == (FIELD_MASK, 0)
+        with pytest.raises(ValueError):
+            weight_refined_order(xy, (0, 2)).key((FIELD_MASK // 2 + 1, 0))
+
+    def test_rejects_negative_row(self, xy):
+        with pytest.raises(ValueError):
+            TermOrder(xy, ((1, -1),), (0, 1), "bad")
+
+    def test_weight_row_is_max_minus_weight(self, xy):
+        xyz = VariableSet.named("x", "y", "z")
+        order = weight_refined_order(xyz, (2, 0, 1))
+        assert order.weights == ((1, 1, 1), (0, 2, 1))
 
     def test_replace_key(self, xy):
         order = grevlex_order(xy)
@@ -267,6 +302,22 @@ class TestNormalForm:
         s = s_polynomial(f, g, order)
         lead = order.leading_monomial(s.terms)
         assert order.key(lead) < order.key((2, 2))
+        # y*f - x*g, built from the tails with no polynomial products
+        assert s == poly(xy, "x^2 - y")
+
+    def test_certificate(self, xy):
+        order = lex_order(xy)
+        gens = [poly(xy, "x^2 - 1"), poly(xy, "x*y - 1")]
+        assert not is_groebner_basis(gens, order)
+        assert is_groebner_basis(buchberger(gens, order), order)
+        assert is_groebner_basis([], order) and is_groebner_basis([poly(xy, "0"), gens[0]], order)
+
+    def test_certificate_budget(self, xy):
+        gens = buchberger([poly(xy, "x^3 - y"), poly(xy, "x*y^2 - 1")], grevlex_order(xy))
+        with pytest.raises(BudgetExceeded) as exc:
+            is_groebner_basis(gens, grevlex_order(xy), GBBudget(max_pairs=1))
+        assert exc.value.reason == "pair cap"
+        assert exc.value.stats == {"pairs_processed": 1, "basis_size": len(gens)}
 
 
 class TestBuchberger:
@@ -497,6 +548,7 @@ class TestSympyOracle:
                     theirs.append(p.scale(1 / p.terms[order.leading_monomial(p.terms)]))
                 theirs.sort(key=lambda p: order.key(order.leading_monomial(p.terms)))
                 assert ours == theirs, (name, [str(g) for g in gens])
+                assert is_groebner_basis(ours, order)
                 matched += 1
         # a run where most cases exhaust the budget checks nothing
         assert matched >= 120, (matched, exhausted)
@@ -527,6 +579,18 @@ def _rescan_reduce_terms(terms, reducers, key):
     return out
 
 
+def _tuple_entries(G, order):
+    """Reducer entries with tuple monomials, built from G in the order
+    Reducers tries them: ascending (lead degree, lead), ties as given."""
+    entries = []
+    for g in G:
+        if not g.is_zero():
+            lead = order.leading_monomial(g.terms)
+            tail = [(m, c) for m, c in g.terms.items() if m != lead]
+            entries.append(((sum(lead), order.key(lead)), lead, g.terms[lead], tail))
+    return sorted(entries, key=lambda e: e[0])
+
+
 class TestHeapDivision:
     @pytest.mark.parametrize("order, ref", _ref_presets())
     def test_matches_rescan_reference(self, order, ref):
@@ -537,23 +601,20 @@ class TestHeapDivision:
             f = _random_poly(order.vs, rng)
             for g in G:
                 f = f + _random_poly(order.vs, rng, 2) * g
-            reducers = Reducers(G, order).entries
-            ours = _reduce_terms(f.terms, reducers, order)
-            ref = _rescan_reduce_terms(f.terms, reducers, order.key)
+            ours = normal_form(f, G, order)
+            ref = _rescan_reduce_terms(f.terms, _tuple_entries(G, order), order.key)
             # same terms, left in the same order
-            assert list(ours.items()) == list(ref.items())
+            assert list(ours.terms.items()) == list(ref.items())
 
     def test_cancelled_terms(self, xy):
         # x^2 cancels the -x*y of f, then x*y^2 produces x*y again
         order = lex_order(xy)
         G = [poly(xy, "x^2 - x*y"), poly(xy, "x*y^2 - x*y")]
         f = poly(xy, "x^2 + x*y^2 - x*y")
-        reducers = Reducers(G, order).entries
-        assert _reduce_terms(f.terms, reducers, order) == {(1, 1): 1}
-        assert _rescan_reduce_terms(f.terms, reducers, order.key) == {(1, 1): 1}
+        assert _rescan_reduce_terms(f.terms, _tuple_entries(G, order), order.key) == {(1, 1): 1}
         assert normal_form(f, G, order) == poly(xy, "x*y")
         # and one that cancels for good leaves no term behind
-        assert _reduce_terms(poly(xy, "x^2 - x*y").terms, reducers, order) == {}
+        assert normal_form(poly(xy, "x^2 - x*y"), Reducers(G, order), order).is_zero()
 
     def test_reducers_grown_one_at_a_time(self, xy):
         order = grevlex_order(xy)
@@ -562,10 +623,22 @@ class TestHeapDivision:
         for g in G:
             grown.add(g)
         assert grown.entries == Reducers(G, order).entries
+        # entries are packed: rank (degree, lead), lead, its coefficient, tail
+        ex = order.exponents
+        assert [e[0] for e in grown.entries] == [(sum(ex(e[1])), e[1]) for e in grown.entries]
         # low-degree leads first; equal leads in the order they were added
-        assert [str(Polynomial(xy, {e[1]: e[2], **dict(e[3])})) for e in grown.entries] == [
+        assert [str(Polynomial(xy, {ex(e[1]): e[2], **{ex(k): c for k, c in e[3]}})) for e in grown.entries] == [
             "x", "y^2-1", "x^2-y", "x^2+3"
         ]
+
+    def test_overflowing_product_raises(self, xy):
+        # x reduces to y^FIELD_MASK, which times x overflows the degree field
+        order = lex_order(xy)
+        G = [Polynomial(xy, {(1, 0): 1, (0, FIELD_MASK): -1})]
+        with pytest.raises(ValueError):
+            normal_form(poly(xy, "x^2"), G, order)
+        with pytest.raises(ValueError):
+            buchberger(G + [poly(xy, "x^2")], order, GBBudget(max_degree=2 * FIELD_MASK))
 
     def test_prepared_reducers_need_their_order(self, xy):
         G = [poly(xy, "x^2 - y")]

@@ -181,6 +181,12 @@ class TestOppositeOrderAndGlb:
     def test_glb_of_two_basics(self):
         assert glb([fpf("341265"), fpf("215634")]) == fpf("351624")
 
+    def test_no_unique_meet(self):
+        with pytest.raises(NoUniqueMeet) as exc:
+            glb([fpf("215634"), fpf("432165")])
+        assert set(exc.value.antichain) == {fpf("456123"), fpf("532614")}
+        assert "456123, 532614" in str(exc.value)
+
     def test_singleton(self):
         for iota in enumerate_fpf(2):
             assert glb([iota]) == iota
