@@ -1,19 +1,28 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Monomials are exponent tuples indexed by a VariableSet; coefficients are
-Fractions and zero coefficients are never stored, so equal polynomials compare
-equal structurally.  The textual format is `-3/2*m[1,2]*m[2,1]^2`, terms
-joined by `+`/`-`.
+A polynomial is a dict from packed monomials to coefficients.  A monomial
+packs into one int: one FIELD_BITS-wide big-endian field per variable, in
+VariableSet index order, whose top bit is a guard.  So exponents run up to
+MAX_EXPONENT, multiplying two monomials is one int addition, and a product
+whose exponent overflows sets a guard bit and raises ValueError.
+Coefficients are ints when integral and Fractions otherwise, and zero
+coefficients are never stored, so equal polynomials compare equal
+structurally.  `Polynomial.terms` shows the same terms as a read-only
+mapping from exponent tuples to Fractions.  The textual format is
+`-3/2*m[1,2]*m[2,1]^2`, terms joined by `+`/`-`.
 """
 
 from __future__ import annotations
 
 import re
+import struct
+from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
+FIELD_BITS = 32
+MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
 
 
 @dataclass(frozen=True)
@@ -28,11 +37,17 @@ class VariableSet:
     matrix_size: int = 0
     n_elim: int = 0
     index: dict = field(init=False, repr=False, compare=False, hash=False)
+    packer: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
+    guards: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         object.__setattr__(self, "index", {nm: k for k, nm in enumerate(self.names)})
+        packer = struct.Struct(f">{len(self.names)}I")
+        object.__setattr__(self, "packer", packer)
+        guards = packer.pack(*[MAX_EXPONENT + 1] * len(self.names))
+        object.__setattr__(self, "guards", int.from_bytes(guards, "big"))
 
     @staticmethod
     def matrix(n: int) -> "VariableSet":
@@ -60,32 +75,91 @@ class VariableSet:
             raise ValueError("not a matrix variable set")
         return (i - 1) * self.matrix_size + (j - 1)
 
+    def pack(self, mono: Monomial) -> int:
+        """The packed key of an exponent tuple, which must hold one exponent
+        in 0..MAX_EXPONENT per variable."""
+        try:
+            key = int.from_bytes(self.packer.pack(*mono), "big")
+        except struct.error:
+            key = None
+        if key is None or key & self.guards:
+            raise ValueError(f"not {len(self)} exponents in 0..{MAX_EXPONENT}: {mono!r}")
+        return key
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    def unpack(self, key: int) -> Monomial:
+        return self.packer.unpack(key.to_bytes(self.packer.size, "big"))
+
+
+def _exact(value) -> int | Fraction:
+    """A coefficient as stored: an int when integral, else a Fraction."""
     if isinstance(value, str):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return value
     raise TypeError(f"not an exact coefficient: {value!r}")
+
+
+def _fraction(c: int | Fraction) -> Fraction:
+    return c if isinstance(c, Fraction) else Fraction(c)
+
+
+class Terms(Mapping):
+    """Read-only view of a polynomial's terms: exponent tuple -> Fraction,
+    in insertion order, unpacked lazily."""
+
+    __slots__ = ("_vs", "_packed")
+
+    def __init__(self, vs: VariableSet, packed: dict):
+        self._vs, self._packed = vs, packed
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self):
+        return map(self._vs.unpack, self._packed)
+
+    def __getitem__(self, mono: Monomial) -> Fraction:
+        try:
+            return _fraction(self._packed[self._vs.pack(mono)])
+        except ValueError:
+            raise KeyError(mono) from None
+
+    def items(self):
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        unpack = self._mapping._vs.unpack
+        for key, c in self._mapping._packed.items():
+            yield unpack(key), _fraction(c)
 
 
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("vs", "terms", "_hash")
+    __slots__ = ("vs", "_packed", "_hash")
 
     def __init__(self, vs: VariableSet, terms: Mapping[Monomial, Fraction] | None = None):
-        self.vs = vs
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = _as_fraction(coeff)
-                if c:
-                    clean[mono] = c
-        self.terms = clean
-        self._hash = None
+        packed = {}
+        for mono, coeff in (terms or {}).items():
+            c = _exact(coeff)
+            if c:
+                packed[vs.pack(mono)] = c
+        self.vs, self._packed, self._hash = vs, packed, None
+
+    @classmethod
+    def _of(cls, vs: VariableSet, packed: dict) -> "Polynomial":
+        """Wrap a packed dict that has no zero coefficient, without a copy."""
+        p = object.__new__(cls)
+        p.vs, p._packed, p._hash = vs, packed, None
+        return p
+
+    @property
+    def terms(self) -> Terms:
+        return Terms(self.vs, self._packed)
 
     # -- constructors -------------------------------------------------------
 
@@ -95,7 +169,8 @@ class Polynomial:
 
     @staticmethod
     def constant(vs: VariableSet, value) -> "Polynomial":
-        return Polynomial(vs, {(0,) * len(vs): _as_fraction(value)})
+        c = _exact(value)
+        return Polynomial._of(vs, {0: c} if c else {})
 
     @staticmethod
     def variable(vs: VariableSet, name_or_index) -> "Polynomial":
@@ -105,7 +180,7 @@ class Polynomial:
             else vs.index[name_or_index]
         )
         mono = tuple(1 if k == idx else 0 for k in range(len(vs)))
-        return Polynomial(vs, {mono: Fraction(1)})
+        return Polynomial(vs, {mono: 1})
 
     @staticmethod
     def matrix_entry(vs: VariableSet, i: int, j: int) -> "Polynomial":
@@ -114,7 +189,7 @@ class Polynomial:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -127,12 +202,12 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.vs.names == other.vs.names
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.vs.names, frozenset(self.terms.items())))
+            self._hash = hash((self.vs.names, frozenset(self._packed.items())))
         return self._hash
 
     # -- arithmetic ----------------------------------------------------------
@@ -146,19 +221,20 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = out.get(mono, Fraction(0)) + coeff
+        out = dict(self._packed)
+        get = out.get
+        for key, coeff in other._packed.items():
+            c = get(key, 0) + coeff
             if c:
-                out[mono] = c
+                out[key] = c
             else:
-                out.pop(mono, None)
-        return Polynomial(self.vs, out)
+                del out[key]
+        return Polynomial._of(self.vs, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vs, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.vs, {k: -c for k, c in self._packed.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -168,16 +244,21 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                c = out.get(mono, Fraction(0)) + c1 * c2
+        out: dict[int, int | Fraction] = {}
+        get = out.get
+        right = other._packed.items()
+        for k1, c1 in self._packed.items():
+            for k2, c2 in right:
+                key = k1 + k2
+                c = get(key, 0) + c1 * c2
                 if c:
-                    out[mono] = c
+                    out[key] = c
                 else:
-                    out.pop(mono, None)
-        return Polynomial(self.vs, out)
+                    del out[key]
+        guards = self.vs.guards
+        if any(key & guards for key in out):
+            raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
+        return Polynomial._of(self.vs, out)
 
     __rmul__ = __mul__
 
@@ -189,17 +270,18 @@ class Polynomial:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scale(self, c) -> "Polynomial":
-        c = _as_fraction(c)
-        return Polynomial(self.vs, {m: c * v for m, v in self.terms.items()})
+        c = _exact(c)
+        return Polynomial._of(self.vs, {k: c * v for k, v in self._packed.items()} if c else {})
 
     def evaluate(self, values: Iterable) -> Fraction:
         """Exact evaluation: one rational value per variable, in index order."""
-        vals = [_as_fraction(v) for v in values]
+        vals = [_exact(v) for v in values]
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             prod = coeff
@@ -213,29 +295,25 @@ class Polynomial:
         """Re-index into a variable set whose leading block matches self.vs."""
         if vs.names[: len(self.vs)] != self.vs.names:
             raise ValueError("target variable set does not extend the source")
-        pad = (0,) * (len(vs) - len(self.vs))
-        return Polynomial(vs, {m + pad: c for m, c in self.terms.items()})
+        shift = FIELD_BITS * (len(vs) - len(self.vs))
+        return Polynomial._of(vs, {k << shift: c for k, c in self._packed.items()})
 
     def restrict(self, vs: VariableSet) -> "Polynomial":
         """Drop trailing variables (which must not occur) down to vs."""
         if self.vs.names[: len(vs)] != vs.names:
             raise ValueError("target variable set is not a prefix of the source")
-        k = len(vs)
-        out = {}
-        for m, c in self.terms.items():
-            if any(m[k:]):
-                raise ValueError("polynomial involves a dropped variable")
-            out[m[:k]] = c
-        return Polynomial(vs, out)
+        shift = FIELD_BITS * (len(self.vs) - len(vs))
+        if any(k & ((1 << shift) - 1) for k in self._packed):
+            raise ValueError("polynomial involves a dropped variable")
+        return Polynomial._of(vs, {k >> shift: c for k, c in self._packed.items()})
 
     # -- text format ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=lambda m: (-sum(m), tuple(-e for e in m))):
-            coeff = self.terms[mono]
+        for mono, coeff in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0]))):
             factors = []
             for idx, e in enumerate(mono):
                 if e == 1:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
+from sporbits.polynomials import MAX_EXPONENT, Polynomial, VariableSet, parse_polynomial
 
 
 @pytest.fixture
@@ -33,6 +33,43 @@ def random_polynomials(vs, max_terms=4, max_exp=3):
             ),
             Polynomial.zero(vs),
         )
+    )
+
+
+def _ref_add(a, b):
+    """Sum of two tuple-keyed term dicts, by the tuple-dict algorithm the
+    packed one replaced (so insertion order is comparable too)."""
+    out = dict(a)
+    for m, c in b.items():
+        c = out.get(m, 0) + c
+        if c:
+            out[m] = c
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+    return out
+
+
+def term_dicts(nvars, max_terms=5):
+    """Tuple-keyed term dicts with int and Fraction coefficients, no zeros;
+    exponents are mostly small, some up to 2**29."""
+    coeff = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    expo = st.integers(0, 3) | st.integers(0, 1 << 29)
+    mono = st.tuples(*[expo] * nvars)
+    return st.dictionaries(mono, coeff, max_size=max_terms).map(
+        lambda d: {m: c for m, c in d.items() if c}
     )
 
 
@@ -106,6 +143,92 @@ class TestArithmetic:
         ]
         assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
         assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+
+
+class TestPackedAgainstTupleReference:
+    """Polynomial on packed keys against a tuple-dict reference."""
+
+    XYZ = VariableSet.named("x", "y", "z")
+
+    def _exact_view(self, p, ref):
+        # the public view: tuple keys and Fraction values, in insertion order
+        items = list(p.terms.items())
+        assert items == list(ref.items())
+        assert all(type(m) is tuple and type(c) is Fraction for m, c in items)
+        assert len(p.terms) == len(ref)
+
+    @settings(max_examples=80, deadline=None)
+    @given(term_dicts(3), term_dicts(3))
+    def test_ring_operations(self, a, b):
+        p, q = Polynomial(self.XYZ, a), Polynomial(self.XYZ, b)
+        self._exact_view(p * q, _ref_mul(a, b))
+        self._exact_view(p + q, _ref_add(a, b))
+        self._exact_view(p - q, _ref_add(a, {m: -c for m, c in b.items()}))
+        assert (p == q) == (a == b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(term_dicts(3))
+    def test_equality_and_hash_ignore_order_and_type(self, a):
+        p = Polynomial(self.XYZ, a)
+        q = Polynomial(self.XYZ, {m: Fraction(c) for m, c in reversed(list(a.items()))})
+        assert p == q and hash(p) == hash(q)
+        assert Polynomial(self.XYZ, dict(p.terms.items())) == p
+        assert all(type(c) is int or c.denominator != 1 for c in p._packed.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(term_dicts(3), st.integers(0, 3))
+    def test_extend_restrict(self, a, live):
+        ext = self.XYZ.with_elimination("t", "u")
+        p = Polynomial(self.XYZ, a)
+        lifted = p.extend(ext)
+        self._exact_view(lifted, {m + (0, 0): c for m, c in a.items()})
+        assert lifted.restrict(self.XYZ) == p
+        with_t = lifted * Polynomial.variable(ext, "u") ** live
+        if live and a:
+            with pytest.raises(ValueError):
+                with_t.restrict(self.XYZ)
+        else:
+            assert with_t.restrict(self.XYZ) == p
+
+    def test_view_lookups(self, xy):
+        p = parse_polynomial(xy, "2*x*y - 1/2")
+        assert p.terms[(1, 1)] == 2 and type(p.terms[(1, 1)]) is Fraction
+        assert (0, 0) in p.terms and (1, 0) not in p.terms and (1,) not in p.terms
+        with pytest.raises(KeyError):
+            p.terms[(1,)]
+
+
+class TestMonomialChecks:
+    def test_wrong_length_rejected(self, xy):
+        # used to be stored as given: printed "x" but compared unequal to x
+        with pytest.raises(ValueError):
+            Polynomial(xy, {(1,): 1})
+        with pytest.raises(ValueError):
+            Polynomial(xy, {(1, 0, 0): 1})
+
+    def test_negative_exponent_rejected(self, xy):
+        # used to print "y^2" and evaluate to 9/2 at (2, 3)
+        with pytest.raises(ValueError):
+            Polynomial(xy, {(-1, 2): 1})
+
+    def test_exponent_over_field_rejected(self, xy):
+        assert MAX_EXPONENT == 2**31 - 1
+        assert parse_polynomial(xy, f"y^{MAX_EXPONENT}").terms == {(0, MAX_EXPONENT): 1}
+        for mono in ((2**31, 0), (0, 2**31), (0, 2**32)):
+            with pytest.raises(ValueError):
+                Polynomial(xy, {mono: 1})
+        with pytest.raises(ValueError):
+            parse_polynomial(xy, f"x*y^{2**31}")
+
+    @pytest.mark.parametrize("text", ["x", "y", "x*y"])
+    def test_overflowing_product_raises(self, xy, text):
+        var = parse_polynomial(xy, text)
+        half = var ** (2**30)
+        assert half * var ** (2**30 - 1) == var ** MAX_EXPONENT
+        with pytest.raises(ValueError):
+            half * half
+        with pytest.raises(ValueError):
+            half * (half + 1)
 
 
 class TestParsing:
