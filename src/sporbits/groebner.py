@@ -5,10 +5,14 @@ equality.
 
 Inside the kernel a term is its packed order key (orders.TermOrder), packed
 once on entry and unpacked once on exit: a monomial product is one addition,
-a divisibility test one AND.  Division is heap-ordered (Monagan-Pearce,
-"Sparse polynomial division using a heap", 2011), against a divisor set
-prepared once per basis (`Reducers`) that Buchberger grows with the basis.
-Every S-polynomial is built one way, from two prepared divisors' tails.
+a divisibility test one AND.  Coefficients are ints when integral and
+Fractions otherwise, as in Polynomial: every quotient goes through `_div`,
+which keeps an int over a ±1 lead, so the ±1 Fulton minors and the monic
+bases Buchberger builds from integer input stay in small ints.  Division is
+heap-ordered (Monagan-Pearce, "Sparse polynomial division using a heap",
+2011), against a divisor set prepared once per basis (`Reducers`) that
+Buchberger grows with the basis.  Every S-polynomial is built one way, from
+two prepared divisors' tails.
 
 Everything is deterministic: the pair queue is a heap under the normal
 selection strategy (lowest lcm degree first, ties by the term order, then by
@@ -87,17 +91,31 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # the packed kernel: every term is its key under the term order
 
-#: (rank, lead, lead coefficient, tail of (key, coefficient)); rank is (degree, lead)
-Entry = tuple[tuple[int, int], int, Fraction, list[tuple[int, Fraction]]]
+#: an exact coefficient: an int when integral, else a Fraction
+Coeff = int | Fraction
+#: (rank, lead, lead coefficient, tail of (key, coefficient)); rank is (degree, lead),
+#: every coefficient a Coeff, so ±1 minors stay ints
+Entry = tuple[tuple[int, int], int, Coeff, list[tuple[int, Coeff]]]
 _OVERFLOW = f"a product overflows the {FIELD_BITS}-bit key fields"
 
 
-def _pack(f: Polynomial, order: TermOrder) -> dict[int, Fraction]:
-    return {order.key(m): c for m, c in f.terms.items()}
+def _pack(f: Polynomial, order: TermOrder) -> dict[int, Coeff]:
+    return {order.key(f.vs.unpack(k)): c for k, c in f._packed.items()}
 
 
-def _unpack(terms: dict[int, Fraction], vs: VariableSet, order: TermOrder) -> Polynomial:
+def _unpack(terms: dict[int, Coeff], vs: VariableSet, order: TermOrder) -> Polynomial:
     return Polynomial(vs, {order.exponents(k): c for k, c in terms.items()})
+
+
+def _div(a: Coeff, b: Coeff) -> Coeff:
+    """The exact quotient a / b: a or -a when b is ±1, an int when
+    integral, else a Fraction."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Reducers:
@@ -112,7 +130,7 @@ class Reducers:
         for g in G:
             self.add(g)
 
-    def add(self, g: Polynomial | dict[int, Fraction]) -> Entry | None:
+    def add(self, g: Polynomial | dict[int, Coeff]) -> Entry | None:
         """Add a polynomial or packed term dict; returns its entry, or None."""
         terms = g if isinstance(g, dict) else _pack(g, self.order)
         if not terms:
@@ -123,21 +141,21 @@ class Reducers:
         return entry
 
 
-def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Fraction]:
+def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Coeff]:
     """The S-polynomial of two entries with leads dividing `lcm`: each tail
     shifted to the lcm and divided by its lead coefficient, g's subtracted
     from f's.  The leads cancel by construction."""
     (_, lf, cf, tf), (_, lg, cg, tg) = f, g
-    out = {k + lcm - lf: c / cf for k, c in tf}
+    out = {k + lcm - lf: _div(c, cf) for k, c in tf}
     for k, c in tg:
         k += lcm - lg
-        out[k] = out.get(k, 0) - c / cg
+        out[k] = out.get(k, 0) - _div(c, cg)
     if any(k & guards for k in out):
         raise ValueError(_OVERFLOW)
     return {k: c for k, c in out.items() if c}
 
 
-def _reduce_terms(work: dict[int, Fraction], reducers: list[Entry], guards: int) -> dict[int, Fraction]:
+def _reduce_terms(work: dict[int, Coeff], reducers: list[Entry], guards: int) -> dict[int, Coeff]:
     """Full normal form of a packed term dict, consumed, against prepared
     reducer entries.  A min-heap of negated keys pops the largest term first.
     A term that cancels stays in the heap, skipped when popped, until dead
@@ -147,7 +165,7 @@ def _reduce_terms(work: dict[int, Fraction], reducers: list[Entry], guards: int)
     has overflowed its field and raises ValueError."""
     heap = [-k for k in work]
     heapq.heapify(heap)
-    out: dict[int, Fraction] = {}
+    out: dict[int, Coeff] = {}
     while heap:
         k = -heapq.heappop(heap)
         coeff = work.pop(k, None)
@@ -156,7 +174,7 @@ def _reduce_terms(work: dict[int, Fraction], reducers: list[Entry], guards: int)
         for _, lead, lead_c, tail in reducers:
             q = k - lead
             if not q & guards:
-                factor = coeff / lead_c
+                factor = _div(coeff, lead_c)
                 for k2, c2 in tail:
                     k2 += q
                     c = work.get(k2)
@@ -241,9 +259,9 @@ def buchberger(
     basis: list[Entry] = []
     leads: list[Monomial] = []
 
-    def add(terms: dict[int, Fraction]) -> None:
+    def add(terms: dict[int, Coeff]) -> None:
         lead_c = terms[max(terms)]
-        basis.append(reducers.add({k: c / lead_c for k, c in terms.items()}))
+        basis.append(reducers.add({k: _div(c, lead_c) for k, c in terms.items()}))
         leads.append(order.exponents(basis[-1][1]))
 
     for g in G:

@@ -71,9 +71,12 @@ class VariableSet:
 
     def matrix_var(self, i: int, j: int) -> int:
         """Global index of m[i,j] (1-based matrix coordinates)."""
-        if not self.matrix_size:
+        n = self.matrix_size
+        if not n:
             raise ValueError("not a matrix variable set")
-        return (i - 1) * self.matrix_size + (j - 1)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"m[{i},{j}] is outside the {n}x{n} matrix")
+        return (i - 1) * n + (j - 1)
 
     def pack(self, mono: Monomial) -> int:
         """The packed key of an exponent tuple, which must hold one exponent
@@ -179,8 +182,9 @@ class Polynomial:
             if isinstance(name_or_index, int)
             else vs.index[name_or_index]
         )
-        mono = tuple(1 if k == idx else 0 for k in range(len(vs)))
-        return Polynomial(vs, {mono: 1})
+        if not 0 <= idx < len(vs):
+            raise ValueError(f"no variable {idx} among {len(vs)}")
+        return Polynomial._of(vs, {1 << FIELD_BITS * (len(vs) - 1 - idx): 1})
 
     @staticmethod
     def matrix_entry(vs: VariableSet, i: int, j: int) -> "Polynomial":

@@ -8,8 +8,10 @@ import itertools
 import random
 import time
 
-from sporbits import checks
-from sporbits.groebner import DEEP_BUDGET, GBBudget
+import pytest
+
+from sporbits import checks, groebner
+from sporbits.groebner import DEEP_BUDGET, GBBudget, is_groebner_basis
 from sporbits.involutions import (
     FpfInvolution,
     enumerate_fpf,
@@ -37,6 +39,33 @@ def report(number: int, title: str, ok: bool):
 
 def fpf(text):
     return FpfInvolution.from_any(text)
+
+
+@pytest.fixture
+def reduced_bases(monkeypatch):
+    """Records every reduced basis a test computes or reads from an Ideal's
+    cache, with its order, so the test can certify each one."""
+    seen = {}
+    buchberger, groebner_basis = groebner.buchberger, groebner.Ideal.groebner_basis
+
+    def record(basis, order):
+        seen[tuple(basis), order] = None
+        return basis
+
+    def recorded_buchberger(G, order, budget=None):
+        return record(buchberger(G, order, budget), order)
+
+    def recorded_groebner_basis(I, order, budget=None):
+        return record(groebner_basis(I, order, budget), order)
+
+    monkeypatch.setattr(groebner, "buchberger", recorded_buchberger)
+    monkeypatch.setattr(groebner.Ideal, "groebner_basis", recorded_groebner_basis)
+    return seen
+
+
+def certified(bases) -> bool:
+    """Every recorded basis passes the is_groebner_basis certificate."""
+    return bool(bases) and all(is_groebner_basis(list(basis), order, DEEP_BUDGET) for basis, order in bases)
 
 
 def test_criterion_1_length_formula():
@@ -98,18 +127,23 @@ def test_criterion_6_knutson_miller():
     report(6, f"Fulton generators Groebner for S_4 and 10 in S_5 ({elapsed:.1f}s)", ok and elapsed < 120)
 
 
-def test_criterion_7_degeneration_2n4():
+def test_criterion_7_degeneration_2n4(reduced_bases):
     start = time.monotonic()
     ok = (
         checks.degeneration(fpf("4321"), GBBudget()) == (True, "")
         and checks.degeneration(j_bar(2), GBBudget()) == (True, "")
         and verify_degeneration(j_bar(2)).left_generators == ()
     )
+    ok = ok and certified(reduced_bases)
     elapsed = time.monotonic() - start
-    report(7, f"degeneration at 2n=4: 4321 and dense orbit ({elapsed:.1f}s)", ok and elapsed < 600)
+    report(
+        7,
+        f"degeneration at 2n=4: 4321 and dense orbit, {len(reduced_bases)} bases certified ({elapsed:.1f}s)",
+        ok and elapsed < 600,
+    )
 
 
-def test_criterion_8_degeneration_2n6_deep():
+def test_criterion_8_degeneration_2n6_deep(reduced_bases):
     start = time.monotonic()
     ok = True
     outcomes = []
@@ -119,8 +153,9 @@ def test_criterion_8_degeneration_2n6_deep():
         # inequality at completed budget is the only failing outcome
         if rep.equal is False:
             ok = False
+    ok = ok and certified(reduced_bases)
     elapsed = time.monotonic() - start
-    report(8, f"degeneration at 2n=6 (deep): {outcomes} ({elapsed:.1f}s)", ok)
+    report(8, f"degeneration at 2n=6 (deep): {outcomes}, {len(reduced_bases)} bases certified ({elapsed:.1f}s)", ok)
 
 
 def test_criterion_9_pfaffian_squares():

@@ -4,12 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
     Reducers,
+    _div,
+    _reduce_terms,
+    _s_pair,
     buchberger,
     ideal_equals,
     ideal_intersection,
@@ -21,6 +26,7 @@ from sporbits.groebner import (
     s_polynomial,
 )
 from sporbits.involutions import FpfInvolution
+from sporbits.permutations import Permutation
 from sporbits.orders import (
     FIELD_BITS,
     FIELD_MASK,
@@ -33,7 +39,7 @@ from sporbits.orders import (
     weight_refined_order,
 )
 from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
-from sporbits.symplectic import column_weights, orbit_ideal
+from sporbits.symplectic import column_weights, fulton_minors, orbit_ideal
 
 
 @pytest.fixture
@@ -522,6 +528,18 @@ def _from_sympy(expr, vs, syms):
     return Polynomial(vs, {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(expr, *syms).terms()})
 
 
+def _sympy_reduced_basis(gens, order, name, syms):
+    """sympy's reduced basis under the order sympy calls `name`, made monic
+    and sorted by leading monomial, as `buchberger` returns it."""
+    import sympy
+
+    basis = []
+    for g in sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order=name).exprs:
+        p = _from_sympy(g, order.vs, syms)
+        basis.append(p.scale(1 / p.terms[order.leading_monomial(p.terms)]))
+    return sorted(basis, key=lambda p: order.key(order.leading_monomial(p.terms)))
+
+
 class TestSympyOracle:
     """Differential check of buchberger against sympy.groebner, which is not
     a dependency: the test skips where sympy is missing."""
@@ -535,19 +553,13 @@ class TestSympyOracle:
         matched = exhausted = 0
         for _ in range(80):
             gens = [_random_poly(vs, rng) for _ in range(rng.randint(2, 3))]
-            exprs = [_to_sympy(g, syms) for g in gens]
             for name, order in (("lex", lex_order(vs)), ("grevlex", grevlex_order(vs))):
                 try:
                     ours = buchberger(gens, order, budget)
                 except BudgetExceeded:
                     exhausted += 1
                     continue
-                theirs = []
-                for g in sympy.groebner(exprs, *syms, order=name).exprs:
-                    p = _from_sympy(g, vs, syms)
-                    theirs.append(p.scale(1 / p.terms[order.leading_monomial(p.terms)]))
-                theirs.sort(key=lambda p: order.key(order.leading_monomial(p.terms)))
-                assert ours == theirs, (name, [str(g) for g in gens])
+                assert ours == _sympy_reduced_basis(gens, order, name, syms), (name, [str(g) for g in gens])
                 assert is_groebner_basis(ours, order)
                 matched += 1
         # a run where most cases exhaust the budget checks nothing
@@ -700,3 +712,121 @@ class TestPairOrder:
                 buchberger(gens, order, GBBudget(max_pairs=cap))
             assert exc.value.stats == {"pairs_processed": cap + 1, "basis_size": size, "max_degree": degree}
         assert buchberger(gens, order, GBBudget(max_pairs=complete)) == buchberger(gens, order)
+
+
+# coefficient kinds for the integer kernel: ±1 only, non-unit ints, Fractions
+_COEFFS = {
+    "unit": st.sampled_from([-1, 1]),
+    "int": st.integers(-3, 3).filter(bool),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+}
+
+
+@st.composite
+def _xyz_polys(draw, kind, max_terms=3, max_degree=2):
+    vs = VariableSet.named("x", "y", "z")
+    mono = st.tuples(*[st.integers(0, max_degree)] * 3).filter(lambda m: sum(m) <= max_degree)
+    return Polynomial(vs, draw(st.dictionaries(mono, _COEFFS[kind], min_size=1, max_size=max_terms)))
+
+
+def _ideal_cases():
+    """(kind, generators, order): 2 or 3 generators in x, y, z of one
+    coefficient kind, under lex or grevlex."""
+    return st.sampled_from(sorted(_COEFFS)).flatmap(
+        lambda kind: st.tuples(
+            st.just(kind),
+            st.lists(_xyz_polys(kind), min_size=2, max_size=3),
+            st.sampled_from(["lex", "grevlex"]),
+        )
+    )
+
+
+def _xyz_order(name):
+    vs = VariableSet.named("x", "y", "z")
+    return lex_order(vs) if name == "lex" else grevlex_order(vs)
+
+
+class TestIntegerCoefficients:
+    """The kernel keeps int coefficients where they are integral (`_div`);
+    differential checks against the tuple/Fraction rescan reference and
+    sympy on unit, non-unit int and Fraction inputs."""
+
+    def test_exact_division(self):
+        assert _div(7, 1) == 7 and type(_div(7, 1)) is int
+        assert _div(7, -1) == -7 and type(_div(7, -1)) is int
+        assert _div(-6, 3) == -2 and type(_div(-6, 3)) is int
+        assert _div(3, -2) == Fraction(-3, 2)
+        assert _div(Fraction(3, 2), Fraction(3, 4)) == 2 and type(_div(Fraction(3, 2), Fraction(3, 4))) is int
+        assert _div(2, Fraction(4, 3)) == Fraction(3, 2)
+        assert _div(Fraction(1, 3), -1) == Fraction(-1, 3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_ideal_cases(), st.data())
+    def test_matches_rescan_reference(self, case, data):
+        kind, gens, name = case
+        order = _xyz_order(name)
+        f = data.draw(_xyz_polys(kind, max_terms=4, max_degree=3))
+        f = f + data.draw(_xyz_polys(kind, max_degree=1)) * gens[0]
+        ours = normal_form(f, gens, order)
+        ref = _rescan_reduce_terms(f.terms, _tuple_entries(gens, order), order.key)
+        assert list(ours.terms.items()) == list(ref.items())
+        try:
+            gb = buchberger(gens, order, GBBudget(max_pairs=300, max_degree=10, max_seconds=0.5))
+        except BudgetExceeded:
+            return
+        assert is_groebner_basis(gb, order)
+        # every generator reduces to zero; each basis element is monic and
+        # reduced against the others
+        for g in gens:
+            assert _rescan_reduce_terms(g.terms, _tuple_entries(gb, order), order.key) == {}
+        for idx, b in enumerate(gb):
+            assert b.terms[order.leading_monomial(b.terms)] == 1
+            rest = _tuple_entries(gb[:idx] + gb[idx + 1:], order)
+            assert _rescan_reduce_terms(b.terms, rest, order.key) == dict(b.terms)
+        # the generators are a basis exactly when their leads divide every
+        # lead of the reduced basis
+        leads = [order.leading_monomial(g.terms) for g in gens]
+        divides = all(
+            any(all(x <= y for x, y in zip(a, order.leading_monomial(b.terms))) for a in leads) for b in gb
+        )
+        assert is_groebner_basis(gens, order) == divides
+
+    @settings(max_examples=30, deadline=None)
+    @given(_ideal_cases())
+    def test_matches_sympy(self, case):
+        sympy = pytest.importorskip("sympy")
+        kind, gens, name = case
+        order = _xyz_order(name)
+        try:
+            ours = buchberger(gens, order, GBBudget(max_pairs=300, max_degree=10, max_seconds=0.5))
+        except BudgetExceeded:
+            return
+        theirs = _sympy_reduced_basis(gens, order, name, sympy.symbols("x y z"))
+        assert ours == theirs, (kind, name, [str(g) for g in gens])
+
+    @pytest.mark.parametrize("word", ["15432", "25413", "35142", "14253", "21534"])
+    def test_fulton_minors_stay_in_ints(self, word):
+        """The Knutson-Miller path: S-pairs of Fulton minors and their
+        remainders, including every term stored while dividing, are ints."""
+
+        class IntTerms(dict):
+            def __setitem__(self, k, c):
+                assert type(c) is int, (k, c)
+                super().__setitem__(k, c)
+
+        p = Permutation.from_any(word)
+        vs = VariableSet.matrix(p.size)
+        order = antidiagonal_order(vs)
+        entries = Reducers([f for _, _, f in fulton_minors(p, vs)], order).entries
+        assert entries and all(type(c) is int for e in entries for c in [e[2], *dict(e[3]).values()])
+        ex, remainders = order.exponents, 0
+        for e, f in itertools.combinations(entries, 2):
+            lcm = order.key(tuple(map(max, ex(e[1]), ex(f[1]))))
+            s = _s_pair(e, f, lcm, order.guards)
+            assert all(type(c) is int for c in s.values())
+            # against the two minors alone the remainder is mostly nonzero
+            rem = _reduce_terms(IntTerms(s), [e, f], order.guards)
+            assert all(type(c) is int for c in rem.values())
+            remainders += bool(rem)
+            assert _reduce_terms(IntTerms(s), entries, order.guards) == {}
+        assert remainders

@@ -82,6 +82,24 @@ class TestVariableSet:
         assert vs.names[idx] == "m[2,1]"
         assert str(Polynomial.variable(vs, idx)) == "m[2,1]"
 
+    def test_variable_is_one_exponent(self, vs):
+        for idx in range(len(vs)):
+            unit = tuple(int(k == idx) for k in range(len(vs)))
+            assert Polynomial.variable(vs, idx) == Polynomial(vs, {unit: 1})
+            assert Polynomial.variable(vs, vs.names[idx]) == Polynomial(vs, {unit: 1})
+
+    @pytest.mark.parametrize("idx", [-1, 2, 5])
+    def test_variable_index_out_of_range(self, xy, idx):
+        with pytest.raises(ValueError):
+            Polynomial.variable(xy, idx)
+
+    @pytest.mark.parametrize("i, j", [(1, 3), (3, 1), (0, 1), (1, 0), (-1, 2), (3, 3)])
+    def test_matrix_entry_out_of_range(self, vs, i, j):
+        with pytest.raises(ValueError):
+            Polynomial.matrix_entry(vs, i, j)
+        with pytest.raises(ValueError):
+            vs.matrix_var(i, j)
+
     def test_with_elimination(self, vs):
         ext = vs.with_elimination("t")
         assert ext.names[: len(vs.names)] == vs.names
