@@ -70,6 +70,17 @@ def _iota(text: str) -> FpfInvolution:
     return FpfInvolution.from_any(text)
 
 
+def _read_json(path: str):
+    """The JSON value in a file; nesting deeper than the parser can follow is
+    malformed input like any other (a ValueError)."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def cmd_enumerate(args) -> int:
     items = enumerate_fpf(args.n)
     _emit(
@@ -138,7 +149,7 @@ def cmd_pairperms(args) -> int:
 
 
 def cmd_groebner(args) -> int:
-    blob = json.loads(open(args.ideal).read())
+    blob = _read_json(args.ideal)
     if not (
         isinstance(blob, dict)
         and "generators" in blob
@@ -177,7 +188,7 @@ def cmd_orbit_ideal(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rows = json.loads(open(args.matrix).read())
+    rows = _read_json(args.matrix)
     try:
         M = [[Fraction(str(x)) for x in row] for row in rows]
     except (TypeError, ZeroDivisionError) as exc:
@@ -315,8 +326,8 @@ def main(argv=None) -> int:
         # parsers too, since each parses into its own namespace), then a
         # second parse lets explicitly given flags win over them
         try:
-            cfg = json.loads(open(args.config).read())
-        except (OSError, json.JSONDecodeError) as exc:
+            cfg = _read_json(args.config)
+        except (OSError, ValueError) as exc:
             parser.error(f"bad config file: {exc}")
         if not isinstance(cfg, dict):
             parser.error("bad config file: expected a JSON object")

@@ -204,11 +204,15 @@ def enumerate_fpf(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[FpfInvolution
     Ordered by pairing the smallest free outlet with each larger free outlet
     in increasing order.
     """
+    _check_half(n, bound)
+    return [FpfInvolution.from_arcs(arcs) for arcs in _matchings(tuple(range(1, 2 * n + 1)))]
+
+
+def _check_half(n: int, bound: int = DEFAULT_ENUM_BOUND) -> None:
     if n < 1:
         raise ValueError("n must be positive")
     if n > bound:
         raise ValueError(f"n={n} exceeds the enumeration bound {bound}")
-    return [FpfInvolution.from_arcs(arcs) for arcs in _matchings(tuple(range(1, 2 * n + 1)))]
 
 
 def _matchings(free: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -237,11 +241,16 @@ class NoUniqueMeet(ValueError):
 
 
 def glb(elements: Iterable[FpfInvolution], n: int | None = None) -> FpfInvolution:
-    """Greatest lower bound in the opposite Bruhat order, by poset search.
+    """Greatest lower bound in the opposite Bruhat order, by a rank-pruned
+    search.
 
+    k lies below every element exactly when its rank matrix is at most the
+    entrywise minimum of theirs, so `_lower_bounds` visits only the order
+    ideal under that minimum.  A meet, if there is one, is the lower bound of
+    largest rank-matrix sum; one pass over the others confirms it.
     glb of the empty set is the top element j_bar(n) (n must then be given).
-    Raises NoUniqueMeet with the offending antichain if the maximal common
-    lower bounds are not unique.
+    Raises NoUniqueMeet with the offending antichain, in enumerate_fpf order,
+    if the maximal common lower bounds are not unique.
     """
     elems = list(elements)
     if not elems:
@@ -251,15 +260,79 @@ def glb(elements: Iterable[FpfInvolution], n: int | None = None) -> FpfInvolutio
     half = elems[0].n
     if any(e.n != half for e in elems):
         raise ValueError("size mismatch")
-    lower = [
-        k for k in enumerate_fpf(half) if all(opposite_leq(k, e) for e in elems)
+    _check_half(half)
+    size = 2 * half
+    ceiling = [
+        tuple(map(min, zip(*rows)))
+        for rows in zip(*(rank_matrix(e.permutation()) for e in elems))
     ]
+    guard, lower = _lower_bounds(ceiling)
+
+    def leq(ranks, above):
+        return ((above | guard) - ranks) & guard == guard
+
+    # entry (i, j) counts the k <= i with w(k) <= j, so outlet k adds one to
+    # (size - k + 1) * (size - w(k) + 1) entries of the rank matrix; `lower`
+    # is never empty, as the reverse word lies below every involution
+    top = max(
+        lower,
+        key=lambda bound: sum((size + 1 - k) * (size + 1 - v) for k, v in enumerate(bound[0], 1)),
+    )
+    if all(leq(ranks, top[1]) for _, ranks in lower):
+        return FpfInvolution(top[0])
     maximal = [
-        k for k in lower if not any(k != m and opposite_leq(k, m) for m in lower)
+        word
+        for word, ranks in lower
+        if not any(word != other and leq(ranks, above) for other, above in lower)
     ]
-    if len(maximal) != 1:
-        raise NoUniqueMeet(maximal)
-    return maximal[0]
+    raise NoUniqueMeet([FpfInvolution(word) for word in maximal])
+
+
+def _lower_bounds(ceiling: Sequence[Sequence[int]]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(word, rank matrix) of every fixed-point-free involution whose rank
+    matrix is at most `ceiling` entrywise, in enumerate_fpf order.
+
+    The smallest free outlet is paired with each larger free outlet in turn.
+    Once w(1..i) is known, row i of the rank matrix is row i-1 plus one from
+    column w(i) on, and a branch ends at the first row above the ceiling:
+    every completion of the word shares that row.
+
+    A rank matrix is packed into one int, entry (i, j) in the field of
+    `width` bits at ((i - 1) * size + j - 1) * width, whose top bit is a guard
+    that the entry never reaches; so for the returned mask `guard`,
+    ((b | guard) - a) & guard == guard exactly when a <= b entrywise.
+    """
+    size = len(ceiling)
+    width = size.bit_length() + 1
+    row_bits = size * width
+    row_guard = sum(1 << (j * width + width - 1) for j in range(size))
+    steps = [sum(1 << (j * width) for j in range(v, size)) for v in range(size)]
+    caps = [sum(c << (j * width) for j, c in enumerate(row)) | row_guard for row in ceiling]
+    word = [0] * size
+    out = []
+
+    def grow(i: int, row: int, ranks: int) -> None:
+        # every outlet before i is wired, and its row is in `ranks`
+        if i == size:
+            out.append((tuple(word), ranks))
+            return
+        for partner in range(i + 1, size):
+            if word[partner]:
+                continue
+            word[i], word[partner] = partner + 1, i + 1
+            k, r, m = i, row, ranks
+            while k < size and word[k]:
+                r += steps[word[k] - 1]
+                if (caps[k] - r) & row_guard != row_guard:
+                    break
+                m |= r << (k * row_bits)
+                k += 1
+            else:
+                grow(k, r, m)
+            word[i] = word[partner] = 0
+
+    grow(0, 0, 0)
+    return sum(row_guard << (i * row_bits) for i in range(size)), out
 
 
 # ---------------------------------------------------------------------------

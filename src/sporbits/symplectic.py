@@ -23,11 +23,7 @@ from sporbits.groebner import (
     initial_ideal,
     is_groebner_basis,
 )
-from sporbits.involutions import (
-    FpfInvolution,
-    involution_of_ranks,
-    symplectic_essential_boxes,
-)
+from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
 from sporbits.orders import antidiagonal_order, weight_refined_order
 from sporbits.pairperms import MAX_SIZE, pair_permutations
 from sporbits.permutations import Permutation, essential_boxes
@@ -267,6 +263,9 @@ def mat_transpose(A: Matrix) -> Matrix:
 
 
 def mat_rank(A: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over the rationals by Gauss-Jordan elimination.  Nothing in the
+    package calls it; the tests hold classify_orbit to it as the per-minor
+    rank oracle."""
     rows = [list(r) for r in A]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -293,25 +292,47 @@ def mat_rank(A: Sequence[Sequence[Fraction]]) -> int:
 
 def classify_orbit(M: Sequence[Sequence]) -> FpfInvolution:
     """The involution indexing the orbit of an invertible matrix: the unique
-    iota whose rank matrix matches the northwest ranks of MJM^T, read off
-    those ranks."""
+    iota whose rank matrix is the northwest ranks of A = MJM^T, read off one
+    echelon pass over the rows of A.
+
+    M is first scaled by the lcm of its denominators, which changes no rank,
+    so A is an integer matrix and each row is reduced fraction-free (a*x - b*y)
+    against the pivot rows kept so far.  The remainders of rows 1..i span the
+    rows of A[:i] with distinct leading columns, so rank(A[:i, :j]) counts the
+    k <= i whose remainder leads in a column <= j: iota(i) is the leading
+    column of row i's remainder.
+    """
     Mq = mat_from(M)
     size = len(Mq)
     if size == 0 or size % 2 != 0 or any(len(r) != size for r in Mq):
         raise ValueError("need a square matrix of even size")
-    if mat_rank(Mq) != size:
-        raise ValueError("singular input")
-    n = size // 2
-    J = mat_from(symplectic_form(n))
-    A = mat_mul(mat_mul(Mq, J), mat_transpose(Mq))
-    ranks = tuple(
-        tuple(mat_rank([row[:j] for row in A[:i]]) for j in range(1, size + 1))
-        for i in range(1, size + 1)
-    )
-    iota = involution_of_ranks(ranks)
-    if iota is None:
-        raise ValueError("no involution matches the rank profile (bug?)")
-    return iota
+    scale = math.lcm(*(x.denominator for row in Mq for x in row))
+    Z = [[int(x * scale) for x in row] for row in Mq]
+    # entry (a, b) of ZJZ^T, as in build_mjmt
+    A = [
+        [sum(x[k] * y[k + 1] - x[k + 1] * y[k] for k in range(0, size, 2)) for y in Z]
+        for x in Z
+    ]
+    pivots: dict[int, list[int]] = {}
+    word = []
+    for x in A:
+        lead = next((c for c, v in enumerate(x) if v), None)
+        while lead in pivots:
+            y = pivots[lead]
+            a, b = y[lead], x[lead]
+            x = [a * u - b * v for u, v in zip(x, y)]
+            g = math.gcd(*x)
+            if g > 1:
+                x = [u // g for u in x]
+            lead = next((c for c, v in enumerate(x) if v), None)
+        if lead is None:
+            raise ValueError("singular input")
+        pivots[lead] = x
+        word.append(lead + 1)
+    try:
+        return FpfInvolution(tuple(word))
+    except ValueError:
+        raise ValueError("no involution matches the rank profile (bug?)") from None
 
 
 def random_lower_triangular(size: int, rng) -> Matrix:

@@ -247,6 +247,23 @@ class TestOrbitIdealAndClassify:
         assert "error:" in capsys.readouterr().err
 
 
+class TestDeepJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "--matrix", "{}"], ["groebner", "--ideal", "{}"], ["--config", "{}", "enumerate", "--n", "2"]],
+        ids=["matrix", "ideal", "config"],
+    )
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        try:
+            code = main([arg.format(path) for arg in argv])
+        except SystemExit as exc:  # a bad --config is reported by argparse
+            code = exc.code
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+
 class TestVerifiers:
     def test_verify_km(self, capsys):
         code, blob = run_json(capsys, "verify-km", "--pi", "2143")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -37,6 +38,25 @@ from sporbits.permutations import length
 
 def fpf(text):
     return FpfInvolution.from_any(text)
+
+
+def glb_by_scan(elements):
+    """Reference meet by a double scan: every involution of the size that lies
+    below all the elements, then the maximal ones among those."""
+    elems = list(elements)
+    lower = [k for k in enumerate_fpf(elems[0].n) if all(opposite_leq(k, e) for e in elems)]
+    maximal = [k for k in lower if not any(k != m and opposite_leq(k, m) for m in lower)]
+    if len(maximal) != 1:
+        raise NoUniqueMeet(maximal)
+    return maximal[0]
+
+
+def meet_or_antichain(find, elements):
+    """The meet, or the NoUniqueMeet antichain (in order) and message."""
+    try:
+        return find(elements)
+    except NoUniqueMeet as exc:
+        return exc.antichain, str(exc)
 
 
 def word_length(iota):
@@ -205,6 +225,31 @@ class TestOppositeOrderAndGlb:
         bottom = max(enumerate_fpf(3), key=word_length)  # the reverse word
         for iota in enumerate_fpf(3):
             assert glb([iota, bottom]) == bottom
+
+    def test_search_matches_scan_all_pairs_2n_le_6(self):
+        for n in (1, 2, 3):
+            for pair in itertools.combinations_with_replacement(enumerate_fpf(n), 2):
+                assert meet_or_antichain(glb, pair) == meet_or_antichain(glb_by_scan, pair)
+
+    def test_search_matches_scan_on_decompositions_2n8(self):
+        for iota in enumerate_fpf(4):
+            parts = sorted(basics_decomposition(iota), key=lambda k: k.word)
+            if parts:
+                assert glb(parts) == glb_by_scan(parts) == iota
+
+    def test_search_matches_scan_sampled_2n8(self):
+        rng = random.Random(10)
+        items = enumerate_fpf(4)
+        samples = [rng.sample(items, 2) for _ in range(150)] + [rng.sample(items, 3) for _ in range(100)]
+        outcomes = [meet_or_antichain(glb_by_scan, elems) for elems in samples]
+        assert [meet_or_antichain(glb, elems) for elems in samples] == outcomes
+        # both kinds of answer occur, so the antichain order is checked too
+        assert any(isinstance(o, FpfInvolution) for o in outcomes)
+        assert any(isinstance(o, tuple) and len(o[0]) > 1 for o in outcomes)
+
+    def test_half_size_over_enumeration_bound(self):
+        with pytest.raises(ValueError, match=r"^n=6 exceeds the enumeration bound 5$"):
+            glb([fpf("12,11,10,9,8,7,6,5,4,3,2,1")])
 
 
 class TestSymplecticBoxes:

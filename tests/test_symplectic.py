@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, buchberger, ideal_equals, in_ideal, initial_ideal
-from sporbits.involutions import FpfInvolution, enumerate_fpf, j_bar, opposite_leq
+from sporbits.involutions import FpfInvolution, enumerate_fpf, fpf_length, j_bar, opposite_leq
 from sporbits.orders import antidiagonal_order, grevlex_order, weight_refined_order
 from sporbits.pairperms import pair_permutations
 from sporbits.permutations import Permutation, rank_matrix
@@ -387,9 +387,48 @@ class TestClassifyOrbit:
             s = random_symplectic(6, rng)
             assert classify_orbit(mat_mul(mat_mul(b, M), s)) == iota
 
+    def test_matches_northwest_rank_oracle(self):
+        # the per-minor definition: rank_matrix(iota)[i][j] is the rank of
+        # the northwest i x j block of M J M^T, on points b * M_w * s of every
+        # orbit at 2n = 6 and of two per length at 2n = 8
+        rng = random.Random(13)
+        by_length = {}
+        for iota in enumerate_fpf(4):
+            by_length.setdefault(fpf_length(iota), []).append(iota)
+        sample = [iota for group in by_length.values() for iota in rng.sample(group, min(2, len(group)))]
+        for iota in enumerate_fpf(3) + sample:
+            size = iota.size
+            J = mat_from(symplectic_form(iota.n))
+            Mw = permutation_matrix(pair_permutations(iota).perms[0])
+            M = mat_mul(mat_mul(random_lower_triangular(size, rng), Mw), random_symplectic(iota.n, rng))
+            A = mat_mul(mat_mul(M, J), mat_transpose(M))
+            ranks = tuple(
+                tuple(mat_rank([row[:j] for row in A[:i]]) for j in range(1, size + 1))
+                for i in range(1, size + 1)
+            )
+            found = classify_orbit(M)
+            assert found == iota
+            assert rank_matrix(found.permutation()) == ranks
+
     def test_rejects_singular(self):
-        with pytest.raises(ValueError):
-            classify_orbit([[0, 0], [0, 0]])
+        singular = [
+            [[0, 0], [0, 0]],
+            # nonzero and rank deficient: a repeated row at 2n = 4, a row
+            # summing two others at 2n = 6
+            [[1, 2, 0, 1], [0, 1, 3, 0], [1, 2, 0, 1], [2, 0, 1, 1]],
+            [
+                ["1/2", 1, 0, 0, 2, 1],
+                [0, 1, 1, 0, 0, 3],
+                ["1/2", 2, 1, 0, 2, 4],
+                [1, 0, 0, 1, 0, 0],
+                [0, 0, 2, 1, 1, 0],
+                [3, 1, 0, 0, 1, 1],
+            ],
+        ]
+        for M in singular:
+            assert mat_rank(mat_from(M)) < len(M)
+            with pytest.raises(ValueError, match=r"^singular input$"):
+                classify_orbit(M)
 
 
 class TestRandomMatrices:
