@@ -322,21 +322,32 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        # config values become parser-level defaults (on the subcommand
-        # parsers too, since each parses into its own namespace), then a
-        # second parse lets explicitly given flags win over them
+        # config values that name an option, checked against it, become
+        # parser-level defaults (on the subcommand parsers too, since each
+        # parses into its own namespace); given flags win in a second parse
         try:
             cfg = _read_json(args.config)
         except (OSError, ValueError) as exc:
             parser.error(f"bad config file: {exc}")
         if not isinstance(cfg, dict):
             parser.error("bad config file: expected a JSON object")
-        defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
-        parser.set_defaults(**defaults)
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub_parser in action.choices.values():
-                    sub_parser.set_defaults(**defaults)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parsers = [parser, *sub.choices.values()]
+        kinds = {int: (int,), float: (int, float)}  # a bool is no int here
+        defaults = {}
+        for key, value in cfg.items():
+            dest = key.replace("-", "_")
+            for action in (a for p in parsers for a in p._actions if a.option_strings and a.dest == dest):
+                # a flag takes a bool; strings are left to argparse's conversion
+                if isinstance(action, argparse._StoreTrueAction):
+                    fits = type(value) is bool
+                else:
+                    fits = isinstance(value, str) or type(value) in kinds.get(action.type, ())
+                if not fits or action.choices is not None and value not in action.choices:
+                    parser.error(f"bad config file: {key!r} cannot be {json.dumps(value)}")
+                defaults[dest] = value
+        for p in parsers:
+            p.set_defaults(**defaults)
         args = parser.parse_args(argv)
     try:
         return args.func(args)

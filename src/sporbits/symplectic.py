@@ -12,16 +12,17 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
+    Reducers,
     ideal_intersection,
-    in_ideal,
     initial_ideal,
     is_groebner_basis,
+    normal_form,
 )
 from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
 from sporbits.orders import antidiagonal_order, weight_refined_order
@@ -149,6 +150,21 @@ def fulton_minors(
                 sub = [[Polynomial.matrix_entry(vs, a, b) for b in cols] for a in rows]
                 out.append((rows, cols, determinant(sub)))
     return out
+
+
+def _antidiagonal(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> int:
+    """The antidiagonal term m[rows[0], cols[-1]] * ... * m[rows[-1], cols[0]]
+    of a minor, as a bitmask of variable indices."""
+    return sum(1 << vs.matrix_var(i, j) for i, j in zip(rows, reversed(cols)))
+
+
+def _minimal(masks: Iterable[int]) -> list[int]:
+    """Minimal generators of the ideal of squarefree monomials given as bitmasks."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if all(m & k != k for k in kept):
+            kept.append(m)
+    return kept
 
 
 def fulton_generators(p: Permutation, vs: VariableSet | None = None) -> Ideal:
@@ -379,8 +395,8 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
     order = antidiagonal_order(vs)
     minors = fulton_minors(p, vs)
     for rows, cols, poly in minors:
-        antidiag = {vs.matrix_var(i, j) for i, j in zip(rows, reversed(cols))}
-        if order.leading_monomial(poly.terms) != tuple(int(v in antidiag) for v in range(len(vs))):
+        antidiag = _antidiagonal(vs, rows, cols)
+        if order.leading_monomial(poly.terms) != tuple(antidiag >> v & 1 for v in range(len(vs))):
             return False
     return is_groebner_basis([poly for _, _, poly in minors], order, budget)
 
@@ -393,9 +409,9 @@ def column_weights(vs: VariableSet) -> tuple[int, ...]:
 
 @dataclass
 class DegenerationReport:
-    """Outcome of one degeneration check: initial ideal of the orbit ideal
-    versus initial ideal of the intersection of pair-permutation Schubert
-    ideals."""
+    """Outcome of one degeneration check (see verify_degeneration): L's and
+    J's initial generators, J's left empty unless equal is True, in which
+    case it is L's reduced basis; witnesses say why L != J."""
 
     iota: FpfInvolution
     pair_perms: tuple[Permutation, ...]
@@ -422,10 +438,26 @@ class DegenerationReport:
 def verify_degeneration(
     iota: FpfInvolution, budget: GBBudget | None = None
 ) -> DegenerationReport:
-    """Compare init(orbit ideal) with init(intersection of Fulton ideals over
-    the pair permutations), both under the column-weight vector with the
-    antidiagonal tie-break.  Budget exhaustion is reported as an outcome
-    distinct from inequality."""
+    """Check L = J: L = in_w(I(Y_iota)) under the column weights w, J the
+    intersection of the Fulton ideals I_v over the pair permutations v.  One
+    Groebner basis, G_L under the weight-refined order, and a certificate:
+    (i) each g in G_L reduces to 0 modulo each v's Fulton minors under the
+    antidiagonal order, so L lies in J; (ii) a lead of G_L divides each
+    generator of A, the intersection of the ideals of the antidiagonal terms
+    of v's minors (squarefree, so pairwise ORs of bitmasks).
+
+    Proof: J is homogeneous in degree and weight, as the minors are, so its
+    weight-refined leads are antidiagonal leads and lie in each in(I_v), the
+    ideal of v's antidiagonal terms (Knutson-Miller, "Groebner geometry of
+    Schubert polynomials", Annals 2005, Thm B).  So in(J) lies in A, in(L)
+    by (ii) and in(J) by (i); in(L) = in(J) and L in J give L = J.  So
+    `equal: True` rests on the certificate and Knutson-Miller alone; `False`
+    from (i) on Knutson-Miller (a nonzero remainder modulo a Groebner basis
+    proves g not in I_v), from (ii) on in(J) = A, Knutson's theorem that the
+    initial ideal of the intersection is the intersection of the initial
+    ideals ("Frobenius splitting, point-counting, and degeneration",
+    arXiv:0911.4941).  A witness names g and v, or a generator of A outside
+    in(L).  Budget exhaustion, which only G_L can meet, is reported apart."""
     budget = budget or GBBudget()
     vs = VariableSet.matrix(iota.size)
     weights = column_weights(vs)
@@ -435,38 +467,32 @@ def verify_degeneration(
     pp = pair_permutations(iota)
     try:
         t0 = time.monotonic()
-        left_src = orbit_ideal(iota, vs)
-        L = initial_ideal(left_src, weights, tie_break=tie, budget=budget)
+        L = initial_ideal(orbit_ideal(iota, vs), weights, tie_break=tie, budget=budget)
+        gl = [] if L.is_zero() else L.groebner_basis(refined, budget)
         timings["left_seconds"] = time.monotonic() - t0
-        t0 = time.monotonic()
-        right_src = union_schubert_ideal([p for p in pp.perms], vs, budget)
-        R = initial_ideal(right_src, weights, tie_break=tie, budget=budget)
-        timings["right_seconds"] = time.monotonic() - t0
-        t0 = time.monotonic()
-        gl = L.groebner_basis(refined, budget)
-        gr = R.groebner_basis(refined, budget)
-        equal = gl == gr
-        witnesses = []
-        if not equal:
-            witnesses = [str(g) for g in gl if not in_ideal(g, gr, refined)]
-            witnesses += [str(g) for g in gr if not in_ideal(g, gl, refined)]
-        timings["compare_seconds"] = time.monotonic() - t0
     except BudgetExceeded as exc:
-        return DegenerationReport(
-            iota=iota,
-            pair_perms=pp.perms,
-            left_generators=(),
-            right_generators=(),
-            equal=None,
-            budget_exhausted=f"{exc.reason}: {exc.stats}",
-            timings=timings,
-        )
+        exhausted = f"{exc.reason}: {exc.stats}"
+        return DegenerationReport(iota, pp.perms, (), (), None, budget_exhausted=exhausted, timings=timings)
+    t0 = time.monotonic()
+    witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
+    for v in pp.perms:
+        minors = fulton_minors(v, vs)
+        reducers = Reducers([poly for *_, poly in minors], tie)
+        witnesses += [f"{g} is not in I_{v}" for g in gl if not normal_form(g, reducers, tie).is_zero()]
+        gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
+        common = _minimal(a | b for a in common for b in gens)
+    # a lead with a square divides no squarefree monomial
+    leads = [refined.leading_monomial(g.terms) for g in gl]
+    leads = [sum(1 << i for i, e in enumerate(m) if e) for m in leads if max(m) <= 1]
+    uncovered = [m for m in common if all(m & k != k for k in leads)]
+    witnesses += ["*".join(x for i, x in enumerate(vs.names) if m >> i & 1) + " is not in in(L)" for m in uncovered]
+    timings["certificate_seconds"] = time.monotonic() - t0
     return DegenerationReport(
         iota=iota,
         pair_perms=pp.perms,
-        left_generators=tuple(str(g) for g in L.generators),
-        right_generators=tuple(str(g) for g in R.generators),
-        equal=equal,
+        left_generators=tuple(map(str, L.generators)),
+        right_generators=() if witnesses else tuple(map(str, gl)),
+        equal=not witnesses,
         witnesses=tuple(witnesses),
         timings=timings,
     )

@@ -349,3 +349,26 @@ class TestConfig:
             main(["--config", str(cfg), "enumerate", "--n", "2"])
         assert exc.value.code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"samples": [1]}, {"n": True}, {"max_pairs": 1.5}, {"deep": "yes"}, {"seed": {"a": 1}}, {"format": "xml"}],
+        ids=["list", "bool-for-int", "float-for-int", "string-for-flag", "dict", "outside-choices"],
+    )
+    def test_config_value_of_wrong_kind_is_usage_error(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), "verify-all", "--n", "1"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: bad config file" in err and "Traceback" not in err
+
+    def test_config_values_of_the_right_kind(self, capsys, tmp_path):
+        # an int for a float option, a bool for a flag, a string converted by
+        # argparse; keys that name no option, "func" among them, are ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_seconds": 60, "deep": False, "n": "1", "func": 1, "other": [1]}))
+        code, blob = run_json(capsys, "--config", str(cfg), "verify-all", "--samples", "1")
+        assert code == EXIT_OK
+        assert not any(name.endswith("2n=4") and not name.startswith("classification") for name, *_ in blob["checks"])

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, buchberger, ideal_equals, in_ideal, initial_ideal
+from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, Ideal, buchberger, ideal_equals, in_ideal, initial_ideal
 from sporbits.involutions import FpfInvolution, enumerate_fpf, fpf_length, j_bar, opposite_leq
 from sporbits.orders import antidiagonal_order, grevlex_order, weight_refined_order
-from sporbits.pairperms import pair_permutations
-from sporbits.permutations import Permutation, rank_matrix
+from sporbits import groebner, symplectic
+from sporbits.pairperms import PairPermutationSet, pair_permutations
+from sporbits.permutations import Permutation, length, rank_matrix
 from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
 from sporbits.symplectic import (
     MAX_PFAFFIAN_TERMS,
@@ -521,3 +522,123 @@ class TestVerifiers:
         blob = report.to_json()
         assert blob["equal"] is True
         assert blob["iota"] == [2, 1]
+
+
+def two_sided(iota, perms):
+    """The degeneration check computed on both sides: J, the intersection of
+    the Fulton ideals of `perms`, by elimination (union_schubert_ideal), its
+    initial ideal, and the reduced bases of both initial ideals compared.
+    Returns the report JSON without timings."""
+    vs = VariableSet.matrix(iota.size)
+    weights, tie = column_weights(vs), antidiagonal_order(vs)
+    refined = weight_refined_order(vs, weights, tie)
+    L = initial_ideal(orbit_ideal(iota, vs), weights, tie_break=tie, budget=DEEP_BUDGET)
+    R = initial_ideal(union_schubert_ideal(perms, vs, DEEP_BUDGET), weights, tie_break=tie, budget=DEEP_BUDGET)
+    gl, gr = L.groebner_basis(refined, DEEP_BUDGET), R.groebner_basis(refined, DEEP_BUDGET)
+    witnesses = [str(g) for g in gl if not in_ideal(g, gr, refined)]
+    witnesses += [str(g) for g in gr if not in_ideal(g, gl, refined)]
+    return {
+        "iota": iota.to_json(),
+        "pair_permutations": [p.to_json() for p in perms],
+        "left_initial_generators": [str(g) for g in L.generators],
+        "right_initial_generators": [str(g) for g in R.generators],
+        "equal": gl == gr,
+        "witnesses": witnesses,
+        "budget_exhausted": None,
+    }
+
+
+def _mutations():
+    """(id, iota, perms): each pair permutation of iota dropped in turn, and
+    the pair permutations of the next involution of the same size."""
+    out = []
+    for n in (1, 2, 3):
+        items = enumerate_fpf(n)
+        for k, iota in enumerate(items):
+            perms = pair_permutations(iota).perms
+            if len(perms) > 1:
+                out += [(f"{iota}-drop-{p}", iota, perms[:i] + perms[i + 1:]) for i, p in enumerate(perms)]
+            other = items[(k + 1) % len(items)]
+            if other != iota:
+                out.append((f"{iota}-as-{other}", iota, pair_permutations(other).perms))
+    return out
+
+
+MUTATIONS = _mutations()
+BENCH_WORDS_2N8 = ["21436587", "21437856", "21563487", "34126587", "43216587"]
+
+
+class TestDegenerationCertificate:
+    @pytest.mark.parametrize("word", [str(i) for i in enumerate_fpf(3)] + BENCH_WORDS_2N8)
+    def test_matches_two_sided_computation(self, word):
+        iota = fpf(word)
+        blob = verify_degeneration(iota, DEEP_BUDGET).to_json()
+        assert set(blob.pop("timings")) == {"left_seconds", "certificate_seconds"}
+        assert blob == two_sided(iota, pair_permutations(iota).perms)
+        assert blob["equal"] is True
+
+    def test_mutation_count(self):
+        assert len(MUTATIONS) == 47
+        assert sum("-drop-" in name for name, *_ in MUTATIONS) == 29
+
+    @pytest.mark.parametrize("iota, perms", [m[1:] for m in MUTATIONS], ids=[m[0] for m in MUTATIONS])
+    def test_mutation_rejected(self, monkeypatch, iota, perms):
+        mutated = PairPermutationSet(iota, perms, length(perms[0]))
+        monkeypatch.setattr(symplectic, "pair_permutations", lambda _: mutated)
+        report = verify_degeneration(iota, DEEP_BUDGET)
+        assert report.equal is False
+        assert report.witnesses
+        assert report.right_generators == ()
+        assert report.to_json()["right_initial_generators"] == []
+        assert two_sided(iota, perms)["equal"] is False
+
+    def test_witnesses_name_the_failing_check(self, monkeypatch):
+        # against 3412's pair permutation 1324: the basis of 4321's initial
+        # ideal is not in I_1324 (check i), and the dense orbit's zero ideal
+        # misses the antidiagonal of I_1324's one minor (check ii)
+        perms = pair_permutations(fpf("3412")).perms
+        monkeypatch.setattr(symplectic, "pair_permutations", lambda iota: PairPermutationSet(iota, perms, 1))
+        assert verify_degeneration(fpf("4321")).witnesses == (
+            "-m[1,1]*m[3,2]+m[1,2]*m[3,1] is not in I_1324",
+            "-m[1,1]*m[2,1]*m[3,2]+m[1,1]*m[2,2]*m[3,1] is not in I_1324",
+        )
+        assert verify_degeneration(j_bar(2)).witnesses == ("m[1,2]*m[2,1] is not in in(L)",)
+
+    def test_a_lead_with_a_square_covers_no_antidiagonal(self, monkeypatch):
+        # m[1,2] times 3412's one minor lies in J = I_1324, but its lead
+        # m[1,2]^2*m[2,1] does not divide the antidiagonal m[1,2]*m[2,1]
+        def orbit_ideal(iota, vs):
+            return Ideal(vs, [parse_polynomial(vs, "m[1,2]^2*m[2,1] - m[1,1]*m[1,2]*m[2,2]")])
+
+        monkeypatch.setattr(symplectic, "orbit_ideal", orbit_ideal)
+        report = verify_degeneration(fpf("3412"))
+        assert report.witnesses == ("m[1,2]*m[2,1] is not in in(L)",)
+        assert report.equal is False
+
+    def test_one_groebner_basis_and_no_elimination(self, monkeypatch):
+        calls = []
+        buchberger = groebner.buchberger
+
+        def counted(G, order, budget=None):
+            calls.append(order)
+            return buchberger(G, order, budget)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("elimination reached")
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        for name in ("ideal_intersection", "union_schubert_ideal"):
+            monkeypatch.setattr(symplectic, name, refuse)
+        monkeypatch.setattr(groebner, "ideal_intersection", refuse)
+        words = [iota for n in (1, 2, 3) for iota in enumerate_fpf(n)]
+        for iota in words:
+            assert verify_degeneration(iota, DEEP_BUDGET).equal is True
+        # one basis per word with a nonzero orbit ideal, none for the dense orbits
+        assert len(calls) == sum(not orbit_ideal(iota).is_zero() for iota in words) == len(words) - 3
+        assert all(order.name.startswith("weight") for order in calls)
+
+    def test_knutson_miller_holds_for_every_pair_permutation_2n_le_6(self):
+        # check (ii) reads in(I_w) off the antidiagonals of w's Fulton minors
+        perms = {p for n in (1, 2, 3) for iota in enumerate_fpf(n) for p in pair_permutations(iota).perms}
+        assert len(perms) == 37
+        assert all(verify_knutson_miller(p) for p in sorted(perms, key=lambda p: p.word))
