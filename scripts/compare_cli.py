@@ -1,0 +1,121 @@
+"""Check that two source trees give the same CLI output, byte for byte.
+
+    python scripts/compare_cli.py BASE_SRC HEAD_SRC
+
+BASE_SRC and HEAD_SRC are directories holding a `sporbits` package (the
+`src/` of two checkouts).  A fixed list of commands runs in one process per
+tree; every command whose exit code or stdout differs is printed with a diff
+of its output.  The `timings` of verify-degeneration reports are dropped
+first, as they change from run to run.  Exit 0 when every command agrees,
+1 when one differs, 2 when a tree cannot run the list.
+
+The commands: `enumerate` and `poset` (JSON and DOT) at n <= 4; `boxes`,
+`basics`, `pairperms`, `wiring` and `orbit-ideal` on all 15 involutions at
+2n = 6; `verify-degeneration --deep` on the 19 involutions with 2n <= 6;
+`verify-km` on all of S4; `verify-all --n 3`.  The words are built here, not
+by the code under comparison.
+"""
+
+from __future__ import annotations
+
+import difflib
+import itertools
+import json
+import os
+import subprocess
+import sys
+
+#: runs each argv of the JSON list on stdin through sporbits.cli.main and
+#: prints [exit code, stdout] for each
+RUNNER = r"""
+import contextlib, io, json, os, sys
+import sporbits
+from sporbits.cli import main
+if not os.path.abspath(sporbits.__file__).startswith(sys.argv[1] + os.sep):
+    sys.exit(f"sporbits imported from {sporbits.__file__}, not from {sys.argv[1]}")
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def involutions(size: int) -> list[str]:
+    """Every fixed-point-free involution of 1..size as a digit string."""
+    return [
+        "".join(map(str, w))
+        for w in itertools.permutations(range(1, size + 1))
+        if all(w[v - 1] == i != v for i, v in enumerate(w, start=1))
+    ]
+
+
+def commands() -> list[list[str]]:
+    out = []
+    for n in range(1, 5):
+        out += [["enumerate", "--n", str(n)], ["poset", "--n", str(n)], ["poset", "--n", str(n), "--format", "dot"]]
+    for word in involutions(6):
+        out += [[cmd, "--iota", word] for cmd in ("boxes", "basics", "pairperms", "wiring", "orbit-ideal")]
+    for size in (2, 4, 6):
+        out += [["verify-degeneration", "--deep", "--iota", word] for word in involutions(size)]
+    out += [["verify-km", "--pi", "".join(map(str, w))] for w in itertools.permutations(range(1, 5))]
+    out.append(["verify-all", "--n", "3"])
+    return out
+
+
+def run_tree(src: str, argvs: list[list[str]]) -> list[tuple[int, str]]:
+    src = os.path.abspath(src)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, src],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=src,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(f"{src}: the command list did not run\n{proc.stderr}")
+        sys.exit(2)
+    return [(code, drop_timings(text)) for code, text in json.loads(proc.stdout)]
+
+
+def drop_timings(text: str) -> str:
+    """The text with a JSON report's `timings` key removed."""
+    try:
+        blob = json.loads(text)
+    except ValueError:
+        return text
+    if not (isinstance(blob, dict) and "timings" in blob):
+        return text
+    del blob["timings"]
+    return json.dumps(blob, indent=2, sort_keys=True) + "\n"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    base_src, head_src = argv
+    argvs = commands()
+    base, head = run_tree(base_src, argvs), run_tree(head_src, argvs)
+    differ = 0
+    for args, (base_code, base_out), (head_code, head_out) in zip(argvs, base, head):
+        if (base_code, base_out) == (head_code, head_out):
+            continue
+        differ += 1
+        print(f"DIFFERS: sporbits {' '.join(args)}: exit {base_code} -> {head_code}")
+        diff = difflib.unified_diff(
+            base_out.splitlines(), head_out.splitlines(), base_src, head_src, lineterm=""
+        )
+        print("\n".join(itertools.islice(diff, 40)))
+    print(f"{len(argvs)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

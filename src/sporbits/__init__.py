@@ -57,7 +57,6 @@ from sporbits.groebner import (
     GBBudget,
     Ideal,
     buchberger,
-    ideal_equals,
     ideal_intersection,
     initial_form,
     initial_ideal,

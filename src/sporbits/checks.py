@@ -29,9 +29,7 @@ def _first_failure(
 
 def length_formula(items: Sequence[FpfInvolution]) -> Result:
     """Every involution has length n + 2c + 4r."""
-    return _first_failure(
-        items, lambda iota: involutions.fpf_length(iota) == length(iota.permutation())
-    )
+    return _first_failure(items, lambda iota: involutions.fpf_length(iota) == length(iota))
 
 
 def odd_rank_constraint(items: Sequence[FpfInvolution]) -> Result:

@@ -20,11 +20,11 @@ from sporbits.involutions import (
     basics_decomposition,
     enumerate_fpf,
     glb,
+    hasse_diagram,
     in_basic_family,
     odd_rank_constraint_holds,
     poset_dot,
     symplectic_essential_boxes,
-    upper_covers,
     wiring_ascii,
 )
 from sporbits.orders import antidiagonal_order, grevlex_order, lex_order
@@ -66,10 +66,6 @@ def _emit(args, payload: dict) -> None:
             print(f"{key}: {value}")
 
 
-def _iota(text: str) -> FpfInvolution:
-    return FpfInvolution.from_any(text)
-
-
 def _read_json(path: str):
     """The JSON value in a file; nesting deeper than the parser can follow is
     malformed input like any other (a ValueError)."""
@@ -98,21 +94,18 @@ def cmd_poset(args) -> int:
     if args.format == "dot":
         print(poset_dot(args.n))
         return EXIT_OK
-    edges = []
-    for iota in enumerate_fpf(args.n):
-        for upper in sorted(upper_covers(iota), key=lambda k: k.word):
-            edges.append([list(iota.word), list(upper.word)])
+    edges = [[list(low), list(high)] for low, high in hasse_diagram(args.n)]
     _emit(args, {"n": args.n, "edges_lower_to_upper": edges})
     return EXIT_OK
 
 
 def cmd_wiring(args) -> int:
-    print(wiring_ascii(_iota(args.iota)))
+    print(wiring_ascii(FpfInvolution.from_any(args.iota)))
     return EXIT_OK
 
 
 def cmd_boxes(args) -> int:
-    iota = _iota(args.iota)
+    iota = FpfInvolution.from_any(args.iota)
     boxes = sorted(symplectic_essential_boxes(iota))
     _emit(
         args,
@@ -126,7 +119,7 @@ def cmd_boxes(args) -> int:
 
 
 def cmd_basics(args) -> int:
-    iota = _iota(args.iota)
+    iota = FpfInvolution.from_any(args.iota)
     parts = sorted(basics_decomposition(iota), key=lambda k: k.word)
     meet = glb(parts, n=iota.n)
     ok = meet == iota and all(in_basic_family(p) for p in parts)
@@ -143,7 +136,7 @@ def cmd_basics(args) -> int:
 
 
 def cmd_pairperms(args) -> int:
-    result = pair_permutations(_iota(args.iota))
+    result = pair_permutations(FpfInvolution.from_any(args.iota))
     _emit(args, result.to_json())
     return EXIT_OK
 
@@ -183,7 +176,7 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_orbit_ideal(args) -> int:
-    _emit(args, orbit_ideal(_iota(args.iota)).to_json())
+    _emit(args, orbit_ideal(FpfInvolution.from_any(args.iota)).to_json())
     return EXIT_OK
 
 
@@ -210,7 +203,7 @@ def cmd_verify_km(args) -> int:
 
 
 def cmd_verify_degeneration(args) -> int:
-    report = verify_degeneration(_iota(args.iota), _budget(args))
+    report = verify_degeneration(FpfInvolution.from_any(args.iota), _budget(args))
     _emit(args, report.to_json())
     if report.budget_exhausted:
         return EXIT_BUDGET
@@ -228,7 +221,7 @@ def cmd_verify_all(args) -> int:
         if n <= max_n
     ]
     for word in ("2143", "3412", "4321"):
-        checks.append([f"degeneration_{word}", *degeneration(_iota(word), _budget(args))])
+        checks.append([f"degeneration_{word}", *degeneration(FpfInvolution.from_any(word), _budget(args))])
     rng = random.Random(args.seed)
     checks.append(["classification_invariance_2n=4", *classification_invariance(args.samples, rng)])
     failures = [name for name, ok, _ in checks if not ok]

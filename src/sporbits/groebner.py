@@ -332,11 +332,6 @@ def _reduce_basis(basis: Reducers, vs: VariableSet) -> list[Polynomial]:
     return [_unpack(terms, vs, basis.order) for _, terms in reduced]
 
 
-def in_ideal(f: Polynomial, gb: Sequence[Polynomial], order: TermOrder) -> bool:
-    """Membership test against an already-computed Groebner basis."""
-    return normal_form(f, gb, order).is_zero()
-
-
 def ideal_intersection(
     I: Ideal,
     J: Ideal,
@@ -396,13 +391,3 @@ def initial_ideal(
         J._gb_cache[order] = list(J.generators)
     return J
 
-
-def ideal_equals(
-    I: Ideal, J: Ideal, order: TermOrder, budget: GBBudget | None = None
-) -> bool:
-    """Equality via coincidence of reduced Groebner bases."""
-    if I.vs.names != J.vs.names:
-        raise ValueError("mixed variable sets")
-    gi = I.groebner_basis(order, budget)
-    gj = J.groebner_basis(order, budget)
-    return gi == gj

@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 from sporbits.permutations import (
     Permutation,
+    _corners,
     bruhat_leq,
-    essential_boxes,
     length,
     rank_matrix,
     rothe_diagram,
@@ -32,33 +32,20 @@ DEFAULT_ENUM_BOUND = 5
 
 
 @dataclass(frozen=True)
-class FpfInvolution:
-    """A fixed-point-free involution of {1..2n}, stored as its one-line word."""
-
-    word: tuple[int, ...]
+class FpfInvolution(Permutation):
+    """A fixed-point-free involution of {1..2n}: a permutation whose length,
+    Bruhat order, rank matrix and Rothe diagram are the word's own."""
 
     def __post_init__(self) -> None:
         w = self.word
         if len(w) % 2 != 0:
             raise ValueError("fixed-point-free involutions need even size")
-        if sorted(w) != list(range(1, len(w) + 1)):
-            raise ValueError(f"not a permutation word: {w}")
+        super().__post_init__()
         for i, v in enumerate(w, start=1):
             if v == i:
                 raise ValueError(f"fixed point at {i} in {w}")
             if w[v - 1] != i:
                 raise ValueError(f"not an involution: {w}")
-
-    @staticmethod
-    def from_any(value) -> "FpfInvolution":
-        if isinstance(value, FpfInvolution):
-            return value
-        if isinstance(value, Permutation):
-            return FpfInvolution(value.word)
-        if isinstance(value, str):
-            parts = value.split(",") if "," in value else list(value.strip())
-            return FpfInvolution(tuple(int(p) for p in parts))
-        return FpfInvolution(tuple(int(v) for v in value))
 
     @staticmethod
     def from_arcs(arcs: Iterable[tuple[int, int]]) -> "FpfInvolution":
@@ -74,29 +61,14 @@ class FpfInvolution:
         return len(self.word) // 2
 
     @property
-    def size(self) -> int:
-        return len(self.word)
-
-    @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """The n arcs {i, iota(i)} with i < iota(i), sorted by left endpoint."""
         return tuple(
             (i, v) for i, v in enumerate(self.word, start=1) if i < v
         )
 
-    def __call__(self, i: int) -> int:
-        return self.word[i - 1]
-
     def permutation(self) -> Permutation:
         return Permutation(self.word)
-
-    def to_json(self) -> list[int]:
-        return list(self.word)
-
-    def __str__(self) -> str:
-        if self.size <= 9:
-            return "".join(str(v) for v in self.word)
-        return ",".join(str(v) for v in self.word)
 
 
 @dataclass(frozen=True)
@@ -187,13 +159,13 @@ def upper_covers(iota: FpfInvolution) -> frozenset[FpfInvolution]:
 
 
 def _switch_neighbors(iota: FpfInvolution, delta: int) -> frozenset[FpfInvolution]:
-    base = length(iota.permutation())
+    base = length(iota)
     out = set()
     for i, j in itertools.combinations(range(1, iota.size + 1), 2):
         if iota(i) == j:
             continue  # switching a wire's own endpoints is a no-op
         other = conjugate_by_transposition(iota, i, j)
-        if length(other.permutation()) == base + delta:
+        if length(other) == base + delta:
             out.add(other)
     return frozenset(out)
 
@@ -228,7 +200,7 @@ def _matchings(free: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def opposite_leq(iota: FpfInvolution, kappa: FpfInvolution) -> bool:
     """iota <= kappa in the opposite Bruhat order (longer word = lower)."""
-    return bruhat_leq(kappa.permutation(), iota.permutation())
+    return bruhat_leq(kappa, iota)
 
 
 class NoUniqueMeet(ValueError):
@@ -264,7 +236,7 @@ def glb(elements: Iterable[FpfInvolution], n: int | None = None) -> FpfInvolutio
     size = 2 * half
     ceiling = [
         tuple(map(min, zip(*rows)))
-        for rows in zip(*(rank_matrix(e.permutation()) for e in elems))
+        for rows in zip(*(rank_matrix(e) for e in elems))
     ]
     guard, lower = _lower_bounds(ceiling)
 
@@ -341,26 +313,20 @@ def _lower_bounds(ceiling: Sequence[Sequence[int]]) -> tuple[int, list[tuple[tup
 
 def symplectic_diagram(iota: FpfInvolution) -> frozenset[tuple[int, int]]:
     """Rothe diagram of the word intersected with the strict upper triangle."""
-    return frozenset((i, j) for (i, j) in rothe_diagram(iota.permutation()) if j > i)
+    return frozenset((i, j) for (i, j) in rothe_diagram(iota) if j > i)
 
 
 def symplectic_essential_boxes(iota: FpfInvolution) -> frozenset[tuple[int, int, int]]:
     """Symplectic diagram cells with no diagram cell immediately south or east,
     each carrying its rank-matrix value."""
-    cells = symplectic_diagram(iota)
-    rm = rank_matrix(iota.permutation())
-    return frozenset(
-        (i, j, rm[i - 1][j - 1])
-        for (i, j) in cells
-        if (i + 1, j) not in cells and (i, j + 1) not in cells
-    )
+    return _corners(iota, symplectic_diagram(iota))
 
 
 def odd_rank_constraint_holds(iota: FpfInvolution) -> bool:
     """Every symplectic-diagram box (i,j) with odd rank 2k+1 forces the rank
     at (i-1,i) to be at most 2k.  Holds for every valid involution; exposed as
     a test oracle."""
-    rm = rank_matrix(iota.permutation())
+    rm = rank_matrix(iota)
     for (i, j) in symplectic_diagram(iota):
         r = rm[i - 1][j - 1]
         if r % 2 == 1 and rm[i - 2][i - 1] > r - 1:
@@ -414,7 +380,7 @@ def involution_of_ranks(ranks: Sequence[Sequence[int]]) -> FpfInvolution | None:
         iota = FpfInvolution(word)
     except ValueError:
         return None
-    return iota if rank_matrix(iota.permutation()) == ranks else None
+    return iota if rank_matrix(iota) == ranks else None
 
 
 def _with_boxes(n: int, target: frozenset[tuple[int, int, int]]) -> FpfInvolution:
@@ -479,13 +445,12 @@ def basics_decomposition(iota: FpfInvolution) -> frozenset[FpfInvolution]:
 
 @lru_cache(maxsize=None)
 def hasse_diagram(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Edges (lower word, upper word) of the opposite-Bruhat Hasse diagram.
+    """Sorted edges (lower word, upper word) of the opposite-Bruhat Hasse
+    diagram at half-size n; enumerate_fpf's bound (n <= 5) is the only cap.
 
-    Materialized only for small sizes; cached per size so concurrent readers
-    are safe after the first (single-threaded) call.
+    Cached per size so concurrent readers are safe after the first
+    (single-threaded) call.
     """
-    if n > 4:
-        raise ValueError("full Hasse diagram is materialized only for 2n <= 8")
     edges = []
     for iota in enumerate_fpf(n):
         for upper in upper_covers(iota):
@@ -560,6 +525,5 @@ def wiring_parse(text: str) -> FpfInvolution:
     """Inverse of wiring_ascii: recover the involution from the word line."""
     for line in text.splitlines():
         if line.startswith("word:"):
-            parts = line.split(":", 1)[1].strip().split(",")
-            return FpfInvolution(tuple(int(p) for p in parts))
+            return FpfInvolution.from_any(line.split(":", 1)[1])
     raise ValueError("no word line found in wiring diagram")

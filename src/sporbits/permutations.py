@@ -34,14 +34,17 @@ class Permutation:
         if sorted(self.word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.word}")
 
-    @staticmethod
-    def from_any(value) -> "Permutation":
-        """Coerce a word (iterable of ints, digit string, or Permutation)."""
-        if isinstance(value, Permutation):
+    @classmethod
+    def from_any(cls, value):
+        """Coerce to `cls` a word: an iterable of ints, a digit string, a
+        comma list such as "10,9,8,7,6,5,4,3,2,1", or a Permutation."""
+        if isinstance(value, cls):
             return value
-        if isinstance(value, str):
-            return Permutation(tuple(int(ch) for ch in value.strip()))
-        return Permutation(tuple(int(v) for v in value))
+        if isinstance(value, Permutation):
+            value = value.word
+        elif isinstance(value, str):
+            value = value.split(",") if "," in value else value.strip()
+        return cls(tuple(int(v) for v in value))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -123,7 +126,14 @@ def rothe_diagram(p: Permutation) -> frozenset[tuple[int, int]]:
 
 def essential_boxes(p: Permutation) -> frozenset[tuple[int, int, int]]:
     """SE-maximal Rothe cells, each with its rank-matrix value."""
-    cells = rothe_diagram(p)
+    return _corners(p, rothe_diagram(p))
+
+
+def _corners(
+    p: Permutation, cells: frozenset[tuple[int, int]]
+) -> frozenset[tuple[int, int, int]]:
+    """The cells with no cell immediately south or east, each carrying its
+    entry of p's rank matrix."""
     rm = rank_matrix(p)
     return frozenset(
         (i, j, rm[i - 1][j - 1])

@@ -199,9 +199,10 @@ def union_schubert_ideal(
 # ---------------------------------------------------------------------------
 # orbit-closure ideals
 
-#: most terms orbit_ideal expands for one involution, summed over its
-#: pfaffians; at 2n <= 10, 7,3,2,10,9,8,1,6,5,4 needs the most: 1,170,050
-MAX_PFAFFIAN_TERMS = 1_200_000
+#: most terms expanded before any budget applies: orbit_ideal's pfaffians for
+#: one involution (at 2n <= 10, 7,3,2,10,9,8,1,6,5,4 needs the most: 1,170,050)
+#: and verify_knutson_miller's minors (all of S_9 needs at most 80,884)
+MAX_EXPANDED_TERMS = 1_200_000
 
 
 def pfaffian_terms(n: int, q: int) -> int:
@@ -223,7 +224,7 @@ def orbit_pfaffian_indices(iota: FpfInvolution) -> list[tuple[int, ...]]:
     has pf(A_R) != 0, as a skew matrix is nonsingular on a basis of its rows.
 
     ValueError, before any expansion, when there is something to expand and
-    2n > MAX_SIZE or the pfaffians have more than MAX_PFAFFIAN_TERMS terms.
+    2n > MAX_SIZE or the pfaffians have more than MAX_EXPANDED_TERMS terms.
     """
     boxes = sorted(symplectic_essential_boxes(iota))
     if not boxes:
@@ -238,8 +239,8 @@ def orbit_pfaffian_indices(iota: FpfInvolution) -> list[tuple[int, ...]]:
         if sum(t <= i for t in T) > r
     ))
     terms = sum(pfaffian_terms(iota.n, len(T)) for T in index_sets)
-    if terms > MAX_PFAFFIAN_TERMS:
-        raise ValueError(f"{iota} needs {terms} pfaffian terms, over {MAX_PFAFFIAN_TERMS}")
+    if terms > MAX_EXPANDED_TERMS:
+        raise ValueError(f"{iota} needs {terms} pfaffian terms, over {MAX_EXPANDED_TERMS}")
     return index_sets
 
 
@@ -361,13 +362,13 @@ def random_lower_triangular(size: int, rng) -> Matrix:
     return B
 
 
-def random_symplectic(n: int, rng, n_transvections: int = 4) -> Matrix:
-    """Random element of Sp_n over the rationals: a product of symplectic
+def random_symplectic(n: int, rng) -> Matrix:
+    """Random element of Sp_n over the rationals: a product of four symplectic
     transvections I + lam * (J v^T) v, which preserve MJM^T = J exactly."""
     size = 2 * n
     J = mat_from(symplectic_form(n))
     S = mat_identity(size)
-    for _ in range(n_transvections):
+    for _ in range(4):
         v = [Fraction(rng.randint(-2, 2)) for _ in range(size)]
         if all(x == 0 for x in v):
             v[rng.randrange(size)] = Fraction(1)
@@ -390,7 +391,14 @@ def random_symplectic(n: int, rng, n_transvections: int = 4) -> Matrix:
 def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> bool:
     """Check that the Fulton generators are a Groebner basis under the
     antidiagonal order: each leads with its antidiagonal term, and the
-    certificate is_groebner_basis holds (its BudgetExceeded passes through)."""
+    certificate is_groebner_basis holds (its BudgetExceeded passes through).
+    ValueError, before any expansion, when p is larger than MAX_SIZE or its
+    minors have more than MAX_EXPANDED_TERMS terms (a k x k minor has k!)."""
+    if p.size > MAX_SIZE:
+        raise ValueError(f"Knutson-Miller is checked for sizes <= {MAX_SIZE}, not {p.size}")
+    terms = sum(math.comb(i, r + 1) * math.comb(j, r + 1) * math.factorial(r + 1) for i, j, r in essential_boxes(p))
+    if terms > MAX_EXPANDED_TERMS:
+        raise ValueError(f"{p} needs {terms} minor terms, over {MAX_EXPANDED_TERMS}")
     vs = VariableSet.matrix(p.size)
     order = antidiagonal_order(vs)
     minors = fulton_minors(p, vs)
@@ -487,11 +495,18 @@ def verify_degeneration(
     uncovered = [m for m in common if all(m & k != k for k in leads)]
     witnesses += ["*".join(x for i, x in enumerate(vs.names) if m >> i & 1) + " is not in in(L)" for m in uncovered]
     timings["certificate_seconds"] = time.monotonic() - t0
+    left = tuple(map(str, L.generators))
+    if witnesses:
+        right = ()
+    elif tuple(gl) == L.generators:  # a homogeneous L caches its generators as G_L
+        right = left
+    else:
+        right = tuple(map(str, gl))
     return DegenerationReport(
         iota=iota,
         pair_perms=pp.perms,
-        left_generators=tuple(map(str, L.generators)),
-        right_generators=() if witnesses else tuple(map(str, gl)),
+        left_generators=left,
+        right_generators=right,
         equal=not witnesses,
         witnesses=tuple(witnesses),
         timings=timings,

@@ -13,6 +13,7 @@ from sporbits.cli import (
     EXIT_VERIFICATION_FAILED,
     main,
 )
+from sporbits.involutions import FpfInvolution
 from sporbits.orders import FIELD_MASK
 
 
@@ -67,6 +68,17 @@ class TestPoset:
         code, out = run(capsys, "poset", "--n", "2", "--format", "dot")
         assert code == EXIT_OK
         assert out.startswith("digraph")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_json_edges_are_the_dot_edges(self, capsys, n):
+        code, blob = run_json(capsys, "poset", "--n", str(n))
+        assert code == EXIT_OK
+        code, out = run(capsys, "poset", "--n", str(n), "--format", "dot")
+        assert code == EXIT_OK
+        arrows = [line.strip(" ;").split(" -> ") for line in out.splitlines() if " -> " in line]
+        dot = [[FpfInvolution.from_any(name.strip('"')).to_json() for name in pair] for pair in arrows]
+        assert dot == blob["edges_lower_to_upper"]
+        assert len(dot) > 0 or n == 1
 
 
 class TestWiringAndBoxes:
@@ -269,6 +281,33 @@ class TestVerifiers:
         code, blob = run_json(capsys, "verify-km", "--pi", "2143")
         assert code == EXIT_OK
         assert blob["groebner_basis"] is True
+
+    def test_verify_km_takes_a_comma_list(self, capsys):
+        digits = run(capsys, "verify-km", "--pi", "132")
+        assert digits[0] == EXIT_OK
+        assert run(capsys, "verify-km", "--pi", "1,3,2") == digits
+        code, blob = run_json(capsys, "verify-km", "--pi", "10,9,8,7,6,5,4,3,2,1")
+        assert code == EXIT_OK
+        assert blob["groebner_basis"] is True
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            # box (11,11,10): one 11 x 11 minor of 11! terms
+            "1,2,3,4,5,6,7,8,9,10,12,11",
+            # above the size cap
+            "13,12,11,10,9,8,7,6,5,4,3,2,1",
+        ],
+    )
+    def test_oversize_verify_km_refused_before_expanding(self, capsys, word):
+        start = time.process_time()
+        assert main(["verify-km", "--pi", word]) == EXIT_USAGE
+        assert time.process_time() - start < 1.0
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_permutation_iota_is_usage_error(self, capsys):
+        assert main(["boxes", "--iota", "2,1,4,4"]) == EXIT_USAGE
+        assert "not a permutation of 1..4" in capsys.readouterr().err
 
     def test_verify_degeneration(self, capsys):
         code, blob = run_json(capsys, "verify-degeneration", "--iota", "4321")

@@ -33,7 +33,7 @@ from sporbits.involutions import (
     wiring_ascii,
     wiring_parse,
 )
-from sporbits.permutations import length
+from sporbits.permutations import Permutation, essential_boxes, length, rank_matrix
 
 
 def fpf(text):
@@ -71,6 +71,22 @@ class TestConstruction:
             FpfInvolution((2, 3, 1, 4))  # not an involution
         with pytest.raises(ValueError):
             FpfInvolution((2, 1, 3))  # odd size
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_its_permutation(self, n):
+        for iota in enumerate_fpf(n):
+            p = iota.permutation()
+            assert isinstance(iota, Permutation)
+            assert length(iota) == length(p)
+            assert rank_matrix(iota) == rank_matrix(p)
+            assert essential_boxes(iota) == essential_boxes(p)
+
+    def test_from_any(self):
+        iota = fpf("2,1,4,3")
+        assert iota == fpf("2143") == FpfInvolution.from_any(Permutation((2, 1, 4, 3)))
+        assert FpfInvolution.from_any(iota) is iota
+        with pytest.raises(ValueError, match="not a permutation of 1..4"):
+            fpf("2144")
 
     def test_arcs(self):
         assert fpf("43217856").arcs == ((1, 4), (2, 3), (5, 7), (6, 8))

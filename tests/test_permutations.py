@@ -51,6 +51,18 @@ class TestPermutation:
         assert essential_boxes(p0) == frozenset()
 
 
+class TestFromAny:
+    def test_comma_list(self):
+        p = Permutation.from_any("10,9,8,7,6,5,4,3,2,1")
+        assert p.word == tuple(range(10, 0, -1))
+        assert Permutation.from_any(str(p)) == p
+
+    def test_digit_string_and_words(self):
+        p = Permutation.from_any("132")
+        assert p == Permutation.from_any("1,3,2") == Permutation.from_any([1, 3, 2])
+        assert Permutation.from_any(p) is p
+
+
 class TestRankMatrix:
     def test_rank_matrix_13425(self):
         p = Permutation.from_any("13425")
