@@ -12,8 +12,11 @@ first, as they change from run to run.  Exit 0 when every command agrees,
 The commands: `enumerate` and `poset` (JSON and DOT) at n <= 4; `boxes`,
 `basics`, `pairperms`, `wiring` and `orbit-ideal` on all 15 involutions at
 2n = 6; `verify-degeneration --deep` on the 19 involutions with 2n <= 6;
-`verify-km` on all of S4; `verify-all --n 3`.  The words are built here, not
-by the code under comparison.
+`verify-km` on all of S4 and S5; `verify-km --pi 54321 --max-pairs K` at
+caps that stop the Groebner certificate before its first pair, inside it and
+at its last pair, so the verdicts and the `pairs_processed` of budget exits
+are compared too; `verify-all --n 3`.  The words are built here, not by the
+code under comparison.
 """
 
 from __future__ import annotations
@@ -63,7 +66,10 @@ def commands() -> list[list[str]]:
         out += [[cmd, "--iota", word] for cmd in ("boxes", "basics", "pairperms", "wiring", "orbit-ideal")]
     for size in (2, 4, 6):
         out += [["verify-degeneration", "--deep", "--iota", word] for word in involutions(size)]
-    out += [["verify-km", "--pi", "".join(map(str, w))] for w in itertools.permutations(range(1, 5))]
+    for size in (4, 5):
+        out += [["verify-km", "--pi", "".join(map(str, w))] for w in itertools.permutations(range(1, size + 1))]
+    # 54321 has 20 minors, so 190 pairs: budget exits before, inside and at the end
+    out += [["verify-km", "--pi", "54321", "--max-pairs", str(k)] for k in (0, 1, 17, 95, 189, 190)]
     out.append(["verify-all", "--n", "3"])
     return out
 

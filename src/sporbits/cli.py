@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -45,10 +46,13 @@ EXIT_BUDGET = 3
 
 
 def _budget(args) -> GBBudget:
+    """The caps of flags and config; nan would lift one, a negative one stop at once."""
     base = DEEP_BUDGET if getattr(args, "deep", False) else GBBudget()
 
     def pick(name, fallback):
         value = getattr(args, name, None)
+        if value is not None and not 0 <= value < math.inf:
+            raise ValueError(f"--{name.replace('_', '-')} must be finite and at least 0, not {value}")
         return fallback if value is None else value
 
     return GBBudget(
@@ -212,7 +216,8 @@ def cmd_verify_degeneration(args) -> int:
 
 def cmd_verify_all(args) -> int:
     """Batch invariant suite at combinatorial scale plus the 2n=4 degenerations."""
-    # enumerate every size first, so an over-cap --n fails before any check
+    # caps and every size first, so a bad cap or an over-cap --n fails before any check
+    budget = _budget(args)
     families = [(n, enumerate_fpf(n)) for n in range(1, args.n + 1)]
     checks = [
         [f"{name}_2n={2*n}", *check(items)]
@@ -221,7 +226,7 @@ def cmd_verify_all(args) -> int:
         if n <= max_n
     ]
     for word in ("2143", "3412", "4321"):
-        checks.append([f"degeneration_{word}", *degeneration(FpfInvolution.from_any(word), _budget(args))])
+        checks.append([f"degeneration_{word}", *degeneration(FpfInvolution.from_any(word), budget)])
     rng = random.Random(args.seed)
     checks.append(["classification_invariance_2n=4", *classification_invariance(args.samples, rng)])
     failures = [name for name, ok, _ in checks if not ok]

@@ -7,6 +7,7 @@ verifiers (Knutson-Miller and the orbit degeneration).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -28,7 +29,7 @@ from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
 from sporbits.orders import antidiagonal_order, weight_refined_order
 from sporbits.pairperms import MAX_SIZE, pair_permutations
 from sporbits.permutations import Permutation, essential_boxes
-from sporbits.polynomials import Polynomial, VariableSet
+from sporbits.polynomials import FIELD_BITS, Polynomial, VariableSet
 
 
 def symplectic_form(n: int) -> tuple[tuple[int, ...], ...]:
@@ -143,13 +144,29 @@ def fulton_minors(
     """(rows, cols, minor) for every rank condition at an essential box: all
     (r+1) x (r+1) minors of the northwest i x j submatrix."""
     vs = vs or VariableSet.matrix(p.size)
-    out = []
-    for (i, j, r) in sorted(essential_boxes(p)):
-        for rows in itertools.combinations(range(1, i + 1), r + 1):
-            for cols in itertools.combinations(range(1, j + 1), r + 1):
-                sub = [[Polynomial.matrix_entry(vs, a, b) for b in cols] for a in rows]
-                out.append((rows, cols, determinant(sub)))
-    return out
+    return [
+        (rows, cols, _minor(vs, rows, cols))
+        for i, j, r in sorted(essential_boxes(p))
+        for rows in itertools.combinations(range(1, i + 1), r + 1)
+        for cols in itertools.combinations(range(1, j + 1), r + 1)
+    ]
+
+
+def _minor(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
+    """The generic minor on equally many 1-based rows and columns, by Leibniz:
+    one packed squarefree monomial per permutation, with its sign."""
+    last = len(vs) - 1  # m[a, b] packs as Polynomial.variable packs it
+    entries = [1 << FIELD_BITS * (last - vs.matrix_var(a, b)) for a in rows for b in cols]
+    return Polynomial._of(vs, {sum(map(entries.__getitem__, cells)): s for s, cells in _signed_cells(len(rows))})
+
+
+@functools.cache
+def _signed_cells(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign of s, row-major cells a * k + s(a)) per permutation s of range(k)."""
+    return tuple(
+        ((-1) ** sum(x > y for x, y in itertools.combinations(s, 2)), tuple(a * k + x for a, x in enumerate(s)))
+        for s in itertools.permutations(range(k))
+    )
 
 
 def _antidiagonal(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> int:
@@ -390,10 +407,12 @@ def random_symplectic(n: int, rng) -> Matrix:
 
 def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> bool:
     """Check that the Fulton generators are a Groebner basis under the
-    antidiagonal order: each leads with its antidiagonal term, and the
-    certificate is_groebner_basis holds (its BudgetExceeded passes through).
-    ValueError, before any expansion, when p is larger than MAX_SIZE or its
-    minors have more than MAX_EXPANDED_TERMS terms (a k x k minor has k!)."""
+    antidiagonal order (Knutson-Miller, Annals 2005, Thm B): each leads with
+    its antidiagonal term, and is_groebner_basis holds, which reduces only the
+    pairs the product and chain criteria leave but counts all it examines
+    against the budget (its BudgetExceeded passes through).  ValueError,
+    before any expansion, when p is larger than MAX_SIZE or its minors have
+    more than MAX_EXPANDED_TERMS terms (a k x k minor has k!)."""
     if p.size > MAX_SIZE:
         raise ValueError(f"Knutson-Miller is checked for sizes <= {MAX_SIZE}, not {p.size}")
     terms = sum(math.comb(i, r + 1) * math.comb(j, r + 1) * math.factorial(r + 1) for i, j, r in essential_boxes(p))

@@ -321,6 +321,26 @@ class TestVerifiers:
         assert code == EXIT_BUDGET
         assert blob["equal"] is None
 
+    @pytest.mark.parametrize(
+        "cap",
+        [["--max-seconds", "nan"], ["--max-seconds", "inf"], ["--max-seconds", "-1"], ["--max-pairs", "-1"], ["--max-degree", "-1"]],
+        ids=["nan", "inf", "negative-seconds", "negative-pairs", "negative-degree"],
+    )
+    @pytest.mark.parametrize("command", [["verify-km", "--pi", "321"], ["verify-all", "--n", "1"]])
+    def test_unusable_cap_is_usage_error(self, capsys, command, cap):
+        # nan compares false with everything, so it would lift the cap; a
+        # negative cap would stop at once and blame the cap
+        assert main([*command, *cap]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {cap[0]} must be finite")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1"])
+    def test_unusable_cap_in_config_is_usage_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"max_seconds": {value}}}')
+        assert main(["--config", str(cfg), "verify-km", "--pi", "321"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --max-seconds must be finite")
+
     def test_verify_all_small(self, capsys):
         code, blob = run_json(
             capsys, "verify-all", "--n", "2", "--samples", "3", "--seed", "1"

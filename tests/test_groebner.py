@@ -823,3 +823,78 @@ class TestIntegerCoefficients:
             remainders += bool(rem)
             assert _reduce_terms(IntTerms(s), entries, order.guards) == {}
         assert remainders
+
+
+def _all_pairs_certificate(G, order):
+    """The certificate with no pair criterion, as the reference: every S-pair
+    of G, in combinations order, reduces to zero against G."""
+    reducers = Reducers((), order)
+    entries = [e for e in map(reducers.add, G) if e is not None]
+    leads = [order.exponents(e[1]) for e in entries]
+    return all(
+        not _reduce_terms(_s_pair(e, f, order.key(tuple(map(max, a, b))), order.guards), reducers.entries, order.guards)
+        for (e, a), (f, b) in itertools.combinations(zip(entries, leads), 2)
+    )
+
+
+class TestPairCriteria:
+    """is_groebner_basis skips the pairs Buchberger's product and chain
+    criteria leave out; its verdict must be the all-pairs certificate's."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        from sporbits import groebner
+
+        calls = []
+        reduce_terms = groebner._reduce_terms
+
+        def counted(*args):
+            calls.append(args)
+            return reduce_terms(*args)
+
+        monkeypatch.setattr(groebner, "_reduce_terms", counted)
+        return calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ideal_cases())
+    def test_matches_all_pairs_reference(self, case):
+        _, gens, name = case
+        order = _xyz_order(name)
+        try:
+            gb = buchberger(gens, order, GBBudget(max_pairs=300, max_degree=10, max_seconds=0.5))
+        except BudgetExceeded:
+            gb = []
+        # the generators, a basis, one with an element dropped, one with a generator added
+        for G in (gens, gens + gens[:1], gb, gb[1:], gb + gens[:1]):
+            assert is_groebner_basis(G, order) == _all_pairs_certificate(G, order), [str(g) for g in G]
+
+    def test_fulton_minors_under_shuffled_rankings(self):
+        # a basis under the antidiagonal order (Knutson-Miller), and under
+        # most lex rankings, but not all: both verdicts occur
+        rng = random.Random(13)
+        verdicts = set()
+        for word in ["1432", "3412", "4231", "15432", "25314", "14253", "35142", "14352", "24153"]:
+            p = Permutation.from_any(word)
+            vs = VariableSet.matrix(p.size)
+            G = [f for _, _, f in fulton_minors(p, vs)]
+            orders = [antidiagonal_order(vs)] + [lex_order(vs, rng.sample(range(len(vs)), len(vs))) for _ in range(4)]
+            for order in orders:
+                verdict = is_groebner_basis(G, order)
+                assert verdict == _all_pairs_certificate(G, order), (word, order.ranking)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_coprime_leads_need_no_reduction(self, reductions):
+        vs = VariableSet.named("x", "y", "z")
+        G = [poly(vs, "x^2 - y"), poly(vs, "y^3 + z"), poly(vs, "z^2 - 1")]
+        assert is_groebner_basis(G, lex_order(vs))
+        assert reductions == []
+
+    def test_only_failing_pair_is_not_coprime(self, reductions):
+        # (z + 1) is coprime with both others; y*(x^2 - 1) - x*(x*y - 1) = x - y
+        vs = VariableSet.named("x", "y", "z")
+        order = lex_order(vs)
+        G = [poly(vs, "z + 1"), poly(vs, "x^2 - 1"), poly(vs, "x*y - 1")]
+        assert not is_groebner_basis(G, order)
+        assert len(reductions) == 1
+        assert normal_form(s_polynomial(G[1], G[2], order), G, order) == poly(vs, "x - y")

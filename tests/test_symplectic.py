@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -141,6 +143,11 @@ class TestDeterminantAndPfaffian:
             assert pfaffian(J) == Fraction(1)
 
 
+def _expanded_minor(vs, rows, cols):
+    """The minor as fulton_minors once built it: determinant over Polynomial entries."""
+    return determinant([[Polynomial.matrix_entry(vs, a, b) for b in cols] for a in rows])
+
+
 class TestFultonGenerators:
     def test_2143(self):
         vs = VariableSet.matrix(4)
@@ -166,6 +173,23 @@ class TestFultonGenerators:
         shapes = {(rows, cols) for rows, cols, _ in minors}
         assert ((1,), (1,)) in shapes
         assert ((1, 2, 3), (1, 2, 3)) in shapes
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_leibniz_minor_is_the_determinant(self, size):
+        vs = VariableSet.matrix(size)
+        for k in range(1, size + 1):
+            for rows in itertools.combinations(range(1, size + 1), k):
+                for cols in itertools.combinations(range(1, size + 1), k):
+                    minor = symplectic._minor(vs, rows, cols)
+                    assert minor == _expanded_minor(vs, rows, cols), (rows, cols)
+                    assert len(minor.terms) == math.factorial(k)
+
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_fulton_minors_are_the_expanded_determinants(self, size):
+        vs = VariableSet.matrix(size)
+        for word in itertools.permutations(range(1, size + 1)):
+            for rows, cols, minor in fulton_minors(Permutation(word), vs):
+                assert minor == _expanded_minor(vs, rows, cols), (word, rows, cols)
 
     def test_vanishing_cuts_out_the_orbit_points(self):
         # numeric soundness: generators vanish on b * M_w exactly when w <= p
