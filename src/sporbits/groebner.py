@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Sequence
@@ -40,11 +41,19 @@ from sporbits.polynomials import Monomial, Polynomial, VariableSet
 
 @dataclass
 class GBBudget:
-    """Caps for one Groebner computation."""
+    """Caps for one Groebner computation, each finite and at least 0 (nan
+    would lift a cap, a negative one stop at once); ValueError otherwise,
+    naming the cap by its command-line flag."""
 
     max_pairs: int = 100_000
     max_degree: int = 60
     max_seconds: float = 600.0
+
+    def __post_init__(self):
+        for cap in fields(self):
+            value = getattr(self, cap.name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"--{cap.name.replace('_', '-')} must be finite and at least 0, not {value}")
 
 
 #: the raised caps of deep mode, for the larger algebraic checks

@@ -3,6 +3,10 @@ in a generic matrix of variables, pfaffians, Fulton ideals of matrix Schubert
 varieties, orbit-closure ideals by one pfaffian rule over the symplectic
 essential boxes, numeric orbit classification, and the two computational
 verifiers (Knutson-Miller and the orbit degeneration).
+
+A pfaffian of MJM^T is a sum of minors of M with disjoint terms
+(`_mjmt_pfaffian`), so one Leibniz writer, `_minor`, writes every generic
+minor and pfaffian; `pfaffian` and `determinant` expand general matrices.
 """
 
 from __future__ import annotations
@@ -44,19 +48,14 @@ def symplectic_form(n: int) -> tuple[tuple[int, ...], ...]:
 
 def build_mjmt(n: int, vs: VariableSet | None = None) -> list[list[Polynomial]]:
     """MJM^T for the generic 2n x 2n matrix of variables: entry (a,b) is
-    sum_k m[a,2k-1] m[b,2k] - m[a,2k] m[b,2k-1]."""
+    sum_k m[a,2k-1] m[b,2k] - m[a,2k] m[b,2k-1], the pfaffian on {a, b}."""
     size = 2 * n
     vs = vs or VariableSet.matrix(size)
-    m = lambda i, j: Polynomial.matrix_entry(vs, i, j)
     zero = Polynomial.zero(vs)
     A = [[zero for _ in range(size)] for _ in range(size)]
-    for a in range(1, size + 1):
-        for b in range(a + 1, size + 1):
-            entry = zero
-            for k in range(1, n + 1):
-                entry = entry + m(a, 2 * k - 1) * m(b, 2 * k) - m(a, 2 * k) * m(b, 2 * k - 1)
-            A[a - 1][b - 1] = entry
-            A[b - 1][a - 1] = -entry
+    for a, b in itertools.combinations(range(1, size + 1), 2):
+        A[a - 1][b - 1] = _mjmt_pfaffian(vs, (a, b), n)
+        A[b - 1][a - 1] = -A[a - 1][b - 1]
     return A
 
 
@@ -118,13 +117,6 @@ def _expand(A: Sequence[Sequence], by_pairs: bool) -> object:
     return expand(tuple(range(size)))
 
 
-def pfaffian_of_indices(A: Sequence[Sequence], indices: Sequence[int]) -> object:
-    """Pfaffian of the submatrix of A on the given 1-based rows = columns."""
-    idx = [i - 1 for i in indices]
-    sub = [[A[a][b] for b in idx] for a in idx]
-    return pfaffian(sub)
-
-
 def _is_zero(x) -> bool:
     return x.is_zero() if isinstance(x, Polynomial) else x == 0
 
@@ -167,6 +159,19 @@ def _signed_cells(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         ((-1) ** sum(x > y for x, y in itertools.combinations(s, 2)), tuple(a * k + x for a, x in enumerate(s)))
         for s in itertools.permutations(range(k))
     )
+
+
+def _mjmt_pfaffian(vs: VariableSet, T: Sequence[int], n: int) -> Polynomial:
+    """pf((MJM^T)_T) for the generic 2n x 2n matrix M, by the minor summation
+    formula (Ishikawa-Wakayama, Linear and Multilinear Algebra 1995): the sum
+    of det M[T, S] over the column sets S of |T|/2 pairs {2k-1, 2k}, as
+    pf(J_S) is 1 on a union of blocks and 0 on any other S.  Distinct S have
+    distinct column sets, so no two minors share a monomial: each term is
+    written once."""
+    packed: dict[int, int] = {}
+    for ks in itertools.combinations(range(1, n + 1), len(T) // 2):
+        packed.update(_minor(vs, T, [c for k in ks for c in (2 * k - 1, 2 * k)])._packed)
+    return Polynomial._of(vs, packed)
 
 
 def _antidiagonal(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> int:
@@ -223,8 +228,9 @@ MAX_EXPANDED_TERMS = 1_200_000
 
 
 def pfaffian_terms(n: int, q: int) -> int:
-    """Terms of a q x q principal pfaffian of MJM^T at size 2n (Cauchy-Binet
-    over q/2 of the n column pairs; no two products share a monomial)."""
+    """Terms of a q x q principal pfaffian of MJM^T at size 2n: one q x q
+    minor of q! terms per choice of q/2 of the n column pairs, no two sharing
+    a monomial (see _mjmt_pfaffian)."""
     return math.comb(n, q // 2) * math.factorial(q)
 
 
@@ -262,13 +268,12 @@ def orbit_pfaffian_indices(iota: FpfInvolution) -> list[tuple[int, ...]]:
 
 
 def orbit_ideal(iota: FpfInvolution, vs: VariableSet | None = None) -> Ideal:
-    """The pfaffians on orbit_pfaffian_indices(iota); zero for the dense orbit."""
+    """The pfaffians on orbit_pfaffian_indices(iota), each written term by
+    term by the minor summation formula (no polynomial products); zero for the
+    dense orbit."""
     index_sets = orbit_pfaffian_indices(iota)
     vs = vs or VariableSet.matrix(iota.size)
-    if not index_sets:
-        return Ideal(vs, [])
-    A = build_mjmt(iota.n, vs)
-    return Ideal(vs, [pfaffian_of_indices(A, T) for T in index_sets])
+    return Ideal(vs, [_mjmt_pfaffian(vs, T, iota.n) for T in index_sets])
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,16 @@ class TestGroebner:
         assert code == EXIT_BUDGET
         assert blob["budget_exhausted"]
 
+    @pytest.mark.parametrize("command", ["verify-km", "groebner"])
+    def test_budget_exit_in_text_format(self, capsys, tmp_path, command):
+        # every budget exit is written by main, in the format asked for
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"variables": ["x", "y"], "generators": ["x^2 - y", "x*y - 1"]}))
+        argv = {"verify-km": ["--pi", "54321"], "groebner": ["--ideal", str(path)]}[command]
+        assert main([command, *argv, "--max-pairs", "0", "--format", "text"]) == EXIT_BUDGET
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "budget_exhausted: pair cap" and lines[1].startswith("stats: {'pairs_processed': ")
+
 
 class TestOrbitIdealAndClassify:
     def test_orbit_ideal(self, capsys):

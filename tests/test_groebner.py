@@ -382,6 +382,19 @@ class TestBuchberger:
         with pytest.raises(BudgetExceeded):
             buchberger(gens, order, GBBudget(max_seconds=0.0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("cap", ["max_pairs", "max_degree", "max_seconds"])
+    def test_unusable_cap_refused(self, cap, value):
+        # nan compares false with everything, so it would lift the cap; a
+        # negative cap would stop at once and blame the cap
+        with pytest.raises(ValueError, match=f"--{cap.replace('_', '-')} must be finite and at least 0"):
+            GBBudget(**{cap: value})
+
+    def test_zero_caps_are_usable(self, xy):
+        order = lex_order(xy)
+        budget = GBBudget(max_pairs=0, max_degree=0, max_seconds=0.0)
+        assert is_groebner_basis([poly(xy, "x")], order, budget)
+
 
 class TestIdealOps:
     def test_principal_intersection(self, xy):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, Ideal, buchberger, initial_ideal, normal_form
+from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, Ideal, buchberger, initial_form, initial_ideal, normal_form
 from sporbits.involutions import FpfInvolution, enumerate_fpf, fpf_length, j_bar, opposite_leq
 from sporbits.orders import antidiagonal_order, grevlex_order, weight_refined_order
 from sporbits import groebner, symplectic
@@ -27,7 +27,6 @@ from sporbits.symplectic import (
     orbit_ideal,
     orbit_pfaffian_indices,
     pfaffian,
-    pfaffian_of_indices,
     pfaffian_terms,
     random_lower_triangular,
     random_symplectic,
@@ -44,6 +43,13 @@ def fpf(text):
 
 def perm(text):
     return Permutation.from_any(text)
+
+
+def pfaffian_of_indices(A, indices):
+    """Pfaffian of the submatrix of A on the given 1-based rows = columns, by
+    the general expansion: the reference for the rule-written pfaffians."""
+    idx = [i - 1 for i in indices]
+    return pfaffian([[A[a][b] for b in idx] for a in idx])
 
 
 def permutation_matrix(w):
@@ -272,10 +278,46 @@ class TestOrbitIdeal:
         assert sizes == {2, 4, 6, 8}
         assert most == 1_170_050 <= MAX_EXPANDED_TERMS
 
-    @pytest.mark.parametrize("n, q", [(2, 2), (2, 4), (3, 4), (3, 6), (4, 4)])
+    @pytest.mark.parametrize("n, q", [(2, 2), (2, 4), (3, 4), (3, 6), (4, 4), (4, 6), (4, 8)])
     def test_pfaffian_terms_counts_the_expansion(self, n, q):
-        A = build_mjmt(n)
-        assert len(pfaffian_of_indices(A, range(1, q + 1)).terms) == pfaffian_terms(n, q)
+        vs = VariableSet.matrix(2 * n)
+        T = range(1, q + 1)
+        pf = symplectic._mjmt_pfaffian(vs, T, n)
+        assert len(pf.terms) == pfaffian_terms(n, q)
+        assert pf == pfaffian_of_indices(build_mjmt(n, vs), T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_minor_summation_is_the_pfaffian(self, n):
+        # every even T at 2n <= 6: the sum of minors over unions of column
+        # pairs is the expanded pfaffian, no two minors share a term, and the
+        # column weights single out S = {1..|T|}: in_w(pf(A_T)) = det M[T, 1..|T|]
+        vs = VariableSet.matrix(2 * n)
+        A = build_mjmt(n, vs)
+        weights = column_weights(vs)
+        for q in range(2, 2 * n + 1, 2):
+            for T in itertools.combinations(range(1, 2 * n + 1), q):
+                pf = symplectic._mjmt_pfaffian(vs, T, n)
+                assert pf == pfaffian_of_indices(A, T), T
+                assert len(pf.terms) == pfaffian_terms(n, q), T
+                assert initial_form(pf, weights) == symplectic._minor(vs, T, range(1, q + 1)), T
+
+    def test_no_polynomial_products(self, monkeypatch):
+        # 21687354 needs 4 x 4 and 6 x 6 pfaffians at 2n = 8; none of them
+        # goes through MJM^T, the general expansion or a product
+        iota = fpf("21687354")
+        assert {len(T) for T in orbit_pfaffian_indices(iota)} == {4, 6}
+
+        def refuse(*args):
+            raise AssertionError("orbit_ideal must not multiply or expand")
+
+        for name in ("build_mjmt", "pfaffian", "_expand"):
+            monkeypatch.setattr(symplectic, name, refuse)
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        vs = VariableSet.matrix(8)
+        I = orbit_ideal(iota, vs)
+        monkeypatch.undo()
+        A = build_mjmt(4, vs)
+        assert I.generators == tuple(pfaffian_of_indices(A, T) for T in orbit_pfaffian_indices(iota))
 
     @pytest.mark.parametrize(
         "word",
