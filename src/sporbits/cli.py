@@ -173,6 +173,8 @@ def cmd_orbit_ideal(args) -> int:
 
 def cmd_classify(args) -> int:
     rows = _read_json(args.matrix)
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"{args.matrix}: the matrix must be a JSON list of row lists")
     try:
         M = [[Fraction(str(x)) for x in row] for row in rows]
     except (TypeError, ZeroDivisionError) as exc:
@@ -199,8 +201,11 @@ def cmd_verify_degeneration(args) -> int:
 
 def cmd_verify_all(args) -> int:
     """Batch invariant suite at combinatorial scale plus the 2n=4 degenerations."""
-    # caps and every size first, so a bad cap or an over-cap --n fails before any check
+    # caps, counts and every size first, so a bad one fails before any check
     budget = _budget(args)
+    for flag in ("n", "samples"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be at least 1")
     families = [(n, enumerate_fpf(n)) for n in range(1, args.n + 1)]
     checks = [
         [f"{name}_2n={2*n}", *check(items)]
@@ -336,7 +341,7 @@ def main(argv=None) -> int:
         _emit(args, {"budget_exhausted": exc.reason, "stats": exc.stats})
         return EXIT_BUDGET
     except MemoryError:
-        print(json.dumps({"budget_exhausted": "memory", "stats": {}}))
+        _emit(args, {"budget_exhausted": "memory", "stats": {}})
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

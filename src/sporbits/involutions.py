@@ -213,13 +213,14 @@ class NoUniqueMeet(ValueError):
 
 
 def glb(elements: Iterable[FpfInvolution], n: int | None = None) -> FpfInvolution:
-    """Greatest lower bound in the opposite Bruhat order, by a rank-pruned
-    search.
+    """Greatest lower bound in the opposite Bruhat order, by the rank rule.
 
     k lies below every element exactly when its rank matrix is at most the
-    entrywise minimum of theirs, so `_lower_bounds` visits only the order
-    ideal under that minimum.  A meet, if there is one, is the lower bound of
-    largest rank-matrix sum; one pass over the others confirms it.
+    entrywise minimum of theirs (Fulton, Duke 1992).  So when that minimum is
+    the rank matrix of an involution kappa, kappa is the meet: it lies below
+    every element, and any common lower bound k has r(k) <= min = r(kappa).
+    Otherwise (as for 341265 and 215634, whose meet 351624 sits strictly
+    under the minimum) the meet is the one maximal involution under it.
     glb of the empty set is the top element j_bar(n) (n must then be given).
     Raises NoUniqueMeet with the offending antichain, in enumerate_fpf order,
     if the maximal common lower bounds are not unique.
@@ -233,78 +234,28 @@ def glb(elements: Iterable[FpfInvolution], n: int | None = None) -> FpfInvolutio
     if any(e.n != half for e in elems):
         raise ValueError("size mismatch")
     _check_half(half)
-    size = 2 * half
     ceiling = [
         tuple(map(min, zip(*rows)))
         for rows in zip(*(rank_matrix(e) for e in elems))
     ]
-    guard, lower = _lower_bounds(ceiling)
-
-    def leq(ranks, above):
-        return ((above | guard) - ranks) & guard == guard
-
-    # entry (i, j) counts the k <= i with w(k) <= j, so outlet k adds one to
-    # (size - k + 1) * (size - w(k) + 1) entries of the rank matrix; `lower`
-    # is never empty, as the reverse word lies below every involution
-    top = max(
-        lower,
-        key=lambda bound: sum((size + 1 - k) * (size + 1 - v) for k, v in enumerate(bound[0], 1)),
-    )
-    if all(leq(ranks, top[1]) for _, ranks in lower):
-        return FpfInvolution(top[0])
-    maximal = [
-        word
-        for word, ranks in lower
-        if not any(word != other and leq(ranks, above) for other, above in lower)
+    meet = involution_of_ranks(ceiling)
+    if meet is not None:
+        return meet
+    # never empty, as the reverse word lies below every involution
+    lower = [
+        k
+        for k in enumerate_fpf(half)
+        if all(a <= b for row, cap in zip(rank_matrix(k), ceiling) for a, b in zip(row, cap))
     ]
-    raise NoUniqueMeet([FpfInvolution(word) for word in maximal])
-
-
-def _lower_bounds(ceiling: Sequence[Sequence[int]]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """(word, rank matrix) of every fixed-point-free involution whose rank
-    matrix is at most `ceiling` entrywise, in enumerate_fpf order.
-
-    The smallest free outlet is paired with each larger free outlet in turn.
-    Once w(1..i) is known, row i of the rank matrix is row i-1 plus one from
-    column w(i) on, and a branch ends at the first row above the ceiling:
-    every completion of the word shares that row.
-
-    A rank matrix is packed into one int, entry (i, j) in the field of
-    `width` bits at ((i - 1) * size + j - 1) * width, whose top bit is a guard
-    that the entry never reaches; so for the returned mask `guard`,
-    ((b | guard) - a) & guard == guard exactly when a <= b entrywise.
-    """
-    size = len(ceiling)
-    width = size.bit_length() + 1
-    row_bits = size * width
-    row_guard = sum(1 << (j * width + width - 1) for j in range(size))
-    steps = [sum(1 << (j * width) for j in range(v, size)) for v in range(size)]
-    caps = [sum(c << (j * width) for j, c in enumerate(row)) | row_guard for row in ceiling]
-    word = [0] * size
-    out = []
-
-    def grow(i: int, row: int, ranks: int) -> None:
-        # every outlet before i is wired, and its row is in `ranks`
-        if i == size:
-            out.append((tuple(word), ranks))
-            return
-        for partner in range(i + 1, size):
-            if word[partner]:
-                continue
-            word[i], word[partner] = partner + 1, i + 1
-            k, r, m = i, row, ranks
-            while k < size and word[k]:
-                r += steps[word[k] - 1]
-                if (caps[k] - r) & row_guard != row_guard:
-                    break
-                m |= r << (k * row_bits)
-                k += 1
-            else:
-                grow(k, r, m)
-            word[i] = word[partner] = 0
-
-    grow(0, 0, 0)
-    return sum(row_guard << (i * row_bits) for i in range(size)), out
+    # anything strictly above k has a larger rank-matrix sum, so taken by falling
+    # sum, k is maximal exactly when no maximal element found so far is above it
+    maximal = []
+    for k in sorted(lower, key=lambda k: -sum(map(sum, rank_matrix(k)))):
+        if not any(opposite_leq(k, m) for m in maximal):
+            maximal.append(k)
+    if len(maximal) == 1:
+        return maximal[0]
+    raise NoUniqueMeet([k for k in lower if k in maximal])
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,18 @@ class Permutation:
     @classmethod
     def from_any(cls, value):
         """Coerce to `cls` a word: an iterable of ints, a digit string, a
-        comma list such as "10,9,8,7,6,5,4,3,2,1", or a Permutation."""
+        comma list such as "10,9,8,7,6,5,4,3,2,1", or a Permutation.  An
+        empty word is refused: no command has a use for it."""
         if isinstance(value, cls):
             return value
         if isinstance(value, Permutation):
             value = value.word
         elif isinstance(value, str):
             value = value.split(",") if "," in value else value.strip()
-        return cls(tuple(int(v) for v in value))
+        word = tuple(int(v) for v in value)
+        if not word:
+            raise ValueError("empty word")
+        return cls(word)
 
     @staticmethod
     def identity(n: int) -> "Permutation":

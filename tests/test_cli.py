@@ -97,6 +97,16 @@ class TestWiringAndBoxes:
         code = main(["boxes", "--iota", "1234"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command",
+        ["wiring", "boxes", "basics", "pairperms", "orbit-ideal", "verify-km", "verify-degeneration"],
+    )
+    def test_empty_word_is_usage_error(self, capsys, command):
+        flag = "--pi" if command == "verify-km" else "--iota"
+        assert main([command, flag, ""]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: empty word\n"
+
 
 class TestBasicsAndPairperms:
     def test_basics(self, capsys):
@@ -246,7 +256,18 @@ class TestOrbitIdealAndClassify:
         monkeypatch.setattr(cli, "orbit_ideal", exhaust)
         assert main(["orbit-ideal", "--iota", "2143"]) == EXIT_BUDGET
         captured = capsys.readouterr()
-        assert captured.out == '{"budget_exhausted": "memory", "stats": {}}\n'
+        assert captured.out == '{\n  "budget_exhausted": "memory",\n  "stats": {}\n}\n'
+        assert captured.err == ""
+
+    def test_out_of_memory_in_text_format(self, capsys, monkeypatch):
+        # written like a budget exit, in the format asked for
+        def exhaust(iota):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "orbit_ideal", exhaust)
+        assert main(["orbit-ideal", "--iota", "2143", "--format", "text"]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == "budget_exhausted: memory\nstats: {}\n"
         assert captured.err == ""
 
     def test_classify(self, capsys, tmp_path):
@@ -267,6 +288,16 @@ class TestOrbitIdealAndClassify:
         path.write_text(json.dumps([["1/0", "0"], ["0", "1"]]))
         assert main(["classify", "--matrix", str(path)]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [["01", "10"], [["0", "1"], "10"], {"01": "10"}, "0110"])
+    def test_classify_row_that_is_no_list_is_usage_error(self, capsys, tmp_path, rows):
+        # a string row would be read digit by digit
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(rows))
+        assert main(["classify", "--matrix", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "must be a JSON list of row lists" in captured.err
 
 
 class TestDeepJson:
@@ -360,6 +391,21 @@ class TestVerifiers:
         names = [row[0] for row in blob["checks"]]
         assert "length_formula_2n=4" in names
         assert "degeneration_4321" in names
+
+    @pytest.mark.parametrize("flag,value", [("n", 0), ("n", -1), ("samples", 0), ("samples", -1)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_verify_all_that_would_run_nothing_is_usage_error(self, capsys, tmp_path, flag, value, source):
+        # --n 0 runs no per-size check and --samples 0 no classification sample
+        argv = ["verify-all", f"--{flag}", str(value)]
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: value}))
+            argv = ["--config", str(cfg), "verify-all"]
+        start = time.process_time()
+        assert main(argv) == EXIT_USAGE
+        assert time.process_time() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --{flag} must be at least 1\n"
 
     def test_verify_all_readme_example(self, capsys):
         # the README example: every row, in order

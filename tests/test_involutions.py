@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sporbits import involutions
 from sporbits.involutions import (
     FpfInvolution,
     NoUniqueMeet,
@@ -19,6 +20,7 @@ from sporbits.involutions import (
     glb,
     hasse_diagram,
     in_basic_family,
+    involution_of_ranks,
     is_a_even,
     is_a_odd,
     j_bar,
@@ -266,6 +268,30 @@ class TestOppositeOrderAndGlb:
     def test_half_size_over_enumeration_bound(self):
         with pytest.raises(ValueError, match=r"^n=6 exceeds the enumeration bound 5$"):
             glb([fpf("12,11,10,9,8,7,6,5,4,3,2,1")])
+
+    def test_rule_decides_every_decomposition_2n_le_8(self, monkeypatch):
+        # the meet of a basic decomposition is read off the rank rule alone:
+        # no involution is listed
+        cases = [
+            (iota, sorted(basics_decomposition(iota), key=lambda k: k.word))
+            for n in (1, 2, 3, 4)
+            for iota in enumerate_fpf(n)
+        ]
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("glb listed the involutions")
+
+        monkeypatch.setattr(involutions, "enumerate_fpf", no_scan)
+        for iota, parts in cases:
+            assert glb(parts, n=iota.n) == iota
+
+    def test_meet_strictly_under_the_ceiling(self):
+        # the entrywise minimum of the two rank matrices belongs to no
+        # involution, so the meet comes from the scan branch
+        pair = [fpf("341265"), fpf("215634")]
+        ceiling = [tuple(map(min, zip(*rows))) for rows in zip(*(rank_matrix(e) for e in pair))]
+        assert involution_of_ranks(ceiling) is None
+        assert glb(pair) == fpf("351624")
 
 
 class TestSymplecticBoxes:
