@@ -11,7 +11,8 @@ first, as they change from run to run.  Exit 0 when every command agrees,
 
 The commands: `enumerate` and `poset` (JSON and DOT) at n <= 4; `boxes`,
 `basics`, `pairperms`, `wiring` and `orbit-ideal` on all 15 involutions at
-2n = 6; `basics` and `orbit-ideal` on all 105 at 2n = 8;
+2n = 6; `basics`, `orbit-ideal` and `pairperms` on all 105 at 2n = 8;
+`pairperms` on all 945 at 2n = 10;
 `verify-degeneration --deep` on the 19 involutions with 2n <= 6 and on the
 5 benchmark words at 2n = 8 (21436587 21437856 21563487 34126587
 43216587); `verify-km` on all of S4 and S5; `verify-km --pi 54321 --max-pairs K` at
@@ -51,13 +52,26 @@ json.dump(results, sys.stdout)
 """
 
 
+def matchings(points: tuple[int, ...]):
+    """Every perfect matching of `points`, as a tuple of pairs."""
+    if not points:
+        yield ()
+    for k in range(1, len(points)):
+        for rest in matchings(points[1:k] + points[k + 1 :]):
+            yield ((points[0], points[k]),) + rest
+
+
 def involutions(size: int) -> list[str]:
-    """Every fixed-point-free involution of 1..size as a digit string."""
-    return [
-        "".join(map(str, w))
-        for w in itertools.permutations(range(1, size + 1))
-        if all(w[v - 1] == i != v for i, v in enumerate(w, start=1))
-    ]
+    """Every fixed-point-free involution of 1..size in lexicographic order, as
+    a digit string below size 10 and comma-separated from there on."""
+    words = []
+    for pairs in matchings(tuple(range(1, size + 1))):
+        word = [0] * size
+        for a, b in pairs:
+            word[a - 1], word[b - 1] = b, a
+        words.append(word)
+    sep = "," if size >= 10 else ""
+    return [sep.join(map(str, w)) for w in sorted(words)]
 
 
 def commands() -> list[list[str]]:
@@ -66,7 +80,8 @@ def commands() -> list[list[str]]:
         out += [["enumerate", "--n", str(n)], ["poset", "--n", str(n)], ["poset", "--n", str(n), "--format", "dot"]]
     for word in involutions(6):
         out += [[cmd, "--iota", word] for cmd in ("boxes", "basics", "pairperms", "wiring", "orbit-ideal")]
-    out += [[cmd, "--iota", word] for cmd in ("basics", "orbit-ideal") for word in involutions(8)]
+    out += [[cmd, "--iota", word] for cmd in ("basics", "orbit-ideal", "pairperms") for word in involutions(8)]
+    out += [["pairperms", "--iota", word] for word in involutions(10)]
     for size in (2, 4, 6):
         out += [["verify-degeneration", "--deep", "--iota", word] for word in involutions(size)]
     out += [

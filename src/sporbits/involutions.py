@@ -220,8 +220,10 @@ def glb(elements: Iterable[FpfInvolution], n: int | None = None) -> FpfInvolutio
     the rank matrix of an involution kappa, kappa is the meet: it lies below
     every element, and any common lower bound k has r(k) <= min = r(kappa).
     Otherwise (as for 341265 and 215634, whose meet 351624 sits strictly
-    under the minimum) the meet is the one maximal involution under it.
-    glb of the empty set is the top element j_bar(n) (n must then be given).
+    under the minimum) the meet is the one maximal involution under it,
+    found by listing enumerate_fpf(n), so only this branch is held to the
+    enumeration bound.  glb of the empty set is the top element j_bar(n)
+    (n must then be given).
     Raises NoUniqueMeet with the offending antichain, in enumerate_fpf order,
     if the maximal common lower bounds are not unique.
     """
@@ -233,7 +235,6 @@ def glb(elements: Iterable[FpfInvolution], n: int | None = None) -> FpfInvolutio
     half = elems[0].n
     if any(e.n != half for e in elems):
         raise ValueError("size mismatch")
-    _check_half(half)
     ceiling = [
         tuple(map(min, zip(*rows)))
         for rows in zip(*(rank_matrix(e) for e in elems))

@@ -116,6 +116,15 @@ class TestBasicsAndPairperms:
         assert blob["glb"] == [3, 5, 1, 6, 2, 4]
         assert len(blob["decomposition"]) == 2
 
+    def test_basics_at_2n_12(self, capsys):
+        # the rank rule decides the meet without listing the 10,395
+        # involutions at n = 6, so the enumeration bound does not apply
+        word = "4,3,2,1,6,5,8,7,10,9,12,11"
+        code, blob = run_json(capsys, "basics", "--iota", word)
+        assert code == EXIT_OK
+        assert blob["glb_matches"] is True
+        assert blob["glb"] == [int(v) for v in word.split(",")]
+
     def test_pairperms(self, capsys):
         code, blob = run_json(capsys, "pairperms", "--iota", "4321")
         assert code == EXIT_OK
@@ -391,6 +400,17 @@ class TestVerifiers:
         names = [row[0] for row in blob["checks"]]
         assert "length_formula_2n=4" in names
         assert "degeneration_4321" in names
+
+    def test_verify_all_every_check_at_every_size(self, capsys):
+        code, blob = run_json(capsys, "verify-all", "--n", "5", "--samples", "2")
+        assert code == EXIT_OK
+        assert blob["failures"] == []
+        per_size = [row[0] for row in blob["checks"]][:20]
+        assert per_size == [
+            f"{name}_2n={size}"
+            for size in (2, 4, 6, 8, 10)
+            for name in ("length_formula", "odd_rank_constraint", "basic_decomposition", "pair_permutation_length")
+        ]
 
     @pytest.mark.parametrize("flag,value", [("n", 0), ("n", -1), ("samples", 0), ("samples", -1)])
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -266,15 +266,21 @@ class TestOppositeOrderAndGlb:
         assert any(isinstance(o, tuple) and len(o[0]) > 1 for o in outcomes)
 
     def test_half_size_over_enumeration_bound(self):
+        # the bound holds only where glb lists involutions: off the rank rule
+        # (341265 and 215634 plus a j_bar(3) tail) at n = 6 it raises, while
+        # a meet the rule decides at n = 6 needs no listing
+        pair = [fpf("3,4,1,2,6,5,8,7,10,9,12,11"), fpf("2,1,5,6,3,4,8,7,10,9,12,11")]
         with pytest.raises(ValueError, match=r"^n=6 exceeds the enumeration bound 5$"):
-            glb([fpf("12,11,10,9,8,7,6,5,4,3,2,1")])
+            glb(pair)
+        rainbow = fpf("12,11,10,9,8,7,6,5,4,3,2,1")
+        assert glb([rainbow]) == rainbow
 
-    def test_rule_decides_every_decomposition_2n_le_8(self, monkeypatch):
+    def test_rule_decides_every_decomposition_2n_le_10(self, monkeypatch):
         # the meet of a basic decomposition is read off the rank rule alone:
         # no involution is listed
         cases = [
             (iota, sorted(basics_decomposition(iota), key=lambda k: k.word))
-            for n in (1, 2, 3, 4)
+            for n in (1, 2, 3, 4, 5)
             for iota in enumerate_fpf(n)
         ]
 

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from sporbits import pairperms
 from sporbits.involutions import FpfInvolution, enumerate_fpf, j_bar, pair_statistics
 from sporbits.pairperms import PairPermutationSet, conjugation_check, pair_permutations
 from sporbits.permutations import Permutation, length
@@ -21,6 +23,19 @@ def brute_pair_permutations(iota):
             hits.setdefault(length(w), set()).add(word)
     best = min(hits)
     return best, hits[best]
+
+
+def block_order_scan(iota):
+    """Oracle: the shortest of the n! block orders sending each arc (a<b) to a
+    block of jbar, a -> 2k-1 and b -> 2k."""
+    candidates = {}
+    for blocks in itertools.permutations(range(1, iota.n + 1)):
+        word = [0] * iota.size
+        for (a, b), k in zip(iota.arcs, blocks):
+            word[a - 1], word[b - 1] = 2 * k - 1, 2 * k
+        candidates.setdefault(length(Permutation(tuple(word))), set()).add(tuple(word))
+    best = min(candidates)
+    return best, candidates[best]
 
 
 class TestConjugationCheck:
@@ -87,23 +102,38 @@ class TestPairPermutations:
             assert result.common_length == best
             assert {p.word for p in result.perms} == words
 
-    def test_rule_at_2n_10_and_12(self):
-        for word in (
-            "10,9,8,7,6,5,4,3,2,1",
-            "6,7,8,9,10,1,2,3,4,5",
-            "3,5,1,6,2,4,10,9,8,7",
-            "12,11,10,9,8,7,6,5,4,3,2,1",
-            "7,8,9,10,11,12,1,2,3,4,5,6",
-            "4,3,2,1,9,11,12,10,5,8,6,7",
-        ):
-            iota = fpf(word)
+    @pytest.mark.parametrize(
+        "items",
+        [
+            pytest.param(
+                lambda: [iota for n in (1, 2, 3, 4, 5) for iota in enumerate_fpf(n)], id="2n<=10-all"
+            ),
+            pytest.param(
+                lambda: [
+                    fpf("12,11,10,9,8,7,6,5,4,3,2,1"),
+                    fpf("7,8,9,10,11,12,1,2,3,4,5,6"),
+                    fpf("4,3,2,1,9,11,12,10,5,8,6,7"),
+                ]
+                + random.Random(16).sample(enumerate_fpf(6, bound=6), 47),
+                id="2n12-sample",
+            ),
+        ],
+    )
+    def test_linear_extensions_equal_block_order_scan(self, items):
+        for iota in items():
+            best, words = block_order_scan(iota)
             stats = pair_statistics(iota)
             result = pair_permutations(iota)
-            assert result.perms
-            assert result.common_length == stats.c + 2 * stats.r
-            for w in result.perms:
-                assert length(w) == result.common_length
-                assert conjugation_check(w, iota)
+            assert best == stats.c + 2 * stats.r
+            assert result.common_length == best
+            assert [p.word for p in result.perms] == sorted(words)
+            assert all(conjugation_check(w, iota) for w in result.perms)
+
+    def test_one_length_call_per_involution(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pairperms, "length", lambda w: calls.append(w) or length(w))
+        result = pair_permutations(fpf("12,11,10,9,8,7,6,5,4,3,2,1"))
+        assert calls == [result.perms[0]]
 
     def test_search_bound(self):
         pair_permutations(j_bar(6))
