@@ -29,10 +29,11 @@ from sporbits.involutions import (
     wiring_ascii,
 )
 from sporbits.orders import antidiagonal_order, grevlex_order, lex_order
-from sporbits.pairperms import MAX_SIZE, pair_permutations
+from sporbits.pairperms import pair_permutations
 from sporbits.permutations import Permutation
 from sporbits.polynomials import VariableSet, parse_polynomial
 from sporbits.symplectic import (
+    MAX_MATRIX_SIZE,
     classify_orbit,
     orbit_ideal,
     verify_degeneration,
@@ -145,8 +146,8 @@ def cmd_groebner(args) -> int:
     ):
         raise ValueError(f'{args.ideal}: needs "generators" and "variables" or "matrix_size"')
     names, size = blob.get("variables", []), blob.get("matrix_size", 0)
-    if "matrix_size" in blob and not (type(size) is int and 1 <= size <= MAX_SIZE):
-        raise ValueError(f'{args.ideal}: "matrix_size" must be an integer in 1..{MAX_SIZE}')
+    if "matrix_size" in blob and not (type(size) is int and 1 <= size <= MAX_MATRIX_SIZE):
+        raise ValueError(f'{args.ideal}: "matrix_size" must be an integer in 1..{MAX_MATRIX_SIZE}')
     for key, value in (("variables", names), ("generators", blob["generators"])):
         if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
             raise ValueError(f'{args.ideal}: "{key}" must be a list of strings')

@@ -1,7 +1,6 @@
 """Buchberger's algorithm and the ideal operations built on it: normal forms,
 reduced Groebner bases and their certificate, intersection by elimination,
-initial forms and initial ideals under a column-weight vector, and ideal
-equality.
+and initial forms and initial ideals under a column-weight vector.
 
 Inside the kernel a term is its packed order key (orders.TermOrder), packed
 once on entry and unpacked once on exit: a monomial product is one addition,
@@ -30,7 +29,7 @@ import itertools
 import math
 import time
 from bisect import insort
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Sequence
@@ -71,11 +70,10 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class Ideal:
-    """Generators plus cached reduced Groebner bases, one per term order."""
+    """Generators over a variable set, zero generators dropped."""
 
     vs: VariableSet
     generators: Sequence[Polynomial]
-    _gb_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(g for g in self.generators if not g.is_zero())
@@ -84,11 +82,8 @@ class Ideal:
         return not self.generators
 
     def groebner_basis(self, order: TermOrder, budget: GBBudget | None = None) -> list[Polynomial]:
-        cached = self._gb_cache.get(order)
-        if cached is None:
-            cached = buchberger(list(self.generators), order, budget)
-            self._gb_cache[order] = cached
-        return list(cached)
+        """The reduced Groebner basis of the generators under `order`."""
+        return buchberger(list(self.generators), order, budget)
 
     def to_json(self) -> dict:
         return {
@@ -382,11 +377,9 @@ def initial_form(f: Polynomial, weights: Sequence[int]) -> Polynomial:
         raise ValueError("negative weights rejected")
     if f.is_zero():
         return f
-    weighed = [sum(map(mul, m, w)) for m in f.terms]
+    weighed = [sum(map(mul, f.vs.unpack(k), w)) for k in f._packed]
     best = min(weighed)
-    return Polynomial(
-        f.vs, {m: c for (m, c), x in zip(f.terms.items(), weighed) if x == best}
-    )
+    return Polynomial._of(f.vs, {k: c for (k, c), x in zip(f._packed.items(), weighed) if x == best})
 
 
 def initial_ideal(
@@ -395,17 +388,15 @@ def initial_ideal(
     tie_break: TermOrder | None = None,
     budget: GBBudget | None = None,
 ) -> Ideal:
-    """Initial ideal under a weight vector: reduced GB under the
-    weight-refined order, then initial forms of the basis."""
+    """Initial ideal under a weight vector: the initial forms of I's reduced
+    basis under the weight-refined order, in the basis's order.
+
+    When I is homogeneous, so is that basis, and as the order refines the
+    weights its initial forms are the reduced basis of the initial ideal
+    under the same order (Sturmfels, Groebner Bases and Convex Polytopes,
+    Prop. 1.13): callers may take the generators as that basis."""
     if I.is_zero():
         return Ideal(I.vs, [])
     order = weight_refined_order(I.vs, weights, tie_break)
-    gb = I.groebner_basis(order, budget)
-    J = Ideal(I.vs, [initial_form(g, weights) for g in gb])
-    if all(g.is_homogeneous() for g in gb):
-        # for a homogeneous reduced basis under an order refining the weights
-        # the initial forms are the reduced basis of the initial ideal
-        # (Sturmfels, Groebner Bases and Convex Polytopes, Prop. 1.13)
-        J._gb_cache[order] = list(J.generators)
-    return J
+    return Ideal(I.vs, [initial_form(g, weights) for g in I.groebner_basis(order, budget)])
 

@@ -31,7 +31,7 @@ from sporbits.groebner import (
 )
 from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
 from sporbits.orders import antidiagonal_order, weight_refined_order
-from sporbits.pairperms import MAX_SIZE, pair_permutations
+from sporbits.pairperms import pair_permutations
 from sporbits.permutations import Permutation, essential_boxes
 from sporbits.polynomials import FIELD_BITS, Polynomial, VariableSet
 
@@ -225,6 +225,11 @@ def union_schubert_ideal(
 #: one involution (at 2n <= 10, 7,3,2,10,9,8,1,6,5,4 needs the most: 1,170,050)
 #: and verify_knutson_miller's minors (all of S_9 needs at most 80,884)
 MAX_EXPANDED_TERMS = 1_200_000
+#: largest matrix size N taken by orbit_ideal, verify_knutson_miller and the
+#: groebner command: MAX_EXPANDED_TERMS bounds how many terms are written, this
+#: bounds their width, as a generic N x N matrix has N^2 variables and a
+#: weight-refined key N^2 + 3 fields of 17 bits (2,499 bits at N = 12)
+MAX_MATRIX_SIZE = 12
 
 
 def pfaffian_terms(n: int, q: int) -> int:
@@ -247,13 +252,13 @@ def orbit_pfaffian_indices(iota: FpfInvolution) -> list[tuple[int, ...]]:
     has pf(A_R) != 0, as a skew matrix is nonsingular on a basis of its rows.
 
     ValueError, before any expansion, when there is something to expand and
-    2n > MAX_SIZE or the pfaffians have more than MAX_EXPANDED_TERMS terms.
+    2n > MAX_MATRIX_SIZE or the pfaffians have more than MAX_EXPANDED_TERMS terms.
     """
     boxes = sorted(symplectic_essential_boxes(iota))
     if not boxes:
         return []
-    if iota.size > MAX_SIZE:
-        raise ValueError(f"orbit ideals are built for 2n <= {MAX_SIZE}, not {iota.size}")
+    if iota.size > MAX_MATRIX_SIZE:
+        raise ValueError(f"orbit ideals are built for 2n <= {MAX_MATRIX_SIZE}, not {iota.size}")
     index_sets = list(dict.fromkeys(
         T
         for i, j, r in boxes
@@ -386,7 +391,9 @@ def random_lower_triangular(size: int, rng) -> Matrix:
 
 def random_symplectic(n: int, rng) -> Matrix:
     """Random element of Sp_n over the rationals: a product of four symplectic
-    transvections I + lam * (J v^T) v, which preserve MJM^T = J exactly."""
+    transvections I + lam * (J v^T) v, which preserve MJM^T = J exactly.
+    Each is applied as a rank-one update, S (I + lam (J v^T) v) =
+    S + lam (S J v^T) v, where J v^T = (v_2, -v_1, v_4, -v_3, ...)."""
     size = 2 * n
     J = mat_from(symplectic_form(n))
     S = mat_identity(size)
@@ -395,12 +402,9 @@ def random_symplectic(n: int, rng) -> Matrix:
         if all(x == 0 for x in v):
             v[rng.randrange(size)] = Fraction(1)
         lam = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
-        Jvt = [sum(J[i][k] * v[k] for k in range(size)) for i in range(size)]
-        T = [
-            [Fraction(int(i == j)) + lam * Jvt[i] * v[j] for j in range(size)]
-            for i in range(size)
-        ]
-        S = mat_mul(S, T)
+        Jvt = [v[i + 1] if i % 2 == 0 else -v[i - 1] for i in range(size)]
+        SJvt = [lam * sum(a * b for a, b in zip(row, Jvt)) for row in S]
+        S = [[x + u * y for x, y in zip(row, v)] for row, u in zip(S, SJvt)]
     if mat_mul(mat_mul(S, J), mat_transpose(S)) != J:
         raise AssertionError("transvection product failed to preserve J")
     return S
@@ -416,10 +420,10 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
     its antidiagonal term, and is_groebner_basis holds, which reduces only the
     pairs the product and chain criteria leave but counts all it examines
     against the budget (its BudgetExceeded passes through).  ValueError,
-    before any expansion, when p is larger than MAX_SIZE or its minors have
-    more than MAX_EXPANDED_TERMS terms (a k x k minor has k!)."""
-    if p.size > MAX_SIZE:
-        raise ValueError(f"Knutson-Miller is checked for sizes <= {MAX_SIZE}, not {p.size}")
+    before any expansion, when p is larger than MAX_MATRIX_SIZE or its minors
+    have more than MAX_EXPANDED_TERMS terms (a k x k minor has k!)."""
+    if p.size > MAX_MATRIX_SIZE:
+        raise ValueError(f"Knutson-Miller is checked for sizes <= {MAX_MATRIX_SIZE}, not {p.size}")
     terms = sum(math.comb(i, r + 1) * math.comb(j, r + 1) * math.factorial(r + 1) for i, j, r in essential_boxes(p))
     if terms > MAX_EXPANDED_TERMS:
         raise ValueError(f"{p} needs {terms} minor terms, over {MAX_EXPANDED_TERMS}")
@@ -441,14 +445,13 @@ def column_weights(vs: VariableSet) -> tuple[int, ...]:
 
 @dataclass
 class DegenerationReport:
-    """Outcome of one degeneration check (see verify_degeneration): L's and
-    J's initial generators, J's left empty unless equal is True, in which
-    case it is L's reduced basis; witnesses say why L != J."""
+    """Outcome of one degeneration check (see verify_degeneration): L's
+    reduced basis, and witnesses saying why L != J.  The JSON gives J's
+    initial generators as that basis when equal is True, else none."""
 
     iota: FpfInvolution
     pair_perms: tuple[Permutation, ...]
     left_generators: tuple[str, ...]
-    right_generators: tuple[str, ...]
     equal: bool | None
     witnesses: tuple[str, ...] = ()
     budget_exhausted: str | None = None
@@ -459,7 +462,7 @@ class DegenerationReport:
             "iota": self.iota.to_json(),
             "pair_permutations": [p.to_json() for p in self.pair_perms],
             "left_initial_generators": list(self.left_generators),
-            "right_initial_generators": list(self.right_generators),
+            "right_initial_generators": list(self.left_generators) if self.equal else [],
             "equal": self.equal,
             "witnesses": list(self.witnesses),
             "budget_exhausted": self.budget_exhausted,
@@ -472,7 +475,9 @@ def verify_degeneration(
 ) -> DegenerationReport:
     """Check L = J: L = in_w(I(Y_iota)) under the column weights w, J the
     intersection of the Fulton ideals I_v over the pair permutations v.  One
-    Groebner basis, G_L under the weight-refined order, and a certificate:
+    Groebner basis, that of the orbit ideal under the weight-refined order;
+    its initial forms are G_L, L's reduced basis under the same order, as the
+    pfaffians are homogeneous (see initial_ideal).  Then a certificate:
     (i) each g in G_L reduces to 0 modulo each v's Fulton minors under the
     antidiagonal order, so L lies in J; (ii) a lead of G_L divides each
     generator of A, the intersection of the ideals of the antidiagonal terms
@@ -500,37 +505,28 @@ def verify_degeneration(
     try:
         t0 = time.monotonic()
         L = initial_ideal(orbit_ideal(iota, vs), weights, tie_break=tie, budget=budget)
-        gl = [] if L.is_zero() else L.groebner_basis(refined, budget)
         timings["left_seconds"] = time.monotonic() - t0
     except BudgetExceeded as exc:
         exhausted = f"{exc.reason}: {exc.stats}"
-        return DegenerationReport(iota, pp.perms, (), (), None, budget_exhausted=exhausted, timings=timings)
+        return DegenerationReport(iota, pp.perms, (), None, budget_exhausted=exhausted, timings=timings)
     t0 = time.monotonic()
     witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
     for v in pp.perms:
         minors = fulton_minors(v, vs)
         reducers = Reducers([poly for *_, poly in minors], tie)
-        witnesses += [f"{g} is not in I_{v}" for g in gl if not normal_form(g, reducers, tie).is_zero()]
+        witnesses += [f"{g} is not in I_{v}" for g in L.generators if not normal_form(g, reducers, tie).is_zero()]
         gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
         common = _minimal(a | b for a in common for b in gens)
     # a lead with a square divides no squarefree monomial
-    leads = [refined.leading_monomial(g.terms) for g in gl]
+    leads = [refined.leading_monomial(g.terms) for g in L.generators]
     leads = [sum(1 << i for i, e in enumerate(m) if e) for m in leads if max(m) <= 1]
     uncovered = [m for m in common if all(m & k != k for k in leads)]
     witnesses += ["*".join(x for i, x in enumerate(vs.names) if m >> i & 1) + " is not in in(L)" for m in uncovered]
     timings["certificate_seconds"] = time.monotonic() - t0
-    left = tuple(map(str, L.generators))
-    if witnesses:
-        right = ()
-    elif tuple(gl) == L.generators:  # a homogeneous L caches its generators as G_L
-        right = left
-    else:
-        right = tuple(map(str, gl))
     return DegenerationReport(
         iota=iota,
         pair_perms=pp.perms,
-        left_generators=left,
-        right_generators=right,
+        left_generators=tuple(map(str, L.generators)),
         equal=not witnesses,
         witnesses=tuple(witnesses),
         timings=timings,

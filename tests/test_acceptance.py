@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from sporbits import checks, groebner
+from sporbits import checks, groebner, symplectic
 from sporbits.groebner import DEEP_BUDGET, GBBudget, is_groebner_basis
 from sporbits.involutions import (
     FpfInvolution,
@@ -19,6 +19,7 @@ from sporbits.involutions import (
     in_basic_family,
     j_bar,
 )
+from sporbits.orders import weight_refined_order
 from sporbits.pairperms import conjugation_check, pair_permutations
 from sporbits.permutations import Permutation, all_permutations, length
 from sporbits.symplectic import (
@@ -43,10 +44,11 @@ def fpf(text):
 
 @pytest.fixture
 def reduced_bases(monkeypatch):
-    """Records every reduced basis a test computes or reads from an Ideal's
-    cache, with its order, so the test can certify each one."""
+    """Records every reduced basis a test computes, and every nonzero initial
+    ideal's generators the verifier takes as its reduced basis, with the
+    order, so the test can certify each one."""
     seen = {}
-    buchberger, groebner_basis = groebner.buchberger, groebner.Ideal.groebner_basis
+    buchberger, initial_ideal = groebner.buchberger, symplectic.initial_ideal
 
     def record(basis, order):
         seen[tuple(basis), order] = None
@@ -55,11 +57,14 @@ def reduced_bases(monkeypatch):
     def recorded_buchberger(G, order, budget=None):
         return record(buchberger(G, order, budget), order)
 
-    def recorded_groebner_basis(I, order, budget=None):
-        return record(groebner_basis(I, order, budget), order)
+    def recorded_initial_ideal(I, weights, tie_break=None, budget=None):
+        L = initial_ideal(I, weights, tie_break, budget)
+        if not L.is_zero():
+            record(L.generators, weight_refined_order(I.vs, weights, tie_break))
+        return L
 
     monkeypatch.setattr(groebner, "buchberger", recorded_buchberger)
-    monkeypatch.setattr(groebner.Ideal, "groebner_basis", recorded_groebner_basis)
+    monkeypatch.setattr(symplectic, "initial_ideal", recorded_initial_ideal)
     return seen
 
 

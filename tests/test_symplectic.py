@@ -544,7 +544,7 @@ class TestVerifiers:
         report = verify_degeneration(j_bar(2))
         assert report.equal is True
         assert report.left_generators == ()
-        assert report.right_generators == ()
+        assert report.to_json()["right_initial_generators"] == []
 
     def test_degeneration_4321(self):
         report = verify_degeneration(fpf("4321"))
@@ -563,21 +563,44 @@ class TestVerifiers:
         assert report.equal is True, report.witnesses
 
     @pytest.mark.parametrize(
-        "word", ["2143", "3412", "4321", "214365", "215634", "216543", "341265", "351624", "432165"]
+        "word",
+        ["2143", "3412", "4321", "214365", "215634", "216543", "341265", "351624", "432165"]
+        + ["21436587", "21437856", "21563487", "34126587", "43216587"],
     )
     def test_initial_ideals_carry_their_reduced_basis(self, word):
-        # both sides of the degeneration check: the initial forms of the
-        # reduced basis are the reduced basis of the initial ideal
+        # verify_degeneration takes L's generators as G_L: the initial forms
+        # of a homogeneous reduced basis are the reduced basis of the
+        # initial ideal (Sturmfels, Prop. 1.13); both sides at 2n <= 6, the
+        # orbit side at 2n = 8
         iota = fpf(word)
         vs = VariableSet.matrix(iota.size)
         weights, tie = column_weights(vs), antidiagonal_order(vs)
         refined = weight_refined_order(vs, weights, tie)
-        sources = [orbit_ideal(iota, vs), union_schubert_ideal(pair_permutations(iota).perms, vs)]
+        sources = [orbit_ideal(iota, vs)]
+        if iota.size <= 6:
+            sources.append(union_schubert_ideal(pair_permutations(iota).perms, vs))
         for source in sources:
             init = initial_ideal(source, weights, tie_break=tie)
-            # the dense orbit's ideal is zero and has nothing to seed
-            assert (refined in init._gb_cache) is not source.is_zero()
-            assert init.groebner_basis(refined) == buchberger(list(init.generators), refined)
+            assert buchberger(list(init.generators), refined) == list(init.generators)
+
+    def test_orbit_ideal_generators_are_homogeneous(self):
+        words = [iota for n in (1, 2, 3, 4) for iota in enumerate_fpf(n)]
+        assert len(words) == 124
+        assert all(g.is_homogeneous() for iota in words for g in orbit_ideal(iota).generators)
+
+    def test_one_buchberger_call_per_degeneration(self, monkeypatch):
+        calls = []
+        buchberger = groebner.buchberger
+
+        def counted(G, order, budget=None):
+            calls.append(order)
+            return buchberger(G, order, budget)
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        assert verify_degeneration(fpf("216543")).equal is True
+        assert len(calls) == 1
+        assert verify_degeneration(j_bar(3)).equal is True
+        assert len(calls) == 1
 
     def test_degeneration_budget_exhaustion_reported(self):
         report = verify_degeneration(fpf("4321"), GBBudget(max_pairs=0))
@@ -655,7 +678,6 @@ class TestDegenerationCertificate:
         report = verify_degeneration(iota, DEEP_BUDGET)
         assert report.equal is False
         assert report.witnesses
-        assert report.right_generators == ()
         assert report.to_json()["right_initial_generators"] == []
         assert two_sided(iota, perms)["equal"] is False
 
