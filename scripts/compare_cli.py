@@ -18,8 +18,13 @@ The commands: `enumerate` and `poset` (JSON and DOT) at n <= 4; `boxes`,
 43216587); `verify-km` on all of S4 and S5; `verify-km --pi 54321 --max-pairs K` at
 caps that stop the Groebner certificate before its first pair, inside it and
 at its last pair, so the verdicts and the `pairs_processed` of budget exits
-are compared too; `verify-all --n 3`.  The words are built here, not by the
-code under comparison.
+are compared too; `verify-all --n 3`; `groebner --ideal` on the ideal files
+of IDEALS, written to a temporary directory: two named-variable ideals under
+`lex` and `grevlex`, a `--max-pairs 2` and a `--max-degree 3` budget exit
+(the latter on a generator whose lex lead has lower degree than its tail), a
+2x2 matrix ideal with an extra variable `t` under `antidiagonal`, and an
+exponent too wide for the order's key fields (exit 2).  The words are built
+here, not by the code under comparison.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 #: runs each argv of the JSON list on stdin through sporbits.cli.main and
 #: prints [exit code, stdout] for each
@@ -50,6 +56,32 @@ for argv in json.load(sys.stdin):
     results.append([code, out.getvalue()])
 json.dump(results, sys.stdout)
 """
+
+
+#: ideal files for the groebner command: name -> (JSON body, order and budget flags)
+IDEALS = {
+    "named3": (
+        {"variables": ["x", "y", "z"], "generators": ["x^2 + y*z - 2", "x*y - z^2 + 1", "y^2 - x*z + 3/2"]},
+        [["--order", "lex"], ["--order", "grevlex"], ["--order", "grevlex", "--max-pairs", "2"]],
+    ),
+    "named4": (
+        {"variables": ["a", "b", "c", "d"], "generators": ["a*b - c*d", "a^2*c - b^2*d", "a*c^2 - b*d^2"]},
+        [["--order", "lex"], ["--order", "grevlex"]],
+    ),
+    "low-lead": (
+        {"variables": ["x", "y", "z"], "generators": ["x - y^3", "y - z^4", "x*z - 1"]},
+        [["--order", "lex", "--max-degree", "3"]],
+    ),
+    "matrix-t": (
+        {
+            "matrix_size": 2,
+            "variables": ["m[1,1]", "m[1,2]", "m[2,1]", "m[2,2]", "t"],
+            "generators": ["m[1,1]*m[2,2]-m[1,2]*m[2,1]", "t*m[1,1]-1"],
+        },
+        [["--order", "antidiagonal"]],
+    ),
+    "over-wide": ({"variables": ["x", "y"], "generators": ["x^70000 - y", "x*y - 1"]}, [["--order", "lex"]]),
+}
 
 
 def matchings(points: tuple[int, ...]):
@@ -74,7 +106,8 @@ def involutions(size: int) -> list[str]:
     return [sep.join(map(str, w)) for w in sorted(words)]
 
 
-def commands() -> list[list[str]]:
+def commands(fixtures: str) -> list[list[str]]:
+    """The command list; the groebner commands read IDEALS from `fixtures`."""
     out = []
     for n in range(1, 5):
         out += [["enumerate", "--n", str(n)], ["poset", "--n", str(n)], ["poset", "--n", str(n), "--format", "dot"]]
@@ -93,6 +126,8 @@ def commands() -> list[list[str]]:
     # 54321 has 20 minors, so 190 pairs: budget exits before, inside and at the end
     out += [["verify-km", "--pi", "54321", "--max-pairs", str(k)] for k in (0, 1, 17, 95, 189, 190)]
     out.append(["verify-all", "--n", "3"])
+    for name, (_, flags) in IDEALS.items():
+        out += [["groebner", "--ideal", os.path.join(fixtures, f"{name}.json"), *f] for f in flags]
     return out
 
 
@@ -129,8 +164,12 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(__doc__)
         return 2
     base_src, head_src = argv
-    argvs = commands()
-    base, head = run_tree(base_src, argvs), run_tree(head_src, argvs)
+    with tempfile.TemporaryDirectory() as fixtures:
+        for name, (blob, _) in IDEALS.items():
+            with open(os.path.join(fixtures, f"{name}.json"), "w") as fh:
+                json.dump(blob, fh)
+        argvs = commands(fixtures)
+        base, head = run_tree(base_src, argvs), run_tree(head_src, argvs)
     differ = 0
     for args, (base_code, base_out), (head_code, head_out) in zip(argvs, base, head):
         if (base_code, base_out) == (head_code, head_out):

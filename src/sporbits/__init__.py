@@ -4,8 +4,9 @@ rank.
 
 The package splits into a combinatorial half (permutations, fixed-point-free
 involutions, pair permutations) and an algebraic half (sparse rational
-polynomials, Buchberger, ideal intersection, initial ideals, pfaffian
-orbit-closure ideals).
+polynomials, term orders, Buchberger and its certificate, initial ideals,
+pfaffian orbit-closure ideals, and ideal intersection by elimination, which
+only the tests' reference oracle `union_schubert_ideal` uses).
 """
 
 from sporbits.permutations import (

@@ -1,6 +1,7 @@
 """Buchberger's algorithm and the ideal operations built on it: normal forms,
-reduced Groebner bases and their certificate, intersection by elimination,
-and initial forms and initial ideals under a column-weight vector.
+reduced Groebner bases and their certificate, initial forms and initial
+ideals under a column-weight vector, and the intersection of two ideals by
+eliminating an auxiliary variable it adds and drops itself.
 
 Inside the kernel a term is its packed order key (orders.TermOrder), packed
 once on entry and unpacked once on exit: a monomial product is one addition,
@@ -108,7 +109,7 @@ def _pack(f: Polynomial, order: TermOrder) -> dict[int, Coeff]:
 
 
 def _unpack(terms: dict[int, Coeff], vs: VariableSet, order: TermOrder) -> Polynomial:
-    return Polynomial(vs, {order.exponents(k): c for k, c in terms.items()})
+    return Polynomial._of(vs, {vs.pack(order.exponents(k)): c for k, c in terms.items()})
 
 
 def _div(a: Coeff, b: Coeff) -> Coeff:
@@ -277,8 +278,9 @@ def buchberger(
         basis.append(reducers.add({k: _div(c, lead_c) for k, c in terms.items()}))
         leads.append(order.exponents(basis[-1][1]))
 
-    for g in G:
-        add(_pack(g, order))
+    packed = [_pack(g, order) for g in G]
+    for terms in packed:
+        add(terms)
 
     # (lcm degree, lcm, i, j): pushed once, when the pair is created
     pairs: list[tuple[int, int, int, int]] = []
@@ -290,7 +292,7 @@ def buchberger(
     for i, j in itertools.combinations(range(len(basis)), 2):
         push(i, j)
     done: set[tuple[int, int]] = set()
-    stats = {"pairs_processed": 0, "basis_size": len(G), "max_degree": max((g.total_degree() for g in G), default=0)}
+    stats = {"pairs_processed": 0, "basis_size": len(G), "max_degree": max((k & FIELD_MASK for terms in packed for k in terms), default=0)}
 
     def check_budget():
         if stats["pairs_processed"] > budget.max_pairs:
@@ -345,29 +347,25 @@ def _reduce_basis(basis: Reducers, vs: VariableSet) -> list[Polynomial]:
     return [_unpack(terms, vs, basis.order) for _, terms in reduced]
 
 
-def ideal_intersection(
-    I: Ideal,
-    J: Ideal,
-    budget: GBBudget | None = None,
-    inner: TermOrder | None = None,
-) -> Ideal:
-    """I cap J via elimination of t from t*I + (1-t)*J."""
+def ideal_intersection(I: Ideal, J: Ideal, inner: TermOrder, budget: GBBudget | None = None) -> Ideal:
+    """I cap J: the elements free of t in a Groebner basis of t*I + (1-t)*J
+    under the elimination order over `inner`, t a variable appended here."""
     if I.vs.names != J.vs.names:
         raise ValueError("mixed variable sets")
     if I.is_zero() or J.is_zero():
         return Ideal(I.vs, [])
     vs = I.vs
     aux = "t" if "t" not in vs.index else "t_elim"
-    ext = vs.with_elimination(aux)
+    ext = VariableSet(vs.names + (aux,), matrix_size=vs.matrix_size)
     t = Polynomial.variable(ext, aux)
-    one_minus_t = Polynomial.constant(ext, 1) - t
-    gens = [t * f.extend(ext) for f in I.generators]
-    gens += [one_minus_t * g.extend(ext) for g in J.generators]
-    order = elimination_order(ext, n_elim=1, inner=inner)
-    gb = buchberger(gens, order, budget)
-    base = len(vs)
-    kept = [p.restrict(vs) for p in gb if not any(any(m[base:]) for m in p.terms)]
-    return Ideal(vs, kept)
+
+    def lift(factor: Polynomial, f: Polynomial) -> Polynomial:
+        return factor * Polynomial(ext, {m + (0,): c for m, c in f.terms.items()})
+
+    gens = [lift(t, f) for f in I.generators] + [lift(1 - t, g) for g in J.generators]
+    gb = buchberger(gens, elimination_order(ext, inner), budget)
+    kept = [p for p in gb if not any(m[-1] for m in p.terms)]
+    return Ideal(vs, [Polynomial(vs, {m[:-1]: c for m, c in p.terms.items()}) for p in kept])
 
 
 def initial_form(f: Polynomial, weights: Sequence[int]) -> Polynomial:

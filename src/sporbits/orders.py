@@ -11,9 +11,10 @@ term orders (total, multiplicative, with 1 minimal):
 * the antidiagonal raster order (lex ranking the top-right matrix entry
   highest, rastering right to left then top to bottom) which picks the
   antidiagonal term of every minor,
-* elimination-block orders (auxiliary block strictly above the base ring),
 * weight-refined orders for computing initial ideals under a column-weight
-  vector.
+  vector,
+* the elimination order of a ring extending an inner order's ring: the
+  extra variables, as one block, strictly above the inner ring.
 
 The weight-refined order compares total degree first, then prefers LOWER
 weight (the terms surviving t -> 0 are the minimal-weight ones) by the row
@@ -107,8 +108,8 @@ def grevlex_order(vs: VariableSet) -> TermOrder:
 
 
 def antidiagonal_ranking(vs: VariableSet) -> tuple[int, ...]:
-    """Variable ranking m[1,N] > ... > m[1,1] > m[2,N] > ...; any non-matrix
-    auxiliaries rank below all matrix variables."""
+    """Variable ranking m[1,N] > ... > m[1,1] > m[2,N] > ...; any names past
+    the matrix variables rank below them, in index order."""
     n = vs.matrix_size
     if not n:
         raise ValueError("antidiagonal order needs matrix variables")
@@ -144,25 +145,16 @@ def weight_refined_order(
     return TermOrder(vs, rows, tie.ranking, f"weight{w}/{tie.name}")
 
 
-def elimination_order(
-    vs: VariableSet, n_elim: int | None = None, inner: TermOrder | None = None
-) -> TermOrder:
-    """Block order: the trailing elimination block compares first (lex within
-    the block), so any monomial touching it beats every base-ring monomial.
-    An inner order on the base ring is padded over the block, which ties by
-    the time the inner rows are read."""
-    k = vs.n_elim if n_elim is None else n_elim
-    if k <= 0:
-        raise ValueError("no elimination block")
-    base = len(vs) - k
-    if inner is None:
-        inner = (
-            antidiagonal_order(vs)
-            if vs.matrix_size and vs.matrix_size**2 == base
-            else lex_order(vs)
-        )
-    pad = len(vs) - len(inner.vs)
+def elimination_order(vs: VariableSet, inner: TermOrder) -> TermOrder:
+    """Block order on a ring extending inner's: the variables of vs past
+    inner.vs form the block, which compares first (lex within the block), so
+    any monomial touching it beats every monomial of the inner ring.  The
+    inner rows are padded over the block, which ties by the time they are
+    read."""
+    base, k = len(inner.vs), len(vs) - len(inner.vs)
+    if k <= 0 or vs.names[:base] != inner.vs.names:
+        raise ValueError("vs must extend the inner order's variables by an elimination block")
     block = tuple(tuple(int(c == v) for c in range(len(vs))) for v in range(base, len(vs)))
-    rows = block + tuple(row + (0,) * pad for row in inner.weights)
-    rank = inner.ranking + tuple(range(len(inner.vs), len(vs)))
+    rows = block + tuple(row + (0,) * k for row in inner.weights)
+    rank = inner.ranking + tuple(range(base, len(vs)))
     return TermOrder(vs, rows, rank, f"elim[{k}]/{inner.name}")

@@ -29,13 +29,12 @@ MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
 class VariableSet:
     """An ordered list of variable names with a deterministic global index.
 
-    Matrix variables are laid out row-major as m[1,1] ... m[N,N]; elimination
-    auxiliaries (e.g. t) live in a distinguished block appended at the end.
+    Matrix variables are laid out row-major as m[1,1] ... m[N,N]; a set with
+    a matrix_size may list further names after them.
     """
 
     names: tuple[str, ...]
     matrix_size: int = 0
-    n_elim: int = 0
     index: dict = field(init=False, repr=False, compare=False, hash=False)
     packer: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
     guards: int = field(init=False, repr=False, compare=False, hash=False)
@@ -57,14 +56,6 @@ class VariableSet:
     @staticmethod
     def named(*names: str) -> "VariableSet":
         return VariableSet(tuple(names))
-
-    def with_elimination(self, *extra: str) -> "VariableSet":
-        extra = extra or ("t",)
-        return VariableSet(
-            self.names + tuple(extra),
-            matrix_size=self.matrix_size,
-            n_elim=self.n_elim + len(extra),
-        )
 
     def __len__(self) -> int:
         return len(self.names)
@@ -195,9 +186,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._packed
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
@@ -294,22 +282,6 @@ class Polynomial:
                     prod *= vals[idx] ** e
             total += prod
         return total
-
-    def extend(self, vs: VariableSet) -> "Polynomial":
-        """Re-index into a variable set whose leading block matches self.vs."""
-        if vs.names[: len(self.vs)] != self.vs.names:
-            raise ValueError("target variable set does not extend the source")
-        shift = FIELD_BITS * (len(vs) - len(self.vs))
-        return Polynomial._of(vs, {k << shift: c for k, c in self._packed.items()})
-
-    def restrict(self, vs: VariableSet) -> "Polynomial":
-        """Drop trailing variables (which must not occur) down to vs."""
-        if self.vs.names[: len(vs)] != vs.names:
-            raise ValueError("target variable set is not a prefix of the source")
-        shift = FIELD_BITS * (len(self.vs) - len(vs))
-        if any(k & ((1 << shift) - 1) for k in self._packed):
-            raise ValueError("polynomial involves a dropped variable")
-        return Polynomial._of(vs, {k >> shift: c for k, c in self._packed.items()})
 
     # -- text format ---------------------------------------------------------
 

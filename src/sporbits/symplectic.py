@@ -214,7 +214,7 @@ def union_schubert_ideal(
     for p in perms[1:]:
         if result.is_zero():
             return result
-        result = ideal_intersection(result, fulton_generators(p, vs), budget, inner=inner)
+        result = ideal_intersection(result, fulton_generators(p, vs), inner, budget)
     return result
 
 
@@ -302,10 +302,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     ]
 
 
-def mat_transpose(A: Matrix) -> Matrix:
-    return [list(col) for col in zip(*A)]
-
-
 def mat_rank(A: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals by Gauss-Jordan elimination.  Nothing in the
     package calls it; the tests hold classify_orbit to it as the per-minor
@@ -334,6 +330,13 @@ def mat_rank(A: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
+def _mjmt(M: Sequence[Sequence]) -> list[list]:
+    """MJM^T of a matrix with an even number of columns: entry (a, b) is
+    sum_k x[2k-1] y[2k] - x[2k] y[2k-1] over rows x = M[a], y = M[b], as in
+    build_mjmt."""
+    return [[sum(x[k] * y[k + 1] - x[k + 1] * y[k] for k in range(0, len(x), 2)) for y in M] for x in M]
+
+
 def classify_orbit(M: Sequence[Sequence]) -> FpfInvolution:
     """The involution indexing the orbit of an invertible matrix: the unique
     iota whose rank matrix is the northwest ranks of A = MJM^T, read off one
@@ -352,11 +355,7 @@ def classify_orbit(M: Sequence[Sequence]) -> FpfInvolution:
         raise ValueError("need a square matrix of even size")
     scale = math.lcm(*(x.denominator for row in Mq for x in row))
     Z = [[int(x * scale) for x in row] for row in Mq]
-    # entry (a, b) of ZJZ^T, as in build_mjmt
-    A = [
-        [sum(x[k] * y[k + 1] - x[k + 1] * y[k] for k in range(0, size, 2)) for y in Z]
-        for x in Z
-    ]
+    A = _mjmt(Z)
     pivots: dict[int, list[int]] = {}
     word = []
     for x in A:
@@ -395,7 +394,6 @@ def random_symplectic(n: int, rng) -> Matrix:
     Each is applied as a rank-one update, S (I + lam (J v^T) v) =
     S + lam (S J v^T) v, where J v^T = (v_2, -v_1, v_4, -v_3, ...)."""
     size = 2 * n
-    J = mat_from(symplectic_form(n))
     S = mat_identity(size)
     for _ in range(4):
         v = [Fraction(rng.randint(-2, 2)) for _ in range(size)]
@@ -405,7 +403,7 @@ def random_symplectic(n: int, rng) -> Matrix:
         Jvt = [v[i + 1] if i % 2 == 0 else -v[i - 1] for i in range(size)]
         SJvt = [lam * sum(a * b for a, b in zip(row, Jvt)) for row in S]
         S = [[x + u * y for x, y in zip(row, v)] for row, u in zip(S, SJvt)]
-    if mat_mul(mat_mul(S, J), mat_transpose(S)) != J:
+    if _mjmt(S) != [list(row) for row in symplectic_form(n)]:
         raise AssertionError("transvection product failed to preserve J")
     return S
 
@@ -438,9 +436,10 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
 
 
 def column_weights(vs: VariableSet) -> tuple[int, ...]:
-    """The degeneration weights: m[i,j] weighs ceil(j/2) - 1, auxiliaries 0."""
+    """The degeneration weights of the n x n matrix variables: m[i,j] weighs
+    ceil(j/2) - 1."""
     n = vs.matrix_size
-    return tuple((k % n) // 2 if k < n * n else 0 for k in range(len(vs)))
+    return tuple((k % n) // 2 for k in range(n * n))
 
 
 @dataclass

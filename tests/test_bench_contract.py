@@ -1,0 +1,44 @@
+"""The contract between the package and its benchmark: every per-layer metric
+of BENCHMARK.json resolves under bench/tracer.py, and the package keeps what
+bench/workloads.py calls.  Deleting a name the benchmark reads fails here,
+not only in a traced benchmark run."""
+
+import importlib.util
+import json
+import time
+from pathlib import Path
+
+from sporbits.involutions import FpfInvolution
+
+ROOT = Path(__file__).resolve().parents[1]
+#: per-layer metrics that bench/run.py computes itself, not through the tracer
+COMPUTED_BY_RUN = {"error_rate", "trace.overhead_ratio", "permutations.rank_matrix.cache_hit_ratio"}
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_per_layer_metric_resolves():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["per_layer"] if m["name"] not in COMPUTED_BY_RUN]
+    assert names
+    tracer = _load_tracer().Tracer(time.process_time)
+    tracer.install()
+    try:
+        unresolved = []
+        for name in names:
+            try:
+                tracer.value(name)
+            except KeyError:
+                unresolved.append(name)
+    finally:
+        tracer.uninstall()
+    assert unresolved == []
+
+
+def test_workloads_call_permutation():
+    assert callable(getattr(FpfInvolution, "permutation", None))

@@ -126,9 +126,8 @@ class TestOrders:
         with pytest.raises(ValueError):
             weight_refined_order(xy, [1, -1])
 
-    def test_elimination_block_dominates(self):
-        vs = VariableSet.named("x", "y").with_elimination("t")
-        order = elimination_order(vs)
+    def test_elimination_block_dominates(self, xy):
+        order = elimination_order(VariableSet.named("x", "y", "t"), lex_order(xy))
         assert order.key((0, 0, 1)) > order.key((5, 5, 0))
 
 
@@ -156,8 +155,8 @@ def _ref_elimination(vs, k, inner_key):
 def _ref_presets():
     """(order, reference key) pairs: every preset on three named variables,
     and on a 2x2 matrix ring with a t block."""
-    xyz = VariableSet.named("x", "y", "z")
-    xyt = VariableSet.named("x", "y").with_elimination("t")
+    xyz, xy = VariableSet.named("x", "y", "z"), VariableSet.named("x", "y")
+    xyt = VariableSet.named("x", "y", "t")
     w = (2, 0, 1)
     cases = [
         (lex_order(xyz), _ref_lex((0, 1, 2))),
@@ -165,14 +164,11 @@ def _ref_presets():
         (grevlex_order(xyz), _ref_grevlex),
         (weight_refined_order(xyz, w), _ref_weight(w, _ref_lex((0, 1, 2)))),
         (weight_refined_order(xyz, w, grevlex_order(xyz)), _ref_weight(w, _ref_grevlex)),
-        (elimination_order(xyt), _ref_elimination(xyt, 1, _ref_lex((0, 1, 2)))),
-        (
-            elimination_order(xyt, inner=grevlex_order(VariableSet.named("x", "y"))),
-            _ref_elimination(xyt, 1, lambda m: _ref_grevlex(m[:2])),
-        ),
+        (elimination_order(xyt, lex_order(xy)), _ref_elimination(xyt, 1, _ref_lex((0, 1)))),
+        (elimination_order(xyt, grevlex_order(xy)), _ref_elimination(xyt, 1, lambda m: _ref_grevlex(m[:2]))),
     ]
     base = VariableSet.matrix(2)
-    ext = base.with_elimination("t")
+    ext = VariableSet(base.names + ("t",), matrix_size=2)
     anti, anti_ext = _ref_lex(antidiagonal_ranking(base)), _ref_lex(antidiagonal_ranking(ext))
     w4, w5 = (0, 1, 2, 1), (0, 1, 2, 1, 0)
     cases += [
@@ -181,9 +177,7 @@ def _ref_presets():
         (antidiagonal_order(ext), anti_ext),
         (weight_refined_order(base, w4, antidiagonal_order(base)), _ref_weight(w4, anti)),
         (weight_refined_order(ext, w5, antidiagonal_order(ext)), _ref_weight(w5, anti_ext)),
-        (elimination_order(ext), _ref_elimination(ext, 1, anti_ext)),
-        (elimination_order(ext, n_elim=1, inner=antidiagonal_order(base)),
-         _ref_elimination(ext, 1, anti)),
+        (elimination_order(ext, antidiagonal_order(base)), _ref_elimination(ext, 1, anti)),
     ]
     return [pytest.param(order, ref, id=f"{len(order.vs)}vars-{order.name}") for order, ref in cases]
 
@@ -200,7 +194,7 @@ class TestTermOrder:
         [
             lex_order(VariableSet.named("x")),
             grevlex_order(VariableSet.named("x")),
-            elimination_order(VariableSet.named().with_elimination("x")),
+            elimination_order(VariableSet.named("x"), lex_order(VariableSet.named())),
         ],
         ids=["lex", "grevlex", "elimination"],
     )
@@ -208,6 +202,11 @@ class TestTermOrder:
         assert order.leading_monomial({(2,): 1, (1,): 1, (0,): 1}) == (2,)
         x, one = Polynomial.variable(order.vs, 0), Polynomial.constant(order.vs, 1)
         assert buchberger([x * x * x - x, x * x - one], order) == [x * x - one]
+
+    def test_elimination_needs_a_ring_extending_the_inner_one(self, xy):
+        for vs in (xy, VariableSet.named("y", "x", "t")):
+            with pytest.raises(ValueError):
+                elimination_order(vs, lex_order(xy))
 
     def test_rejects_wrong_width_row(self, xy):
         with pytest.raises(ValueError):
@@ -400,25 +399,25 @@ class TestIdealOps:
     def test_principal_intersection(self, xy):
         I = Ideal(xy, [poly(xy, "x")])
         J = Ideal(xy, [poly(xy, "y")])
-        K = ideal_intersection(I, J)
+        K = ideal_intersection(I, J, lex_order(xy))
         order = lex_order(xy)
         assert K.groebner_basis(order) == [poly(xy, "x*y")]
 
     def test_containment_absorbs(self, xy):
         I = Ideal(xy, [poly(xy, "x"), poly(xy, "y")])
         J = Ideal(xy, [poly(xy, "x")])
-        K = ideal_intersection(I, J)
+        K = ideal_intersection(I, J, lex_order(xy))
         order = lex_order(xy)
         assert K.groebner_basis(order) == J.groebner_basis(order)
 
     def test_intersection_with_zero(self, xy):
         I = Ideal(xy, [poly(xy, "x")])
-        assert ideal_intersection(I, Ideal(xy, [])).is_zero()
+        assert ideal_intersection(I, Ideal(xy, []), lex_order(xy)).is_zero()
 
     def test_intersection_membership(self, xy):
         I = Ideal(xy, [poly(xy, "x^2"), poly(xy, "x*y")])
         J = Ideal(xy, [poly(xy, "y")])
-        K = ideal_intersection(I, J)
+        K = ideal_intersection(I, J, lex_order(xy))
         order = lex_order(xy)
         gb = K.groebner_basis(order)
         assert normal_form(poly(xy, "x*y"), gb, order).is_zero()
@@ -427,7 +426,7 @@ class TestIdealOps:
     def test_aux_variable_never_leaks(self, xy):
         I = Ideal(xy, [poly(xy, "x - y")])
         J = Ideal(xy, [poly(xy, "x + y")])
-        K = ideal_intersection(I, J)
+        K = ideal_intersection(I, J, lex_order(xy))
         assert all(g.vs.names == xy.names for g in K.generators)
 
 

@@ -100,12 +100,6 @@ class TestVariableSet:
         with pytest.raises(ValueError):
             vs.matrix_var(i, j)
 
-    def test_with_elimination(self, vs):
-        ext = vs.with_elimination("t")
-        assert ext.names[: len(vs.names)] == vs.names
-        assert "t" in ext.names
-        assert ext.n_elim == 1
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             VariableSet.named("x", "x")
@@ -193,21 +187,6 @@ class TestPackedAgainstTupleReference:
         assert Polynomial(self.XYZ, dict(p.terms.items())) == p
         assert all(type(c) is int or c.denominator != 1 for c in p._packed.values())
 
-    @settings(max_examples=60, deadline=None)
-    @given(term_dicts(3), st.integers(0, 3))
-    def test_extend_restrict(self, a, live):
-        ext = self.XYZ.with_elimination("t", "u")
-        p = Polynomial(self.XYZ, a)
-        lifted = p.extend(ext)
-        self._exact_view(lifted, {m + (0, 0): c for m, c in a.items()})
-        assert lifted.restrict(self.XYZ) == p
-        with_t = lifted * Polynomial.variable(ext, "u") ** live
-        if live and a:
-            with pytest.raises(ValueError):
-                with_t.restrict(self.XYZ)
-        else:
-            assert with_t.restrict(self.XYZ) == p
-
     def test_view_lookups(self, xy):
         p = parse_polynomial(xy, "2*x*y - 1/2")
         assert p.terms[(1, 1)] == 2 and type(p.terms[(1, 1)]) is Fraction
@@ -280,20 +259,6 @@ class TestParsing:
     def test_str_deterministic(self, vs):
         p = parse_polynomial(vs, "m[2,2] + m[1,1] - m[1,2]*m[2,1]")
         assert str(p) == str(parse_polynomial(vs, str(p)))
-
-
-class TestExtendRestrict:
-    def test_extend_then_restrict(self, vs):
-        ext = vs.with_elimination("t")
-        p = parse_polynomial(vs, "m[1,1]*m[2,2] - m[1,2]*m[2,1]")
-        lifted = p.extend(ext)
-        assert lifted.restrict(vs) == p
-
-    def test_restrict_rejects_live_variable(self, vs):
-        ext = vs.with_elimination("t")
-        q = parse_polynomial(ext, "t*m[1,1]")
-        with pytest.raises(ValueError):
-            q.restrict(vs)
 
 
 class TestHomogeneity:

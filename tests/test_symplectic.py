@@ -23,7 +23,6 @@ from sporbits.symplectic import (
     mat_from,
     mat_mul,
     mat_rank,
-    mat_transpose,
     orbit_ideal,
     orbit_pfaffian_indices,
     pfaffian,
@@ -50,6 +49,10 @@ def pfaffian_of_indices(A, indices):
     the general expansion: the reference for the rule-written pfaffians."""
     idx = [i - 1 for i in indices]
     return pfaffian([[A[a][b] for b in idx] for a in idx])
+
+
+def mat_transpose(A):
+    return [list(col) for col in zip(*A)]
 
 
 def permutation_matrix(w):
