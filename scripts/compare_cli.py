@@ -9,22 +9,24 @@ of its output.  The `timings` of verify-degeneration reports are dropped
 first, as they change from run to run.  Exit 0 when every command agrees,
 1 when one differs, 2 when a tree cannot run the list.
 
-The commands: `enumerate` and `poset` (JSON and DOT) at n <= 4; `boxes`,
+The commands: `enumerate` and `poset` (JSON and DOT) at n <= 5, the edge of
+the Hasse diagram's bound; past the caps, `poset --n 6` (JSON and DOT),
+`enumerate --n 7` and `verify-all --n 7`, all usage errors; `boxes`,
 `basics`, `pairperms`, `wiring` and `orbit-ideal` on all 15 involutions at
 2n = 6; `basics`, `orbit-ideal` and `pairperms` on all 105 at 2n = 8;
-`pairperms` on all 945 at 2n = 10;
-`verify-degeneration --deep` on the 19 involutions with 2n <= 6 and on the
-5 benchmark words at 2n = 8 (21436587 21437856 21563487 34126587
-43216587); `verify-km` on all of S4 and S5; `verify-km --pi 54321 --max-pairs K` at
-caps that stop the Groebner certificate before its first pair, inside it and
-at its last pair, so the verdicts and the `pairs_processed` of budget exits
-are compared too; `verify-all --n 3`; `groebner --ideal` on the ideal files
-of IDEALS, written to a temporary directory: two named-variable ideals under
-`lex` and `grevlex`, a `--max-pairs 2` and a `--max-degree 3` budget exit
-(the latter on a generator whose lex lead has lower degree than its tail), a
-2x2 matrix ideal with an extra variable `t` under `antidiagonal`, and an
-exponent too wide for the order's key fields (exit 2).  The words are built
-here, not by the code under comparison.
+`pairperms` on all 945 at 2n = 10; `verify-degeneration --deep` on the 19
+involutions with 2n <= 6 and on the 5 benchmark words at 2n = 8 (21436587
+21437856 21563487 34126587 43216587); `verify-km` on all of S4 and S5;
+`verify-km --pi 54321 --max-pairs K` at caps that stop the Groebner
+certificate before its first pair, inside it and at its last pair, so the
+verdicts and the `pairs_processed` of budget exits are compared too;
+`verify-all --n 3` and `verify-all --n 5 --samples 2`; `groebner --ideal` on
+the ideal files of IDEALS, written to a temporary directory: two
+named-variable ideals under `lex` and `grevlex`, a `--max-pairs 2` and a
+`--max-degree 3` budget exit (the latter on a generator whose lex lead has
+lower degree than its tail), a 2x2 matrix ideal with an extra variable `t`
+under `antidiagonal`, and an exponent too wide for the order's key fields
+(exit 2).  The words are built here, not by the code under comparison.
 """
 
 from __future__ import annotations
@@ -109,8 +111,9 @@ def involutions(size: int) -> list[str]:
 def commands(fixtures: str) -> list[list[str]]:
     """The command list; the groebner commands read IDEALS from `fixtures`."""
     out = []
-    for n in range(1, 5):
+    for n in range(1, 6):
         out += [["enumerate", "--n", str(n)], ["poset", "--n", str(n)], ["poset", "--n", str(n), "--format", "dot"]]
+    out += [["poset", "--n", "6"], ["poset", "--n", "6", "--format", "dot"], ["enumerate", "--n", "7"]]
     for word in involutions(6):
         out += [[cmd, "--iota", word] for cmd in ("boxes", "basics", "pairperms", "wiring", "orbit-ideal")]
     out += [[cmd, "--iota", word] for cmd in ("basics", "orbit-ideal", "pairperms") for word in involutions(8)]
@@ -125,7 +128,7 @@ def commands(fixtures: str) -> list[list[str]]:
         out += [["verify-km", "--pi", "".join(map(str, w))] for w in itertools.permutations(range(1, size + 1))]
     # 54321 has 20 minors, so 190 pairs: budget exits before, inside and at the end
     out += [["verify-km", "--pi", "54321", "--max-pairs", str(k)] for k in (0, 1, 17, 95, 189, 190)]
-    out.append(["verify-all", "--n", "3"])
+    out += [["verify-all", "--n", "3"], ["verify-all", "--n", "5", "--samples", "2"], ["verify-all", "--n", "7"]]
     for name, (_, flags) in IDEALS.items():
         out += [["groebner", "--ideal", os.path.join(fixtures, f"{name}.json"), *f] for f in flags]
     return out

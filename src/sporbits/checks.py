@@ -3,8 +3,9 @@
 Each check returns `(ok, detail)`, where `detail` names the first involution
 that fails, or the budget that ran out, and is empty when the check holds.
 `verify-all` runs every check of `PER_SIZE_CHECKS` on all involutions at
-each half-size up to its `--n`, which the enumeration bound holds to n <= 5;
-the acceptance tests call them at their own sizes.
+each half-size up to its `--n`, which the enumeration bound holds to n <= 6
+(all 10,395 involutions at 2n = 12); the acceptance tests call them at
+their own sizes.
 """
 
 from __future__ import annotations

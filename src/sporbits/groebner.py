@@ -349,13 +349,14 @@ def _reduce_basis(basis: Reducers, vs: VariableSet) -> list[Polynomial]:
 
 def ideal_intersection(I: Ideal, J: Ideal, inner: TermOrder, budget: GBBudget | None = None) -> Ideal:
     """I cap J: the elements free of t in a Groebner basis of t*I + (1-t)*J
-    under the elimination order over `inner`, t a variable appended here."""
+    under the elimination order over `inner`, t a variable appended here: the
+    first of t, t_, t__, ... that is not among I's variables."""
     if I.vs.names != J.vs.names:
         raise ValueError("mixed variable sets")
     if I.is_zero() or J.is_zero():
         return Ideal(I.vs, [])
     vs = I.vs
-    aux = "t" if "t" not in vs.index else "t_elim"
+    aux = next(a for a in ("t" + "_" * k for k in range(len(vs) + 1)) if a not in vs.index)
     ext = VariableSet(vs.names + (aux,), matrix_size=vs.matrix_size)
     t = Polynomial.variable(ext, aux)
 

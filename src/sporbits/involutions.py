@@ -27,8 +27,12 @@ from sporbits.permutations import (
     rothe_diagram,
 )
 
-#: default cap on the half-size accepted by enumerate_fpf (2n = 10, 945 elements)
-DEFAULT_ENUM_BOUND = 5
+#: largest half-size enumerate_fpf lists, a bound on its output: the
+#: (2n-1)!! involutions number 10,395 at 2n = 12 and 135,135 at 2n = 14
+MAX_ENUM_HALF = 6
+#: largest half-size hasse_diagram takes: at n = 6 its 10,395 involutions
+#: would need about 624,000 conjugations, each with a 66-pair inversion count
+MAX_HASSE_HALF = 5
 
 
 @dataclass(frozen=True)
@@ -170,21 +174,16 @@ def _switch_neighbors(iota: FpfInvolution, delta: int) -> frozenset[FpfInvolutio
     return frozenset(out)
 
 
-def enumerate_fpf(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[FpfInvolution]:
-    """All (2n-1)!! fixed-point-free involutions of {1..2n}, deterministically.
+def enumerate_fpf(n: int) -> list[FpfInvolution]:
+    """All (2n-1)!! fixed-point-free involutions of {1..2n}, deterministically,
+    for n in 1..MAX_ENUM_HALF (ValueError otherwise).
 
     Ordered by pairing the smallest free outlet with each larger free outlet
     in increasing order.
     """
-    _check_half(n, bound)
+    if not 1 <= n <= MAX_ENUM_HALF:
+        raise ValueError(f"n={n} is outside the enumeration bound 1..{MAX_ENUM_HALF}")
     return [FpfInvolution.from_arcs(arcs) for arcs in _matchings(tuple(range(1, 2 * n + 1)))]
-
-
-def _check_half(n: int, bound: int = DEFAULT_ENUM_BOUND) -> None:
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the enumeration bound {bound}")
 
 
 def _matchings(free: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -221,9 +220,9 @@ def glb(elements: Iterable[FpfInvolution], n: int | None = None) -> FpfInvolutio
     every element, and any common lower bound k has r(k) <= min = r(kappa).
     Otherwise (as for 341265 and 215634, whose meet 351624 sits strictly
     under the minimum) the meet is the one maximal involution under it,
-    found by listing enumerate_fpf(n), so only this branch is held to the
-    enumeration bound.  glb of the empty set is the top element j_bar(n)
-    (n must then be given).
+    found by listing enumerate_fpf(n), so only this branch is held to its
+    bound, n <= MAX_ENUM_HALF: at n = 6 it lists 10,395 involutions.  glb of
+    the empty set is the top element j_bar(n) (n must then be given).
     Raises NoUniqueMeet with the offending antichain, in enumerate_fpf order,
     if the maximal common lower bounds are not unique.
     """
@@ -335,6 +334,7 @@ def involution_of_ranks(ranks: Sequence[Sequence[int]]) -> FpfInvolution | None:
     return iota if rank_matrix(iota) == ranks else None
 
 
+@lru_cache(maxsize=None)
 def _with_boxes(n: int, target: frozenset[tuple[int, int, int]]) -> FpfInvolution:
     """The involution of size 2n whose symplectic essential set is `target`,
     by the rank rule: its rank matrix is the largest one that is at most
@@ -398,11 +398,15 @@ def basics_decomposition(iota: FpfInvolution) -> frozenset[FpfInvolution]:
 @lru_cache(maxsize=None)
 def hasse_diagram(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Sorted edges (lower word, upper word) of the opposite-Bruhat Hasse
-    diagram at half-size n; enumerate_fpf's bound (n <= 5) is the only cap.
+    diagram at half-size n, for n <= MAX_HASSE_HALF (ValueError otherwise):
+    the covers cost a conjugation per pair of outlets of every involution,
+    so this is the one listing whose cost outgrows its output.
 
     Cached per size so concurrent readers are safe after the first
     (single-threaded) call.
     """
+    if n > MAX_HASSE_HALF:
+        raise ValueError(f"n={n} exceeds the Hasse diagram bound {MAX_HASSE_HALF}")
     edges = []
     for iota in enumerate_fpf(n):
         for upper in upper_covers(iota):
@@ -411,7 +415,9 @@ def hasse_diagram(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def poset_dot(n: int) -> str:
-    """DOT rendering of the opposite-Bruhat poset, ranked by word length."""
+    """DOT rendering of the opposite-Bruhat poset, ranked by word length;
+    the Hasse diagram comes first, so an n it refuses lists nothing."""
+    arrows = [f'  "{FpfInvolution(low)}" -> "{FpfInvolution(high)}";' for low, high in hasse_diagram(n)]
     lines = ["digraph fpf_poset {", "  rankdir=BT;"]
     by_length: dict[int, list[str]] = {}
     for iota in enumerate_fpf(n):
@@ -422,8 +428,7 @@ def poset_dot(n: int) -> str:
     for l, names in sorted(by_length.items()):
         joined = "; ".join(f'"{v}"' for v in names)
         lines.append(f"  {{ rank=same; {joined} }}")
-    for low, high in hasse_diagram(n):
-        lines.append(f'  "{FpfInvolution(low)}" -> "{FpfInvolution(high)}";')
+    lines += arrows
     lines.append("}")
     return "\n".join(lines)
 

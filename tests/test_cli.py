@@ -53,9 +53,16 @@ class TestEnumerate:
         assert first == second
 
     def test_over_cap_is_usage_error(self, capsys):
-        assert main(["enumerate", "--n", "6"]) == EXIT_USAGE
+        assert main(["enumerate", "--n", "7"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
-        assert main(["verify-all", "--n", "6"]) == EXIT_USAGE
+        assert main(["verify-all", "--n", "7"]) == EXIT_USAGE
+        # the Hasse diagram stops at n = 5 and refuses before listing anything
+        for fmt in ("json", "dot"):
+            start = time.process_time()
+            assert main(["poset", "--n", "6", "--format", fmt]) == EXIT_USAGE
+            assert time.process_time() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Hasse diagram bound 5" in captured.err
 
 
 class TestPoset:
@@ -130,6 +137,37 @@ class TestBasicsAndPairperms:
         assert code == EXIT_OK
         assert blob["length"] == 2
         assert sorted(blob["pair_permutations"]) == [[1, 3, 4, 2], [3, 1, 2, 4]]
+
+
+class TestContract:
+    """Any input to the combinatorial commands exits 0 or 2, with no
+    traceback, and a usage error writes nothing to stdout."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        argv=st.builds(
+            lambda command, fmt, n: [command, f"--n={n}", "--format", fmt],
+            st.sampled_from(["enumerate", "poset"]),
+            st.sampled_from(["json", "dot"]),
+            st.integers(-2, 8),
+        )
+        | st.builds(
+            lambda command, iota: [command, f"--iota={iota}"],
+            st.sampled_from(["boxes", "wiring", "basics", "pairperms"]),
+            st.sampled_from(["21", "4321", "351624", "2,1,4,3,6,5,9,10,7,8", "4,3,2,1,6,5,8,7,10,9,12,11"])
+            | st.text(alphabet="0123456789, ", max_size=14)
+            | st.text(max_size=8),
+        )
+    )
+    def test_any_input_ends_in_a_contract_exit(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_USAGE)
+        assert "Traceback" not in captured.err
+        assert code == EXIT_OK or captured.out == ""
 
 
 class TestGroebner:

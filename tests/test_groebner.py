@@ -429,6 +429,26 @@ class TestIdealOps:
         K = ideal_intersection(I, J, lex_order(xy))
         assert all(g.vs.names == xy.names for g in K.generators)
 
+    @pytest.mark.parametrize("I_gens, J_gens", [(["x"], ["y"]), (["x^2", "x*y"], ["y"])])
+    def test_aux_variable_takes_a_free_name(self, xy, I_gens, J_gens):
+        # with t and t_elim both taken, the intersection over them is the one
+        # over x, y with the variables renamed
+        taken = VariableSet.named("t", "t_elim")
+
+        def rename(gens):
+            return [g.replace("x", "t").replace("y", "t_elim") for g in gens]
+
+        K = ideal_intersection(
+            Ideal(taken, [poly(taken, g) for g in rename(I_gens)]),
+            Ideal(taken, [poly(taken, g) for g in rename(J_gens)]),
+            lex_order(taken),
+        )
+        ref = ideal_intersection(
+            Ideal(xy, [poly(xy, g) for g in I_gens]), Ideal(xy, [poly(xy, g) for g in J_gens]), lex_order(xy)
+        )
+        assert K.vs == taken
+        assert [g.terms for g in K.generators] == [g.terms for g in ref.generators] != []
+
 
 class TestInitialIdeals:
     def test_initial_form_examples(self, xy):

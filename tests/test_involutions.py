@@ -210,9 +210,10 @@ class TestEnumeration:
         assert len(set(items)) == len(items)
 
     def test_bound(self):
-        with pytest.raises(ValueError):
-            enumerate_fpf(6)
-        assert len(enumerate_fpf(6, bound=6)) == 10395
+        for n in (-1, 0, 7):
+            with pytest.raises(ValueError, match=r"outside the enumeration bound 1\.\.6"):
+                enumerate_fpf(n)
+        assert len(enumerate_fpf(6)) == 10395
 
 
 class TestOppositeOrderAndGlb:
@@ -267,20 +268,23 @@ class TestOppositeOrderAndGlb:
 
     def test_half_size_over_enumeration_bound(self):
         # the bound holds only where glb lists involutions: off the rank rule
-        # (341265 and 215634 plus a j_bar(3) tail) at n = 6 it raises, while
-        # a meet the rule decides at n = 6 needs no listing
+        # (341265 and 215634 plus a j_bar(3) tail) at n = 6 the listing finds
+        # the meet, with a j_bar(4) tail at n = 7 it raises, while a meet the
+        # rule decides at n = 7 needs no listing
         pair = [fpf("3,4,1,2,6,5,8,7,10,9,12,11"), fpf("2,1,5,6,3,4,8,7,10,9,12,11")]
-        with pytest.raises(ValueError, match=r"^n=6 exceeds the enumeration bound 5$"):
+        assert glb(pair) == fpf("3,5,1,6,2,4,8,7,10,9,12,11")
+        pair = [direct_sum(p, j_bar(1)) for p in pair]
+        with pytest.raises(ValueError, match=r"^n=7 is outside the enumeration bound 1\.\.6$"):
             glb(pair)
-        rainbow = fpf("12,11,10,9,8,7,6,5,4,3,2,1")
+        rainbow = fpf("14,13,12,11,10,9,8,7,6,5,4,3,2,1")
         assert glb([rainbow]) == rainbow
 
-    def test_rule_decides_every_decomposition_2n_le_10(self, monkeypatch):
+    def test_rule_decides_every_decomposition_2n_le_12(self, monkeypatch):
         # the meet of a basic decomposition is read off the rank rule alone:
         # no involution is listed
         cases = [
             (iota, sorted(basics_decomposition(iota), key=lambda k: k.word))
-            for n in (1, 2, 3, 4, 5)
+            for n in (1, 2, 3, 4, 5, 6)
             for iota in enumerate_fpf(n)
         ]
 

@@ -114,7 +114,7 @@ class TestPairPermutations:
                     fpf("7,8,9,10,11,12,1,2,3,4,5,6"),
                     fpf("4,3,2,1,9,11,12,10,5,8,6,7"),
                 ]
-                + random.Random(16).sample(enumerate_fpf(6, bound=6), 47),
+                + random.Random(16).sample(enumerate_fpf(6), 47),
                 id="2n12-sample",
             ),
         ],
