@@ -146,6 +146,17 @@ class Reducers:
         return entry
 
 
+def _prepared(G: Sequence[Polynomial] | Reducers, order: TermOrder) -> Reducers:
+    """G as a divisor set prepared under `order`: built here from a list of
+    polynomials, or passed through when given prepared, which must then be
+    under `order` (ValueError otherwise)."""
+    if not isinstance(G, Reducers):
+        return Reducers(G, order)
+    if G.order != order:
+        raise ValueError("reducers prepared under another term order")
+    return G
+
+
 def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Coeff]:
     """The S-polynomial of two entries with leads dividing `lcm`: each tail
     shifted to the lcm and divided by its lead coefficient, g's subtracted
@@ -206,13 +217,8 @@ def _reduce_terms(work: dict[int, Coeff], reducers: list[Entry], guards: int) ->
 def normal_form(f: Polynomial, G: Sequence[Polynomial] | Reducers, order: TermOrder) -> Polynomial:
     """Remainder of f under multivariate division by G: no monomial of the
     result is divisible by any leading monomial of G, and f - result lies in
-    the ideal generated by G.  G may be given prepared, as Reducers built
-    under the same order."""
-    if not isinstance(G, Reducers):
-        G = Reducers(G, order)
-    elif G.order != order:
-        raise ValueError("reducers prepared under another term order")
-    return _unpack(_reduce_terms(_pack(f, order), G.entries, order.guards), f.vs, order)
+    the ideal generated by G.  G may be given prepared (see `_prepared`)."""
+    return _unpack(_reduce_terms(_pack(f, order), _prepared(G, order).entries, order.guards), f.vs, order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
@@ -223,30 +229,31 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     return _unpack(_s_pair(ef, eg, lcm, order.guards), f.vs, order)
 
 
-def is_groebner_basis(G: Sequence[Polynomial], order: TermOrder, budget: GBBudget | None = None) -> bool:
-    """Certificate that G is a Groebner basis: each pair (i, j), taken in
-    combinations order, is skipped by a criterion of Buchberger (EUROSAM 1979;
-    Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 2 Sec. 10) or
-    its S-pair reduces to zero against G.  Product: coprime leads.  Chain: a
-    lead k < i divides their lcm, so (k, i) and (k, j) came first.  The pair
-    and time caps count the pairs examined, skipped or not (BudgetExceeded)."""
+def is_groebner_basis(G: Sequence[Polynomial] | Reducers, order: TermOrder, budget: GBBudget | None = None) -> bool:
+    """Certificate that G is a Groebner basis, G given as polynomials or
+    prepared (see `_prepared`): each pair (i, j) of its divisors, taken in
+    combinations order over the divisor order (ascending degree, then lead),
+    is skipped by a criterion of Buchberger (EUROSAM 1979; Cox-Little-O'Shea,
+    Ideals, Varieties, and Algorithms, Ch. 2 Sec. 10) or its S-pair reduces to
+    zero against G.  Product: coprime leads.  Chain: a lead k < i divides
+    their lcm, so (k, i) and (k, j) came first.  The pair and time caps count
+    the pairs examined, skipped or not (BudgetExceeded)."""
     budget = budget or GBBudget()
     start = time.monotonic()
     guards = order.guards
-    reducers = Reducers((), order)
-    entries = [e for e in map(reducers.add, G) if e is not None]
+    entries = _prepared(G, order).entries
     leads = [order.exponents(e[1]) for e in entries]
     supports = [sum(1 << v for v, x in enumerate(m) if x) for m in leads]
     for done, (i, j) in enumerate(itertools.combinations(range(len(entries)), 2)):
         if done >= budget.max_pairs or time.monotonic() - start > budget.max_seconds:
             reason = "pair cap" if done >= budget.max_pairs else "time cap"
-            raise BudgetExceeded(reason, {"pairs_processed": done, "basis_size": len(G)})
+            raise BudgetExceeded(reason, {"pairs_processed": done, "basis_size": len(entries)})
         if not supports[i] & supports[j]:
             continue
         lcm = order.key(tuple(map(max, leads[i], leads[j])))
         if any(not (lcm - entries[k][1]) & guards for k in range(i)):
             continue
-        if _reduce_terms(_s_pair(entries[i], entries[j], lcm, guards), reducers.entries, guards):
+        if _reduce_terms(_s_pair(entries[i], entries[j], lcm, guards), entries, guards):
             return False
     return True
 

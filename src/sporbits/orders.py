@@ -89,9 +89,6 @@ class TermOrder:
         if self.key is None:
             object.__setattr__(self, "key", key)
 
-    def leading_monomial(self, terms: dict) -> Monomial:
-        return max(terms, key=self.key)
-
 
 def lex_order(vs: VariableSet, ranking: Sequence[int] | None = None) -> TermOrder:
     """Lexicographic order; ranking lists variable indices from highest to

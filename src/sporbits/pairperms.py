@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from sporbits.involutions import FpfInvolution, j_bar
+from sporbits.involutions import FpfInvolution
 from sporbits.permutations import Permutation, length
 
 #: largest word size accepted, to bound the output: every pair of arcs of the
@@ -25,12 +25,12 @@ MAX_SIZE = 12
 
 
 def conjugation_check(w: Permutation, iota: FpfInvolution) -> bool:
-    """True when w^-1 o jbar o w equals iota."""
+    """True when w^-1 o jbar o w equals iota, that is, when jbar(w(i)) =
+    w(iota(i)) for every i, jbar swapping 2k-1 and 2k: x -> ((x-1) ^ 1) + 1."""
     if w.size != iota.size:
         raise ValueError("size mismatch")
-    jb = j_bar(iota.size // 2).word
-    winv = w.inverse().word
-    return all(winv[jb[w.word[i] - 1] - 1] == iota.word[i] for i in range(w.size))
+    word = w.word
+    return all(((x - 1) ^ 1) + 1 == word[y - 1] for x, y in zip(word, iota.word))
 
 
 @dataclass(frozen=True)

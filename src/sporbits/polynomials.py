@@ -289,7 +289,9 @@ class Polynomial:
         if not self._packed:
             return "0"
         parts = []
-        for mono, coeff in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0]))):
+        # by degree, then exponent tuple, both descending: keys order as tuples do
+        unpack = self.vs.unpack
+        for _, _, mono, coeff in sorted((-sum(m), -k, m, c) for k, c in self._packed.items() for m in [unpack(k)]):
             factors = []
             for idx, e in enumerate(mono):
                 if e == 1:

@@ -30,7 +30,7 @@ from sporbits.groebner import (
     normal_form,
 )
 from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
-from sporbits.orders import antidiagonal_order, weight_refined_order
+from sporbits.orders import TermOrder, antidiagonal_order
 from sporbits.pairperms import pair_permutations
 from sporbits.permutations import Permutation, essential_boxes
 from sporbits.polynomials import FIELD_BITS, Polynomial, VariableSet
@@ -46,11 +46,11 @@ def symplectic_form(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def build_mjmt(n: int, vs: VariableSet | None = None) -> list[list[Polynomial]]:
+def build_mjmt(n: int) -> list[list[Polynomial]]:
     """MJM^T for the generic 2n x 2n matrix of variables: entry (a,b) is
     sum_k m[a,2k-1] m[b,2k] - m[a,2k] m[b,2k-1], the pfaffian on {a, b}."""
     size = 2 * n
-    vs = vs or VariableSet.matrix(size)
+    vs = VariableSet.matrix(size)
     zero = Polynomial.zero(vs)
     A = [[zero for _ in range(size)] for _ in range(size)]
     for a, b in itertools.combinations(range(1, size + 1), 2):
@@ -130,12 +130,10 @@ def _zero_like(A):
 # Fulton / Schubert ideals
 
 
-def fulton_minors(
-    p: Permutation, vs: VariableSet | None = None
-) -> list[tuple[tuple[int, ...], tuple[int, ...], Polynomial]]:
+def fulton_minors(p: Permutation) -> list[tuple[tuple[int, ...], tuple[int, ...], Polynomial]]:
     """(rows, cols, minor) for every rank condition at an essential box: all
     (r+1) x (r+1) minors of the northwest i x j submatrix."""
-    vs = vs or VariableSet.matrix(p.size)
+    vs = VariableSet.matrix(p.size)
     return [
         (rows, cols, _minor(vs, rows, cols))
         for i, j, r in sorted(essential_boxes(p))
@@ -180,6 +178,11 @@ def _antidiagonal(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> 
     return sum(1 << vs.matrix_var(i, j) for i, j in zip(rows, reversed(cols)))
 
 
+def _mask_key(order: TermOrder, mask: int) -> int:
+    """The key under `order` of the squarefree monomial given as a bitmask."""
+    return order.key(tuple(mask >> v & 1 for v in range(len(order.vs))))
+
+
 def _minimal(masks: Iterable[int]) -> list[int]:
     """Minimal generators of the ideal of squarefree monomials given as bitmasks."""
     kept: list[int] = []
@@ -189,18 +192,13 @@ def _minimal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def fulton_generators(p: Permutation, vs: VariableSet | None = None) -> Ideal:
+def fulton_generators(p: Permutation) -> Ideal:
     """The Fulton generators of the matrix Schubert ideal I_p; the identity
     permutation yields the zero ideal."""
-    vs = vs or VariableSet.matrix(p.size)
-    return Ideal(vs, [poly for _, _, poly in fulton_minors(p, vs)])
+    return Ideal(VariableSet.matrix(p.size), [poly for _, _, poly in fulton_minors(p)])
 
 
-def union_schubert_ideal(
-    perms: Sequence[Permutation],
-    vs: VariableSet | None = None,
-    budget: GBBudget | None = None,
-) -> Ideal:
+def union_schubert_ideal(perms: Sequence[Permutation], budget: GBBudget | None = None) -> Ideal:
     """Ideal of the union of matrix Schubert varieties: the intersection of
     the Fulton ideals, computed by iterated elimination."""
     if not perms:
@@ -208,13 +206,12 @@ def union_schubert_ideal(
     size = perms[0].size
     if any(p.size != size for p in perms):
         raise ValueError("size mismatch")
-    vs = vs or VariableSet.matrix(size)
-    inner = antidiagonal_order(vs)
-    result = fulton_generators(perms[0], vs)
+    inner = antidiagonal_order(VariableSet.matrix(size))
+    result = fulton_generators(perms[0])
     for p in perms[1:]:
         if result.is_zero():
             return result
-        result = ideal_intersection(result, fulton_generators(p, vs), inner, budget)
+        result = ideal_intersection(result, fulton_generators(p), inner, budget)
     return result
 
 
@@ -272,12 +269,12 @@ def orbit_pfaffian_indices(iota: FpfInvolution) -> list[tuple[int, ...]]:
     return index_sets
 
 
-def orbit_ideal(iota: FpfInvolution, vs: VariableSet | None = None) -> Ideal:
+def orbit_ideal(iota: FpfInvolution) -> Ideal:
     """The pfaffians on orbit_pfaffian_indices(iota), each written term by
     term by the minor summation formula (no polynomial products); zero for the
     dense orbit."""
     index_sets = orbit_pfaffian_indices(iota)
-    vs = vs or VariableSet.matrix(iota.size)
+    vs = VariableSet.matrix(iota.size)
     return Ideal(vs, [_mjmt_pfaffian(vs, T, iota.n) for T in index_sets])
 
 
@@ -414,10 +411,12 @@ def random_symplectic(n: int, rng) -> Matrix:
 
 def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> bool:
     """Check that the Fulton generators are a Groebner basis under the
-    antidiagonal order (Knutson-Miller, Annals 2005, Thm B): each leads with
-    its antidiagonal term, and is_groebner_basis holds, which reduces only the
-    pairs the product and chain criteria leave but counts all it examines
-    against the budget (its BudgetExceeded passes through).  ValueError,
+    antidiagonal order (Knutson-Miller, Annals 2005, Thm B).  The minors are
+    prepared once as divisors (Reducers), which keys each term once: each
+    entry's lead must be its minor's antidiagonal term, and is_groebner_basis
+    must hold on the same divisors, which reduces only the pairs the product
+    and chain criteria leave but counts all it examines against the budget
+    (its BudgetExceeded passes through).  ValueError,
     before any expansion, when p is larger than MAX_MATRIX_SIZE or its minors
     have more than MAX_EXPANDED_TERMS terms (a k x k minor has k!)."""
     if p.size > MAX_MATRIX_SIZE:
@@ -425,14 +424,12 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
     terms = sum(math.comb(i, r + 1) * math.comb(j, r + 1) * math.factorial(r + 1) for i, j, r in essential_boxes(p))
     if terms > MAX_EXPANDED_TERMS:
         raise ValueError(f"{p} needs {terms} minor terms, over {MAX_EXPANDED_TERMS}")
-    vs = VariableSet.matrix(p.size)
-    order = antidiagonal_order(vs)
-    minors = fulton_minors(p, vs)
-    for rows, cols, poly in minors:
-        antidiag = _antidiagonal(vs, rows, cols)
-        if order.leading_monomial(poly.terms) != tuple(antidiag >> v & 1 for v in range(len(vs))):
+    order = antidiagonal_order(VariableSet.matrix(p.size))
+    reducers = Reducers((), order)
+    for rows, cols, poly in fulton_minors(p):
+        if reducers.add(poly)[1] != _mask_key(order, _antidiagonal(order.vs, rows, cols)):
             return False
-    return is_groebner_basis([poly for _, _, poly in minors], order, budget)
+    return is_groebner_basis(reducers, order, budget)
 
 
 def column_weights(vs: VariableSet) -> tuple[int, ...]:
@@ -480,7 +477,11 @@ def verify_degeneration(
     (i) each g in G_L reduces to 0 modulo each v's Fulton minors under the
     antidiagonal order, so L lies in J; (ii) a lead of G_L divides each
     generator of A, the intersection of the ideals of the antidiagonal terms
-    of v's minors (squarefree, so pairwise ORs of bitmasks).
+    of v's minors (squarefree, so pairwise ORs of bitmasks).  G_L's leads are
+    read under the antidiagonal order, from the divisors it prepares: each g
+    is the initial form of a homogeneous element, so its terms share degree
+    and w-weight, the weight-refined order's first two rows tie on g, and it
+    falls through to the antidiagonal ranking, picking the same lead.
 
     Proof: J is homogeneous in degree and weight, as the minors are, so its
     weight-refined leads are antidiagonal leads and lie in each in(I_v), the
@@ -498,12 +499,11 @@ def verify_degeneration(
     vs = VariableSet.matrix(iota.size)
     weights = column_weights(vs)
     tie = antidiagonal_order(vs)
-    refined = weight_refined_order(vs, weights, tie)
     timings: dict[str, float] = {}
     pp = pair_permutations(iota)
     try:
         t0 = time.monotonic()
-        L = initial_ideal(orbit_ideal(iota, vs), weights, tie_break=tie, budget=budget)
+        L = initial_ideal(orbit_ideal(iota), weights, tie_break=tie, budget=budget)
         timings["left_seconds"] = time.monotonic() - t0
     except BudgetExceeded as exc:
         exhausted = f"{exc.reason}: {exc.stats}"
@@ -511,16 +511,16 @@ def verify_degeneration(
     t0 = time.monotonic()
     witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
     for v in pp.perms:
-        minors = fulton_minors(v, vs)
+        minors = fulton_minors(v)
         reducers = Reducers([poly for *_, poly in minors], tie)
         witnesses += [f"{g} is not in I_{v}" for g in L.generators if not normal_form(g, reducers, tie).is_zero()]
         gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
         common = _minimal(a | b for a in common for b in gens)
-    # a lead with a square divides no squarefree monomial
-    leads = [refined.leading_monomial(g.terms) for g in L.generators]
-    leads = [sum(1 << i for i, e in enumerate(m) if e) for m in leads if max(m) <= 1]
-    uncovered = [m for m in common if all(m & k != k for k in leads)]
-    witnesses += ["*".join(x for i, x in enumerate(vs.names) if m >> i & 1) + " is not in in(L)" for m in uncovered]
+    leads = [lead for _, lead, _, _ in Reducers(L.generators, tie).entries]
+    for m in common:
+        key = _mask_key(tie, m)
+        if all((key - lead) & tie.guards for lead in leads):
+            witnesses.append("*".join(x for i, x in enumerate(vs.names) if m >> i & 1) + " is not in in(L)")
     timings["certificate_seconds"] = time.monotonic() - t0
     return DegenerationReport(
         iota=iota,

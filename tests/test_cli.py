@@ -169,6 +169,54 @@ class TestContract:
         assert "Traceback" not in captured.err
         assert code == EXIT_OK or captured.out == ""
 
+    # words and counts small enough that every example stays fast: free text
+    # of at most 5 characters is a word of size at most 5
+    _WORDS = st.sampled_from(["21", "4321", "3412", "351624", "216543", "2,1,4,3"]) | st.text(
+        alphabet="0123456789, ", max_size=5
+    ) | st.text(max_size=4)
+    _PERMS = st.sampled_from(["1", "2143", "15432", "3,1,2", "54321"]) | st.text(alphabet="0123456789, ", max_size=5)
+    _CAPS = st.lists(
+        st.sampled_from(["--deep", "--max-pairs=-1", "--max-pairs=0", "--max-pairs=3", "--max-degree=2", "--max-seconds=nan"]),
+        max_size=2,
+    )
+    _MATRICES = st.lists(
+        st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2", "1/0", "x", 3, None]), min_size=0, max_size=4),
+        max_size=4,
+    ) | _JSON
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        argv=st.builds(
+            lambda command, word, fmt, caps: [command, f"--iota={word}", "--format", fmt, *caps],
+            st.sampled_from(["verify-degeneration", "orbit-ideal"]),
+            _WORDS,
+            st.sampled_from(["json", "text"]),
+            _CAPS,
+        )
+        | st.builds(lambda word, caps: ["verify-km", f"--pi={word}", *caps], _PERMS, _CAPS)
+        | st.builds(
+            lambda n, samples, caps: ["verify-all", f"--n={n}", f"--samples={samples}", *caps],
+            st.integers(-2, 3),
+            st.integers(-1, 2),
+            _CAPS,
+        )
+        | st.builds(lambda rows: ["classify", rows], _MATRICES),
+    )
+    def test_any_verifier_input_ends_in_a_contract_exit(self, capsys, tmp_path, argv):
+        if argv[0] == "classify":
+            path = tmp_path / "matrix.json"
+            path.write_text(json.dumps(argv[1]))
+            argv = ["classify", "--matrix", str(path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED, EXIT_USAGE, EXIT_BUDGET)
+        assert "Traceback" not in captured.err
+        assert code != EXIT_VERIFICATION_FAILED or argv[0] in ("verify-km", "verify-degeneration", "verify-all")
+        assert code != EXIT_USAGE or captured.out == ""
+
 
 class TestGroebner:
     def test_ideal_file(self, capsys, tmp_path):

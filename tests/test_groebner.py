@@ -50,19 +50,19 @@ def poly(vs, text):
 
 
 class TestOrders:
-    def test_lex_leading_monomial(self, xy):
+    def test_lex_lead(self, xy):
         p = poly(xy, "x*y + y^3")
-        assert lex_order(xy).leading_monomial(p.terms) == (1, 1)
+        assert max(p.terms, key=lex_order(xy).key) == (1, 1)
 
-    def test_grevlex_leading_monomial(self, xy):
+    def test_grevlex_lead(self, xy):
         p = poly(xy, "x*y + y^3")
-        assert grevlex_order(xy).leading_monomial(p.terms) == (0, 3)
+        assert max(p.terms, key=grevlex_order(xy).key) == (0, 3)
 
     def test_grevlex_classic_tie(self):
         vs = VariableSet.named("x", "y", "z")
         # x*z vs y^2: same degree, grevlex prefers the one avoiding z
         p = poly(vs, "x*z + y^2")
-        assert grevlex_order(vs).leading_monomial(p.terms) == (0, 2, 0)
+        assert max(p.terms, key=grevlex_order(vs).key) == (0, 2, 0)
 
     def test_one_is_minimal(self, xy):
         for order in (lex_order(xy), grevlex_order(xy)):
@@ -106,7 +106,7 @@ class TestOrders:
                     ]
                     minor = determinant(sub)
                     anti = (0,) * len(vs)
-                    lead = order.leading_monomial(minor.terms)
+                    lead = max(minor.terms, key=order.key)
                     expected = [0] * len(vs)
                     for k, i in enumerate(rows):
                         expected[vs.matrix_var(i, cols[size - 1 - k])] = 1
@@ -115,7 +115,7 @@ class TestOrders:
     def test_weight_refined_prefers_low_weight(self, xy):
         order = weight_refined_order(xy, [3, 1])
         p = poly(xy, "x^2 + y^2")
-        assert order.leading_monomial(p.terms) == (0, 2)
+        assert max(p.terms, key=order.key) == (0, 2)
 
     def test_weight_refined_is_graded(self, xy):
         # total degree is compared before weight, keeping 1 minimal
@@ -199,7 +199,7 @@ class TestTermOrder:
         ids=["lex", "grevlex", "elimination"],
     )
     def test_one_variable_ring(self, order):
-        assert order.leading_monomial({(2,): 1, (1,): 1, (0,): 1}) == (2,)
+        assert max({(2,): 1, (1,): 1, (0,): 1}, key=order.key) == (2,)
         x, one = Polynomial.variable(order.vs, 0), Polynomial.constant(order.vs, 1)
         assert buchberger([x * x * x - x, x * x - one], order) == [x * x - one]
 
@@ -276,7 +276,7 @@ class TestTermOrder:
 
         traced = dataclasses.replace(order, key=spy)
         assert traced == order and traced.key is spy
-        assert traced.leading_monomial(poly(xy, "x*y + y^3").terms) == (0, 3)
+        assert max(poly(xy, "x*y + y^3").terms, key=traced.key) == (0, 3)
         assert calls
 
 
@@ -303,7 +303,7 @@ class TestNormalForm:
         order = lex_order(xy)
         f, g = poly(xy, "x^2*y - 1"), poly(xy, "x*y^2 - x")
         s = s_polynomial(f, g, order)
-        lead = order.leading_monomial(s.terms)
+        lead = max(s.terms, key=order.key)
         assert order.key(lead) < order.key((2, 2))
         # y*f - x*g, built from the tails with no polynomial products
         assert s == poly(xy, "x^2 - y")
@@ -317,10 +317,46 @@ class TestNormalForm:
 
     def test_certificate_budget(self, xy):
         gens = buchberger([poly(xy, "x^3 - y"), poly(xy, "x*y^2 - 1")], grevlex_order(xy))
-        with pytest.raises(BudgetExceeded) as exc:
-            is_groebner_basis(gens, grevlex_order(xy), GBBudget(max_pairs=1))
-        assert exc.value.reason == "pair cap"
-        assert exc.value.stats == {"pairs_processed": 1, "basis_size": len(gens)}
+        # basis_size counts the prepared divisors, so a zero adds none
+        for G in (gens, gens + [poly(xy, "0")]):
+            with pytest.raises(BudgetExceeded) as exc:
+                is_groebner_basis(G, grevlex_order(xy), GBBudget(max_pairs=1))
+            assert exc.value.reason == "pair cap"
+            assert exc.value.stats == {"pairs_processed": 1, "basis_size": len(gens)}
+
+
+    def test_certificate_takes_prepared_divisors(self, xy):
+        order = lex_order(xy)
+        gens = [poly(xy, "x^2 - 1"), poly(xy, "x*y - 1")]
+        gb = buchberger(gens, order)
+        assert is_groebner_basis(Reducers(gb, order), order)
+        assert not is_groebner_basis(Reducers(gens, order), order)
+        # a set prepared under another order is refused, as by normal_form
+        for check in (is_groebner_basis, lambda G, o: normal_form(gens[0], G, o)):
+            with pytest.raises(ValueError, match="another term order"):
+                check(Reducers(gb, order), grevlex_order(xy))
+
+    def test_certificate_pairs_in_divisor_order(self, monkeypatch):
+        # pairs are taken over the divisors in ascending (degree, lead), so
+        # the list order of G does not matter
+        from sporbits import groebner
+
+        pairs = []
+        s_pair = groebner._s_pair
+
+        def spy(f, g, lcm, guards):
+            pairs.append((f[0], g[0]))
+            return s_pair(f, g, lcm, guards)
+
+        monkeypatch.setattr(groebner, "_s_pair", spy)
+        gens, order = _pair_trace_case("xyz-grevlex")
+        gb = buchberger(gens, order)
+        seen = []
+        for G in (gb, gb[::-1]):
+            pairs.clear()
+            assert is_groebner_basis(G, order)
+            seen.append(list(pairs))
+        assert len(seen[0]) > 1 and seen[0] == seen[1] == sorted(seen[0])
 
 
 class TestBuchberger:
@@ -329,7 +365,7 @@ class TestBuchberger:
         gb = buchberger([poly(xy, "x^2 - 1"), poly(xy, "x*y - 1")], order)
         assert gb == sorted(
             [poly(xy, "x - y"), poly(xy, "y^2 - 1")],
-            key=lambda p: order.key(order.leading_monomial(p.terms)),
+            key=lambda p: max(map(order.key, p.terms)),
         )
 
     def test_reduced_gb_is_a_fixed_point(self, xy):
@@ -346,7 +382,7 @@ class TestBuchberger:
         order = lex_order(xy)
         gb = buchberger([poly(xy, "2*x^2 - 2"), poly(xy, "3*x*y - 3")], order)
         for p in gb:
-            assert p.terms[order.leading_monomial(p.terms)] == Fraction(1)
+            assert p.terms[max(p.terms, key=order.key)] == Fraction(1)
 
     def test_unit_ideal(self, xy):
         order = lex_order(xy)
@@ -544,8 +580,8 @@ def _sympy_reduced_basis(gens, order, name, syms):
     basis = []
     for g in sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order=name).exprs:
         p = _from_sympy(g, order.vs, syms)
-        basis.append(p.scale(1 / p.terms[order.leading_monomial(p.terms)]))
-    return sorted(basis, key=lambda p: order.key(order.leading_monomial(p.terms)))
+        basis.append(p.scale(1 / p.terms[max(p.terms, key=order.key)]))
+    return sorted(basis, key=lambda p: max(map(order.key, p.terms)))
 
 
 class TestSympyOracle:
@@ -605,7 +641,7 @@ def _tuple_entries(G, order):
     entries = []
     for g in G:
         if not g.is_zero():
-            lead = order.leading_monomial(g.terms)
+            lead = max(g.terms, key=order.key)
             tail = [(m, c) for m, c in g.terms.items() if m != lead]
             entries.append(((sum(lead), order.key(lead)), lead, g.terms[lead], tail))
     return sorted(entries, key=lambda e: e[0])
@@ -788,14 +824,14 @@ class TestIntegerCoefficients:
         for g in gens:
             assert _rescan_reduce_terms(g.terms, _tuple_entries(gb, order), order.key) == {}
         for idx, b in enumerate(gb):
-            assert b.terms[order.leading_monomial(b.terms)] == 1
+            assert b.terms[max(b.terms, key=order.key)] == 1
             rest = _tuple_entries(gb[:idx] + gb[idx + 1:], order)
             assert _rescan_reduce_terms(b.terms, rest, order.key) == dict(b.terms)
         # the generators are a basis exactly when their leads divide every
         # lead of the reduced basis
-        leads = [order.leading_monomial(g.terms) for g in gens]
+        leads = [max(g.terms, key=order.key) for g in gens]
         divides = all(
-            any(all(x <= y for x, y in zip(a, order.leading_monomial(b.terms))) for a in leads) for b in gb
+            any(all(x <= y for x, y in zip(a, max(b.terms, key=order.key))) for a in leads) for b in gb
         )
         assert is_groebner_basis(gens, order) == divides
 
@@ -825,7 +861,7 @@ class TestIntegerCoefficients:
         p = Permutation.from_any(word)
         vs = VariableSet.matrix(p.size)
         order = antidiagonal_order(vs)
-        entries = Reducers([f for _, _, f in fulton_minors(p, vs)], order).entries
+        entries = Reducers([f for _, _, f in fulton_minors(p)], order).entries
         assert entries and all(type(c) is int for e in entries for c in [e[2], *dict(e[3]).values()])
         ex, remainders = order.exponents, 0
         for e, f in itertools.combinations(entries, 2):
@@ -891,7 +927,7 @@ class TestPairCriteria:
         for word in ["1432", "3412", "4231", "15432", "25314", "14253", "35142", "14352", "24153"]:
             p = Permutation.from_any(word)
             vs = VariableSet.matrix(p.size)
-            G = [f for _, _, f in fulton_minors(p, vs)]
+            G = [f for _, _, f in fulton_minors(p)]
             orders = [antidiagonal_order(vs)] + [lex_order(vs, rng.sample(range(len(vs)), len(vs))) for _ in range(4)]
             for order in orders:
                 verdict = is_groebner_basis(G, order)

@@ -56,6 +56,22 @@ class TestConjugationCheck:
         assert conjugation_check(w, iota)
 
 
+    def test_pairing_rule_matches_composition_at_2n6(self):
+        # jbar(w(i)) = w(iota(i)) against the words of w^-1 o jbar o w, for
+        # every w in S_6 and all 15 involutions
+        items = enumerate_fpf(3)
+        assert len(items) == 15
+        for word in itertools.permutations(range(1, 7)):
+            w = Permutation(word)
+            conjugate = w.inverse().compose(j_bar(3).compose(w)).word
+            for iota in items:
+                assert conjugation_check(w, iota) == (conjugate == iota.word)
+
+    def test_size_mismatch_refused(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            conjugation_check(Permutation.identity(6), fpf("4321"))
+
+
 class TestPairPermutations:
     def test_rainbow_2n4(self):
         result = pair_permutations(fpf("4321"))

@@ -62,6 +62,22 @@ def _ref_mul(a, b):
     return out
 
 
+def _ref_str(p):
+    """str(p) by the exponent-tuple sort that the packed-key sort replaced:
+    descending degree, then descending exponent tuple."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for mono, coeff in sorted(p.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0]))):
+        body = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(p.vs.names, mono) if e
+        )
+        mag = abs(coeff)
+        piece = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        parts.append(("-" if coeff < 0 else "+") + piece)
+    return "".join(parts).removeprefix("+")
+
+
 def term_dicts(nvars, max_terms=5):
     """Tuple-keyed term dicts with int and Fraction coefficients, no zeros;
     exponents are mostly small, some up to 2**29."""
@@ -255,6 +271,12 @@ class TestParsing:
         vs = VariableSet.matrix(2)
         p = data.draw(random_polynomials(vs))
         assert parse_polynomial(vs, str(p)) == p
+
+    @settings(max_examples=80, deadline=None)
+    @given(term_dicts(3, max_terms=8))
+    def test_str_matches_tuple_sort_reference(self, terms):
+        p = Polynomial(VariableSet.named("x", "y", "z"), terms)
+        assert str(p) == _ref_str(p)
 
     def test_str_deterministic(self, vs):
         p = parse_polynomial(vs, "m[2,2] + m[1,1] - m[1,2]*m[2,1]")

@@ -7,7 +7,7 @@ import pytest
 
 from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, Ideal, buchberger, initial_form, initial_ideal, normal_form
 from sporbits.involutions import FpfInvolution, enumerate_fpf, fpf_length, j_bar, opposite_leq
-from sporbits.orders import antidiagonal_order, grevlex_order, weight_refined_order
+from sporbits.orders import antidiagonal_order, grevlex_order, lex_order, weight_refined_order
 from sporbits import groebner, symplectic
 from sporbits.pairperms import PairPermutationSet, pair_permutations
 from sporbits.permutations import Permutation, length, rank_matrix
@@ -99,7 +99,7 @@ class TestBuildMjmt:
             ]
             for i in range(size)
         ]
-        got = build_mjmt(n, vs)
+        got = build_mjmt(n)
         assert got == expected
 
     def test_antisymmetric(self):
@@ -160,7 +160,7 @@ def _expanded_minor(vs, rows, cols):
 class TestFultonGenerators:
     def test_2143(self):
         vs = VariableSet.matrix(4)
-        gens = set(map(str, fulton_generators(perm("2143"), vs).generators))
+        gens = set(map(str, fulton_generators(perm("2143")).generators))
         m11 = "m[1,1]"
         nw3 = str(
             determinant(
@@ -170,8 +170,7 @@ class TestFultonGenerators:
         assert gens == {m11, nw3}
 
     def test_3124(self):
-        vs = VariableSet.matrix(3)
-        gens = set(map(str, fulton_generators(perm("3124"[:3]), vs).generators))
+        gens = set(map(str, fulton_generators(perm("3124"[:3])).generators))
         assert gens == {"m[1,1]", "m[1,2]"}
 
     def test_identity_is_zero_ideal(self):
@@ -197,16 +196,15 @@ class TestFultonGenerators:
     def test_fulton_minors_are_the_expanded_determinants(self, size):
         vs = VariableSet.matrix(size)
         for word in itertools.permutations(range(1, size + 1)):
-            for rows, cols, minor in fulton_minors(Permutation(word), vs):
+            for rows, cols, minor in fulton_minors(Permutation(word)):
                 assert minor == _expanded_minor(vs, rows, cols), (word, rows, cols)
 
     def test_vanishing_cuts_out_the_orbit_points(self):
         # numeric soundness: generators vanish on b * M_w exactly when w <= p
         # fails; here just check they vanish at M_p itself
         p = perm("2143")
-        vs = VariableSet.matrix(4)
         point = [x for row in permutation_matrix(p) for x in row]
-        for g in fulton_generators(p, vs).generators:
+        for g in fulton_generators(p).generators:
             assert g.evaluate(point) == 0
 
 
@@ -221,8 +219,8 @@ class TestUnionSchubertIdeal:
         a, b = perm("2143"), perm("1324")
         K = union_schubert_ideal([a, b])
         order = antidiagonal_order(K.vs)
-        gb_a = fulton_generators(a, K.vs).groebner_basis(order)
-        gb_b = fulton_generators(b, K.vs).groebner_basis(order)
+        gb_a = fulton_generators(a).groebner_basis(order)
+        gb_b = fulton_generators(b).groebner_basis(order)
         for g in K.generators:
             assert normal_form(g, gb_a, order).is_zero()
             assert normal_form(g, gb_b, order).is_zero()
@@ -234,39 +232,34 @@ class TestOrbitIdeal:
             assert orbit_ideal(j_bar(n)).is_zero()
 
     def test_4321(self):
-        vs = VariableSet.matrix(4)
-        A = build_mjmt(2, vs)
-        I = orbit_ideal(fpf("4321"), vs)
+        A = build_mjmt(2)
+        I = orbit_ideal(fpf("4321"))
         assert set(I.generators) == {A[0][1], A[0][2]}
 
     def test_4321_padded(self):
         iota = fpf("43216587")
-        vs = VariableSet.matrix(8)
-        A = build_mjmt(4, vs)
-        I = orbit_ideal(iota, vs)
+        A = build_mjmt(4)
+        I = orbit_ideal(iota)
         assert set(I.generators) == {A[0][1], A[0][2]}
 
     def test_216543(self):
-        vs = VariableSet.matrix(6)
-        A = build_mjmt(3, vs)
-        I = orbit_ideal(fpf("216543"), vs)
+        A = build_mjmt(3)
+        I = orbit_ideal(fpf("216543"))
         assert set(I.generators) == {
             pfaffian_of_indices(A, [1, 2, 3, 4]),
             pfaffian_of_indices(A, [1, 2, 3, 5]),
         }
 
     def test_351624(self):
-        vs = VariableSet.matrix(6)
-        A = build_mjmt(3, vs)
-        I = orbit_ideal(fpf("351624"), vs)
+        A = build_mjmt(3)
+        I = orbit_ideal(fpf("351624"))
         assert set(I.generators) == {A[0][1], pfaffian_of_indices(A, [1, 2, 3, 4])}
 
     def test_one_box_shape(self):
         # 21563487 has the single box (3,4) with rank 2: one pfaffian generator
         iota = fpf("21563487")
-        vs = VariableSet.matrix(8)
-        A = build_mjmt(4, vs)
-        I = orbit_ideal(iota, vs)
+        A = build_mjmt(4)
+        I = orbit_ideal(iota)
         assert I.generators == (pfaffian_of_indices(A, [1, 2, 3, 4]),)
 
     def test_rule_refuses_nothing_up_to_2n10(self):
@@ -287,7 +280,7 @@ class TestOrbitIdeal:
         T = range(1, q + 1)
         pf = symplectic._mjmt_pfaffian(vs, T, n)
         assert len(pf.terms) == pfaffian_terms(n, q)
-        assert pf == pfaffian_of_indices(build_mjmt(n, vs), T)
+        assert pf == pfaffian_of_indices(build_mjmt(n), T)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_minor_summation_is_the_pfaffian(self, n):
@@ -295,7 +288,7 @@ class TestOrbitIdeal:
         # pairs is the expanded pfaffian, no two minors share a term, and the
         # column weights single out S = {1..|T|}: in_w(pf(A_T)) = det M[T, 1..|T|]
         vs = VariableSet.matrix(2 * n)
-        A = build_mjmt(n, vs)
+        A = build_mjmt(n)
         weights = column_weights(vs)
         for q in range(2, 2 * n + 1, 2):
             for T in itertools.combinations(range(1, 2 * n + 1), q):
@@ -316,10 +309,9 @@ class TestOrbitIdeal:
         for name in ("build_mjmt", "pfaffian", "_expand"):
             monkeypatch.setattr(symplectic, name, refuse)
         monkeypatch.setattr(Polynomial, "__mul__", refuse)
-        vs = VariableSet.matrix(8)
-        I = orbit_ideal(iota, vs)
+        I = orbit_ideal(iota)
         monkeypatch.undo()
-        A = build_mjmt(4, vs)
+        A = build_mjmt(4)
         assert I.generators == tuple(pfaffian_of_indices(A, T) for T in orbit_pfaffian_indices(iota))
 
     @pytest.mark.parametrize(
@@ -343,9 +335,8 @@ class TestOrbitIdeal:
     def test_456123(self):
         # box (2,3) with rank 0: every 2 x 2 pfaffian on {1,2,3} that meets
         # {1,2}; index sets {1,2} u S alone would give pf{1,2} only
-        vs = VariableSet.matrix(6)
-        A = build_mjmt(3, vs)
-        I = orbit_ideal(fpf("456123"), vs)
+        A = build_mjmt(3)
+        I = orbit_ideal(fpf("456123"))
         assert I.generators == (A[0][1], A[0][2], A[1][2])
 
     def test_generators_vanish_on_random_orbit_points(self):
@@ -537,6 +528,27 @@ class TestVerifiers:
         assert exc.value.reason == "pair cap"
         assert exc.value.stats == {"pairs_processed": 0, "basis_size": 2}
 
+    def test_knutson_miller_unpacks_each_minor_term_once(self, monkeypatch):
+        # the lead check reads the prepared divisors, so every minor term is
+        # unpacked and keyed once, on its way into Reducers
+        p = perm("15432")
+        terms = sum(len(minor.terms) for *_, minor in fulton_minors(p))
+        calls = []
+        unpack = VariableSet.unpack
+
+        def counted(vs, key):
+            calls.append(key)
+            return unpack(vs, key)
+
+        monkeypatch.setattr(VariableSet, "unpack", counted)
+        assert verify_knutson_miller(p) is True
+        assert len(calls) == terms
+
+    def test_knutson_miller_refuses_a_lead_off_the_antidiagonal(self, monkeypatch):
+        # under lex in index order a 2x2 minor leads with its diagonal term
+        monkeypatch.setattr(symplectic, "antidiagonal_order", lex_order)
+        assert verify_knutson_miller(perm("2143")) is False
+
     def test_column_weights(self):
         vs = VariableSet.matrix(4)
         w = column_weights(vs)
@@ -579,12 +591,16 @@ class TestVerifiers:
         vs = VariableSet.matrix(iota.size)
         weights, tie = column_weights(vs), antidiagonal_order(vs)
         refined = weight_refined_order(vs, weights, tie)
-        sources = [orbit_ideal(iota, vs)]
+        sources = [orbit_ideal(iota)]
         if iota.size <= 6:
-            sources.append(union_schubert_ideal(pair_permutations(iota).perms, vs))
+            sources.append(union_schubert_ideal(pair_permutations(iota).perms))
         for source in sources:
             init = initial_ideal(source, weights, tie_break=tie)
             assert buchberger(list(init.generators), refined) == list(init.generators)
+            # each initial form is homogeneous in degree and weight, so the
+            # antidiagonal order picks its weight-refined lead (check ii)
+            for g in init.generators:
+                assert max(g.terms, key=refined.key) == max(g.terms, key=tie.key)
 
     def test_orbit_ideal_generators_are_homogeneous(self):
         words = [iota for n in (1, 2, 3, 4) for iota in enumerate_fpf(n)]
@@ -625,8 +641,8 @@ def two_sided(iota, perms):
     vs = VariableSet.matrix(iota.size)
     weights, tie = column_weights(vs), antidiagonal_order(vs)
     refined = weight_refined_order(vs, weights, tie)
-    L = initial_ideal(orbit_ideal(iota, vs), weights, tie_break=tie, budget=DEEP_BUDGET)
-    R = initial_ideal(union_schubert_ideal(perms, vs, DEEP_BUDGET), weights, tie_break=tie, budget=DEEP_BUDGET)
+    L = initial_ideal(orbit_ideal(iota), weights, tie_break=tie, budget=DEEP_BUDGET)
+    R = initial_ideal(union_schubert_ideal(perms, DEEP_BUDGET), weights, tie_break=tie, budget=DEEP_BUDGET)
     gl, gr = L.groebner_basis(refined, DEEP_BUDGET), R.groebner_basis(refined, DEEP_BUDGET)
     witnesses = [str(g) for g in gl if not normal_form(g, gr, refined).is_zero()]
     witnesses += [str(g) for g in gr if not normal_form(g, gl, refined).is_zero()]
@@ -699,7 +715,8 @@ class TestDegenerationCertificate:
     def test_a_lead_with_a_square_covers_no_antidiagonal(self, monkeypatch):
         # m[1,2] times 3412's one minor lies in J = I_1324, but its lead
         # m[1,2]^2*m[2,1] does not divide the antidiagonal m[1,2]*m[2,1]
-        def orbit_ideal(iota, vs):
+        def orbit_ideal(iota):
+            vs = VariableSet.matrix(iota.size)
             return Ideal(vs, [parse_polynomial(vs, "m[1,2]^2*m[2,1] - m[1,1]*m[1,2]*m[2,2]")])
 
         monkeypatch.setattr(symplectic, "orbit_ideal", orbit_ideal)
