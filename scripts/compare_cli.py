@@ -18,9 +18,12 @@ the Hasse diagram's bound; past the caps, `poset --n 6` (JSON and DOT),
 involutions with 2n <= 6 and on the 5 benchmark words at 2n = 8 (21436587
 21437856 21563487 34126587 43216587); `verify-km` on all of S4 and S5;
 `verify-km --pi 54321 --max-pairs K` at caps that stop the Groebner
-certificate before its first pair, inside it and at its last pair, so the
-verdicts and the `pairs_processed` of budget exits are compared too;
-`verify-all --n 3` and `verify-all --n 5 --samples 2`; `groebner --ideal` on
+certificate on its first pair, inside it and on its last pair, and at one
+it finishes within (a cap of K stops on pair K + 1, counted as Buchberger
+counts), so the verdicts and the `pairs_processed` of budget exits are
+compared too; `verify-all --n 3` and `verify-all --n 5 --samples 2`;
+`verify-all --n 1 --samples 1 --max-pairs 0`, whose degeneration rows run
+out of budget (null rows, exit 3, no failures); `groebner --ideal` on
 the ideal files of IDEALS, written to a temporary directory: two
 named-variable ideals under `lex` and `grevlex`, a `--max-pairs 2` and a
 `--max-degree 3` budget exit (the latter on a generator whose lex lead has
@@ -126,9 +129,10 @@ def commands(fixtures: str) -> list[list[str]]:
     ]
     for size in (4, 5):
         out += [["verify-km", "--pi", "".join(map(str, w))] for w in itertools.permutations(range(1, size + 1))]
-    # 54321 has 20 minors, so 190 pairs: budget exits before, inside and at the end
+    # 54321 has 20 minors, so 190 pairs: budget exits on the first, inside and on the last
     out += [["verify-km", "--pi", "54321", "--max-pairs", str(k)] for k in (0, 1, 17, 95, 189, 190)]
     out += [["verify-all", "--n", "3"], ["verify-all", "--n", "5", "--samples", "2"], ["verify-all", "--n", "7"]]
+    out += [["verify-all", "--n", "1", "--samples", "1", "--max-pairs", "0"]]
     for name, (_, flags) in IDEALS.items():
         out += [["groebner", "--ideal", os.path.join(fixtures, f"{name}.json"), *f] for f in flags]
     return out

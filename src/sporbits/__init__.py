@@ -11,7 +11,6 @@ only the tests' reference oracle `union_schubert_ideal` uses).
 
 from sporbits.permutations import (
     Permutation,
-    bruhat_covers,
     bruhat_leq,
     essential_boxes,
     length,
@@ -25,12 +24,10 @@ from sporbits.involutions import (
     construct_a_even,
     construct_a_odd,
     covers,
-    direct_sum,
     enumerate_fpf,
     fpf_length,
     glb,
     j_bar,
-    lower_covers,
     odd_rank_constraint_holds,
     opposite_leq,
     pair_statistics,

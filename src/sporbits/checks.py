@@ -1,7 +1,8 @@
 """The paper's small-rank results as checks, each written once.
 
 Each check returns `(ok, detail)`, where `detail` names the first involution
-that fails, or the budget that ran out, and is empty when the check holds.
+that fails, or the budget that ran out, and is empty when the check holds;
+`ok` is None, never False, when the budget ran out.
 `verify-all` runs every check of `PER_SIZE_CHECKS` on all involutions at
 each half-size up to its `--n`, which the enumeration bound holds to n <= 6
 (all 10,395 involutions at 2n = 12); the acceptance tests call them at
@@ -19,7 +20,7 @@ from sporbits.involutions import FpfInvolution
 from sporbits.pairperms import conjugation_check, pair_permutations
 from sporbits.permutations import length
 
-Result = tuple[bool, str]
+Result = tuple[bool | None, str]
 
 
 def _first_failure(
@@ -66,9 +67,9 @@ def pair_permutation_length(items: Sequence[FpfInvolution]) -> Result:
 
 def degeneration(iota: FpfInvolution, budget: GBBudget) -> Result:
     """The orbit closure of iota degenerates to the union of its pair
-    permutations' Schubert varieties within `budget`."""
+    permutations' Schubert varieties; None when `budget` runs out first."""
     report = symplectic.verify_degeneration(iota, budget)
-    return report.equal is True, report.budget_exhausted or ""
+    return report.equal, report.budget_exhausted or ""
 
 
 def classification_invariance(samples: int, rng: random.Random) -> Result:

@@ -201,7 +201,9 @@ def cmd_verify_degeneration(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    """Batch invariant suite at combinatorial scale plus the 2n=4 degenerations."""
+    """Batch invariant suite at combinatorial scale plus the 2n=4 degenerations.
+    Exit 1 when a check fails, else 3 when one ran out of budget (its row
+    reads null)."""
     # caps, counts and every size first, so a bad one fails before any check
     budget = _budget(args)
     for flag in ("n", "samples"):
@@ -217,9 +219,11 @@ def cmd_verify_all(args) -> int:
         checks.append([f"degeneration_{word}", *degeneration(FpfInvolution.from_any(word), budget)])
     rng = random.Random(args.seed)
     checks.append(["classification_invariance_2n=4", *classification_invariance(args.samples, rng)])
-    failures = [name for name, ok, _ in checks if not ok]
+    failures = [name for name, ok, _ in checks if ok is False]
     _emit(args, {"checks": checks, "failures": failures})
-    return EXIT_OK if not failures else EXIT_VERIFICATION_FAILED
+    if failures:
+        return EXIT_VERIFICATION_FAILED
+    return EXIT_BUDGET if any(ok is None for _, ok, _ in checks) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,11 +345,14 @@ def main(argv=None) -> int:
         _emit(args, {"budget_exhausted": exc.reason, "stats": exc.stats})
         return EXIT_BUDGET
     except MemoryError:
-        _emit(args, {"budget_exhausted": "memory", "stats": {}})
-        return EXIT_BUDGET
+        # emitted once the handler has ended: the traceback holds the failed
+        # call's frames, and writing the report could run out again
+        pass
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _emit(args, {"budget_exhausted": "memory", "stats": {}})
+    return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -14,9 +14,10 @@ heap-ordered (Monagan-Pearce, "Sparse polynomial division using a heap",
 Buchberger grows with the basis.  Every S-polynomial is built one way, from
 two prepared divisors' tails.
 
-Everything is deterministic: the pair queue is a heap under the normal
-selection strategy (lowest lcm degree first, ties by the term order, then by
-index), each pair entering it once, when it is created; reduced bases are
+Everything is deterministic: the pair queue, the one S-pair loop that
+Buchberger and the certificate share, is a heap under the normal selection
+strategy (lowest lcm degree first, ties by the term order, then by index),
+each pair entering it once, when it is created; reduced bases are
 sorted by leading monomial.  Budgets cap the number of S-pairs processed, the
 total degree of intermediate polynomials, and wall time; exceeding one raises
 BudgetExceeded carrying the partial statistics, never a silently truncated
@@ -26,14 +27,13 @@ answer.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from bisect import insort
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, weight_refined_order
 from sporbits.polynomials import Monomial, Polynomial, VariableSet
@@ -229,33 +229,75 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     return _unpack(_s_pair(ef, eg, lcm, order.guards), f.vs, order)
 
 
+def _check_budget(budget: GBBudget, stats: dict, start: float) -> None:
+    """Raise BudgetExceeded, carrying `stats`, once its pairs pass the pair
+    cap, its degree (where it keeps one) the degree cap, or the time since
+    `start` the time cap."""
+    if stats["pairs_processed"] > budget.max_pairs:
+        raise BudgetExceeded("pair cap", stats)
+    if stats.get("max_degree", 0) > budget.max_degree:
+        raise BudgetExceeded("degree cap", stats)
+    if time.monotonic() - start > budget.max_seconds:
+        raise BudgetExceeded("time cap", stats)
+
+
+def _pairs(
+    basis: list[Entry], order: TermOrder, budget: GBBudget, stats: dict, start: float
+) -> Iterator[tuple[Entry, Entry, int]]:
+    """The S-pairs of `basis` that neither of Buchberger's criteria skips
+    (EUROSAM 1979; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 2
+    Sec. 10), as (f, g, lcm of their leads).  A pair (i, j) enters a heap
+    once, when j arrives; the caller may append to `basis` between pairs.
+    Pairs leave lowest lcm degree first, ties by the term order, then by
+    index, each counted in stats["pairs_processed"] and followed by a budget
+    check.  Product: coprime leads, whose lcm is their product, the sum of
+    their keys.  Chain: a third lead k divides the lcm, and the pairs of k
+    with i and with j were already taken."""
+    guards = order.guards
+    leads: list[Monomial] = []
+    supports: list[int] = []
+    heap: list[tuple[int, int, int, int]] = []
+    done: set[tuple[int, int]] = set()
+    while True:
+        for j in range(len(leads), len(basis)):
+            leads.append(order.exponents(basis[j][1]))
+            supports.append(sum(1 << v for v, x in enumerate(leads[j]) if x))
+            for i in range(j):
+                if supports[i] & supports[j]:
+                    lcm = order.key(tuple(map(max, leads[i], leads[j])))
+                else:
+                    lcm = basis[i][1] + basis[j][1]
+                heapq.heappush(heap, (lcm & FIELD_MASK, lcm, i, j))
+        if not heap:
+            return
+        _, lcm, i, j = heapq.heappop(heap)
+        done.add((i, j))
+        stats["pairs_processed"] += 1
+        _check_budget(budget, stats, start)
+        if not supports[i] & supports[j] or any(
+            k not in (i, j) and not (lcm - basis[k][1]) & guards
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k in range(len(basis))
+        ):
+            continue
+        yield basis[i], basis[j], lcm
+
+
 def is_groebner_basis(G: Sequence[Polynomial] | Reducers, order: TermOrder, budget: GBBudget | None = None) -> bool:
     """Certificate that G is a Groebner basis, G given as polynomials or
-    prepared (see `_prepared`): each pair (i, j) of its divisors, taken in
-    combinations order over the divisor order (ascending degree, then lead),
-    is skipped by a criterion of Buchberger (EUROSAM 1979; Cox-Little-O'Shea,
-    Ideals, Varieties, and Algorithms, Ch. 2 Sec. 10) or its S-pair reduces to
-    zero against G.  Product: coprime leads.  Chain: a lead k < i divides
-    their lcm, so (k, i) and (k, j) came first.  The pair and time caps count
-    the pairs examined, skipped or not (BudgetExceeded)."""
+    prepared (see `_prepared`): every S-pair of its divisors that `_pairs`
+    yields reduces to zero against them.  The pairs index the divisor order
+    (ascending degree, then lead), not G's list order, and are taken as
+    Buchberger takes them, under the same pair and time caps
+    (BudgetExceeded)."""
     budget = budget or GBBudget()
     start = time.monotonic()
-    guards = order.guards
     entries = _prepared(G, order).entries
-    leads = [order.exponents(e[1]) for e in entries]
-    supports = [sum(1 << v for v, x in enumerate(m) if x) for m in leads]
-    for done, (i, j) in enumerate(itertools.combinations(range(len(entries)), 2)):
-        if done >= budget.max_pairs or time.monotonic() - start > budget.max_seconds:
-            reason = "pair cap" if done >= budget.max_pairs else "time cap"
-            raise BudgetExceeded(reason, {"pairs_processed": done, "basis_size": len(entries)})
-        if not supports[i] & supports[j]:
-            continue
-        lcm = order.key(tuple(map(max, leads[i], leads[j])))
-        if any(not (lcm - entries[k][1]) & guards for k in range(i)):
-            continue
-        if _reduce_terms(_s_pair(entries[i], entries[j], lcm, guards), entries, guards):
-            return False
-    return True
+    stats = {"pairs_processed": 0, "basis_size": len(entries)}
+    return not any(
+        _reduce_terms(_s_pair(f, g, lcm, order.guards), entries, order.guards)
+        for f, g, lcm in _pairs(entries, order, budget, stats, start)
+    )
 
 
 def buchberger(
@@ -266,9 +308,10 @@ def buchberger(
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Normal selection strategy plus both classical pair-elimination criteria
-    (coprime leading terms; the chain criterion).  The result is monic,
-    auto-reduced, and sorted by leading monomial, so it is unique for the
-    ideal and order.
+    (coprime leading terms; the chain criterion), as `_pairs` applies them;
+    each nonzero remainder joins the basis, after a second budget check.
+    The result is monic, auto-reduced, and sorted by leading monomial, so it
+    is unique for the ideal and order.
     """
     budget = budget or GBBudget()
     start = time.monotonic()
@@ -276,64 +319,25 @@ def buchberger(
 
     G = [g for g in generators if not g.is_zero()]
     reducers = Reducers((), order)
-    # the monic elements in the order they were found, and their leads
+    # the monic elements in the order they were found
     basis: list[Entry] = []
-    leads: list[Monomial] = []
 
     def add(terms: dict[int, Coeff]) -> None:
         lead_c = terms[max(terms)]
         basis.append(reducers.add({k: _div(c, lead_c) for k, c in terms.items()}))
-        leads.append(order.exponents(basis[-1][1]))
 
     packed = [_pack(g, order) for g in G]
     for terms in packed:
         add(terms)
-
-    # (lcm degree, lcm, i, j): pushed once, when the pair is created
-    pairs: list[tuple[int, int, int, int]] = []
-
-    def push(i: int, j: int) -> None:
-        lcm = order.key(tuple(map(max, leads[i], leads[j])))
-        heapq.heappush(pairs, (lcm & FIELD_MASK, lcm, i, j))
-
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        push(i, j)
-    done: set[tuple[int, int]] = set()
     stats = {"pairs_processed": 0, "basis_size": len(G), "max_degree": max((k & FIELD_MASK for terms in packed for k in terms), default=0)}
 
-    def check_budget():
-        if stats["pairs_processed"] > budget.max_pairs:
-            raise BudgetExceeded("pair cap", stats)
-        if stats["max_degree"] > budget.max_degree:
-            raise BudgetExceeded("degree cap", stats)
-        if time.monotonic() - start > budget.max_seconds:
-            raise BudgetExceeded("time cap", stats)
-
-    def chain(i: int, j: int, lcm: int) -> bool:
-        return any(
-            k not in (i, j) and not (lcm - basis[k][1]) & guards
-            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-            for k in range(len(basis))
-        )
-
-    while pairs:
-        _, lcm, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        stats["pairs_processed"] += 1
-        check_budget()
-        # coprime leads: the lcm is their product
-        if lcm == basis[i][1] + basis[j][1] or chain(i, j, lcm):
-            continue
-        h = _reduce_terms(_s_pair(basis[i], basis[j], lcm, guards), reducers.entries, guards)
-        if not h:
-            continue
-        stats["max_degree"] = max(stats["max_degree"], max(k & FIELD_MASK for k in h))
-        check_budget()
-        add(h)
-        new = len(basis) - 1
-        stats["basis_size"] = len(basis)
-        for k in range(new):
-            push(k, new)
+    for f, g, lcm in _pairs(basis, order, budget, stats, start):
+        h = _reduce_terms(_s_pair(f, g, lcm, guards), reducers.entries, guards)
+        if h:
+            stats["max_degree"] = max(stats["max_degree"], max(k & FIELD_MASK for k in h))
+            _check_budget(budget, stats, start)
+            add(h)
+            stats["basis_size"] = len(basis)
 
     return _reduce_basis(reducers, G[0].vs) if G else []
 

@@ -94,15 +94,6 @@ def j_bar(n: int) -> FpfInvolution:
     return FpfInvolution(tuple(word))
 
 
-def direct_sum(a: FpfInvolution, b: FpfInvolution, *rest: FpfInvolution) -> FpfInvolution:
-    """Place wiring diagrams side by side (b shifted past a, and so on)."""
-    word = list(a.word)
-    for nxt in (b, *rest):
-        shift = len(word)
-        word.extend(v + shift for v in nxt.word)
-    return FpfInvolution(tuple(word))
-
-
 def pair_statistics(iota: FpfInvolution) -> PairStatistics:
     """Classify every pair of arcs as crossing, nesting, or disjoint.
 
@@ -150,11 +141,6 @@ def covers(iota: FpfInvolution, kappa: FpfInvolution) -> bool:
     if iota.size != kappa.size:
         raise ValueError("size mismatch")
     return kappa in _switch_neighbors(iota, -2)
-
-
-def lower_covers(iota: FpfInvolution) -> frozenset[FpfInvolution]:
-    """All elements covered by iota (one switch, two units longer)."""
-    return _switch_neighbors(iota, +2)
 
 
 def upper_covers(iota: FpfInvolution) -> frozenset[FpfInvolution]:

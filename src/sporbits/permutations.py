@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -70,18 +69,6 @@ class Permutation:
         for i, v in enumerate(self.word):
             inv[v - 1] = i + 1
         return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Function composition self o other: i -> self(other(i))."""
-        if len(self.word) != len(other.word):
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.word[v - 1] for v in other.word))
-
-    def transpose_values(self, i: int, j: int) -> "Permutation":
-        """Right multiply by t_ij (swap the entries in positions i and j)."""
-        w = list(self.word)
-        w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-        return Permutation(tuple(w))
 
     def to_json(self) -> list[int]:
         return list(self.word)
@@ -157,21 +144,3 @@ def bruhat_leq(p: Permutation, q: Permutation) -> bool:
     rp, rq = rank_matrix(p), rank_matrix(q)
     return all(rp[i][j] >= rq[i][j] for i in range(p.size) for j in range(p.size))
 
-
-def bruhat_covers(p: Permutation, q: Permutation) -> bool:
-    """True when q covers p: q = p * t_ij with length(q) = length(p) + 1."""
-    if p.size != q.size:
-        raise ValueError("size mismatch")
-    diff = [k for k in range(p.size) if p.word[k] != q.word[k]]
-    if len(diff) != 2:
-        return False
-    i, j = diff
-    if p.word[i] != q.word[j] or p.word[j] != q.word[i]:
-        return False
-    return length(q) == length(p) + 1
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic word order."""
-    for w in itertools.permutations(range(1, n + 1)):
-        yield Permutation(w)

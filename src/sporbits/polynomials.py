@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import struct
-from collections.abc import ItemsView, Iterable, Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -177,18 +177,10 @@ class Polynomial:
             raise ValueError(f"no variable {idx} among {len(vs)}")
         return Polynomial._of(vs, {1 << FIELD_BITS * (len(vs) - 1 - idx): 1})
 
-    @staticmethod
-    def matrix_entry(vs: VariableSet, i: int, j: int) -> "Polynomial":
-        return Polynomial.variable(vs, vs.matrix_var(i, j))
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._packed
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -270,18 +262,6 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = _exact(c)
         return Polynomial._of(self.vs, {k: c * v for k, v in self._packed.items()} if c else {})
-
-    def evaluate(self, values: Iterable) -> Fraction:
-        """Exact evaluation: one rational value per variable, in index order."""
-        vals = [_exact(v) for v in values]
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            prod = coeff
-            for idx, e in enumerate(mono):
-                if e:
-                    prod *= vals[idx] ** e
-            total += prod
-        return total
 
     # -- text format ---------------------------------------------------------
 

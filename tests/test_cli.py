@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -216,6 +217,9 @@ class TestContract:
         assert "Traceback" not in captured.err
         assert code != EXIT_VERIFICATION_FAILED or argv[0] in ("verify-km", "verify-degeneration", "verify-all")
         assert code != EXIT_USAGE or captured.out == ""
+        # exit 1 means a verifier said no, never that a budget ran out
+        if argv[0] == "verify-all" and code == EXIT_VERIFICATION_FAILED:
+            assert json.loads(captured.out)["failures"]
 
 
 class TestGroebner:
@@ -354,6 +358,24 @@ class TestOrbitIdealAndClassify:
         assert captured.out == '{\n  "budget_exhausted": "memory",\n  "stats": {}\n}\n'
         assert captured.err == ""
 
+    def test_out_of_memory_while_writing_the_report(self, capsys, monkeypatch):
+        # the report is written after the handler ends: within it, the
+        # traceback's frames still hold the failed call's memory
+        def exhaust(iota):
+            raise MemoryError
+
+        dumps = json.dumps
+
+        def dumps_out_of_memory_while_handling(*args, **kwargs):
+            if sys.exc_info()[0] is not None:
+                raise MemoryError
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "orbit_ideal", exhaust)
+        monkeypatch.setattr(json, "dumps", dumps_out_of_memory_while_handling)
+        assert main(["orbit-ideal", "--iota", "2143"]) == EXIT_BUDGET
+        assert capsys.readouterr().out == '{\n  "budget_exhausted": "memory",\n  "stats": {}\n}\n'
+
     def test_out_of_memory_in_text_format(self, capsys, monkeypatch):
         # written like a budget exit, in the format asked for
         def exhaust(iota):
@@ -486,6 +508,15 @@ class TestVerifiers:
         names = [row[0] for row in blob["checks"]]
         assert "length_formula_2n=4" in names
         assert "degeneration_4321" in names
+
+    def test_verify_all_budget_row_is_no_failure(self, capsys):
+        # running out of budget is null and exit 3, never a failed check
+        code, blob = run_json(capsys, "verify-all", "--n", "1", "--samples", "1", "--max-pairs", "0")
+        assert code == EXIT_BUDGET
+        assert blob["failures"] == []
+        rows = {name: (ok, detail) for name, ok, detail in blob["checks"]}
+        assert rows["degeneration_4321"][0] is None
+        assert rows["degeneration_4321"][1].startswith("pair cap: ")
 
     def test_verify_all_every_check_at_every_size(self, capsys):
         code, blob = run_json(capsys, "verify-all", "--n", "5", "--samples", "2")

@@ -317,12 +317,13 @@ class TestNormalForm:
 
     def test_certificate_budget(self, xy):
         gens = buchberger([poly(xy, "x^3 - y"), poly(xy, "x*y^2 - 1")], grevlex_order(xy))
-        # basis_size counts the prepared divisors, so a zero adds none
+        # basis_size counts the prepared divisors, so a zero adds none; as in
+        # buchberger, the pair that passes the cap is counted
         for G in (gens, gens + [poly(xy, "0")]):
             with pytest.raises(BudgetExceeded) as exc:
                 is_groebner_basis(G, grevlex_order(xy), GBBudget(max_pairs=1))
             assert exc.value.reason == "pair cap"
-            assert exc.value.stats == {"pairs_processed": 1, "basis_size": len(gens)}
+            assert exc.value.stats == {"pairs_processed": 2, "basis_size": len(gens)}
 
 
     def test_certificate_takes_prepared_divisors(self, xy):
@@ -336,9 +337,10 @@ class TestNormalForm:
             with pytest.raises(ValueError, match="another term order"):
                 check(Reducers(gb, order), grevlex_order(xy))
 
-    def test_certificate_pairs_in_divisor_order(self, monkeypatch):
-        # pairs are taken over the divisors in ascending (degree, lead), so
-        # the list order of G does not matter
+    def test_certificate_takes_buchbergers_pairs(self, monkeypatch):
+        # on a reduced basis the certificate and buchberger reduce the same
+        # S-pairs in the same order, and the certificate's pairs index the
+        # divisor order, so the list order of G does not matter
         from sporbits import groebner
 
         pairs = []
@@ -348,15 +350,16 @@ class TestNormalForm:
             pairs.append((f[0], g[0]))
             return s_pair(f, g, lcm, guards)
 
-        monkeypatch.setattr(groebner, "_s_pair", spy)
         gens, order = _pair_trace_case("xyz-grevlex")
         gb = buchberger(gens, order)
+        monkeypatch.setattr(groebner, "_s_pair", spy)
         seen = []
-        for G in (gb, gb[::-1]):
+        checks = [lambda: buchberger(gb, order) == gb] + [lambda G=G: is_groebner_basis(G, order) for G in (gb, gb[::-1])]
+        for check in checks:
             pairs.clear()
-            assert is_groebner_basis(G, order)
+            assert check()
             seen.append(list(pairs))
-        assert len(seen[0]) > 1 and seen[0] == seen[1] == sorted(seen[0])
+        assert len(seen[0]) > 1 and seen[0] == seen[1] == seen[2]
 
 
 class TestBuchberger:

@@ -63,7 +63,7 @@ class TestConjugationCheck:
         assert len(items) == 15
         for word in itertools.permutations(range(1, 7)):
             w = Permutation(word)
-            conjugate = w.inverse().compose(j_bar(3).compose(w)).word
+            conjugate = tuple(w.inverse()(j_bar(3)(w(i))) for i in range(1, 7))
             for iota in items:
                 assert conjugation_check(w, iota) == (conjugate == iota.word)
 

@@ -7,6 +7,16 @@ from hypothesis import strategies as st
 from sporbits.polynomials import MAX_EXPONENT, Polynomial, VariableSet, parse_polynomial
 
 
+def evaluate(f, values):
+    """f at a point, exactly: one rational value per variable, in index order."""
+    total = Fraction(0)
+    for mono, coeff in f.terms.items():
+        for value, e in zip(values, mono):
+            coeff *= Fraction(value) ** e
+        total += coeff
+    return total
+
+
 @pytest.fixture
 def vs():
     return VariableSet.matrix(2)
@@ -112,8 +122,6 @@ class TestVariableSet:
     @pytest.mark.parametrize("i, j", [(1, 3), (3, 1), (0, 1), (1, 0), (-1, 2), (3, 3)])
     def test_matrix_entry_out_of_range(self, vs, i, j):
         with pytest.raises(ValueError):
-            Polynomial.matrix_entry(vs, i, j)
-        with pytest.raises(ValueError):
             vs.matrix_var(i, j)
 
     def test_duplicate_names_rejected(self):
@@ -169,8 +177,8 @@ class TestArithmetic:
             data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3)),
             data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3)),
         ]
-        assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
-        assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+        assert evaluate(a * b, point) == evaluate(a, point) * evaluate(b, point)
+        assert evaluate(a + b, point) == evaluate(a, point) + evaluate(b, point)
 
 
 class TestPackedAgainstTupleReference:
@@ -282,9 +290,3 @@ class TestParsing:
         p = parse_polynomial(vs, "m[2,2] + m[1,1] - m[1,2]*m[2,1]")
         assert str(p) == str(parse_polynomial(vs, str(p)))
 
-
-class TestHomogeneity:
-    def test_examples(self, vs):
-        assert parse_polynomial(vs, "m[1,1]*m[2,2] - m[1,2]*m[2,1]").is_homogeneous()
-        assert not parse_polynomial(vs, "m[1,1] + 1").is_homogeneous()
-        assert Polynomial.zero(vs).is_homogeneous()
