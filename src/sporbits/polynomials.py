@@ -4,7 +4,12 @@ A polynomial is a dict from packed monomials to coefficients.  A monomial
 packs into one int: one FIELD_BITS-wide big-endian field per variable, in
 VariableSet index order, whose top bit is a guard.  So exponents run up to
 MAX_EXPONENT, multiplying two monomials is one int addition, and a product
-whose exponent overflows sets a guard bit and raises ValueError.
+whose exponent overflows sets a guard bit and raises ValueError.  Overflow
+is checked on the operands first: when no field of the OR of their keys
+reaches 2**30, no sum can reach the guard bit, and only otherwise are the
+product's keys scanned.  `p * p` is a square: it multiplies each unordered
+pair of terms once, the diagonal c_i**2 and the doubled 2 c_i c_j for
+i < j, about half the products of the general loop.
 Coefficients are ints when integral and Fractions otherwise, and zero
 coefficients are never stored, so equal polynomials compare equal
 structurally.  `Polynomial.terms` shows the same terms as a read-only
@@ -19,6 +24,8 @@ import struct
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 Monomial = tuple[int, ...]
 FIELD_BITS = 32
@@ -101,7 +108,12 @@ def _fraction(c: int | Fraction) -> Fraction:
 
 class Terms(Mapping):
     """Read-only view of a polynomial's terms: exponent tuple -> Fraction,
-    in insertion order, unpacked lazily."""
+    in insertion order, unpacked lazily.
+
+    A square `p * p` inserts its keys in the order `p * q` does for an equal
+    copy q, except where a partial sum cancels to zero: the two loops add
+    the same products in different groupings, so a key may be deleted and
+    inserted again at another point.  The terms themselves are equal."""
 
     __slots__ = ("_vs", "_packed")
 
@@ -228,21 +240,51 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
+        if other is self:
+            out = self._square()
+        else:
+            out = {}
+            get = out.get
+            right = other._packed.items()
+            for k1, c1 in self._packed.items():
+                for k2, c2 in right:
+                    key = k1 + k2
+                    c = get(key, 0) + c1 * c2
+                    if c:
+                        out[key] = c
+                    else:
+                        del out[key]
+        guards = self.vs.guards
+        # a sum of two fields below 2**30 stays below the guard bit at 2**31
+        fields = reduce(or_, self._packed, 0) | reduce(or_, other._packed, 0)
+        if fields & (guards >> 1) and any(key & guards for key in out):
+            raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
+        return Polynomial._of(self.vs, out)
+
+    def _square(self) -> dict[int, int | Fraction]:
+        """The terms of self * self, from each unordered pair of terms once:
+        the diagonal c_i^2 x^(2 k_i), then 2 c_i c_j x^(k_i + k_j) for j > i.
+        Pairs come in the order in which the general product first meets
+        their keys."""
         out: dict[int, int | Fraction] = {}
         get = out.get
-        right = other._packed.items()
-        for k1, c1 in self._packed.items():
-            for k2, c2 in right:
+        items = list(self._packed.items())
+        for i, (k1, c1) in enumerate(items):
+            key = k1 + k1
+            c = get(key, 0) + c1 * c1
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+            twice = c1 + c1
+            for k2, c2 in items[i + 1 :]:
                 key = k1 + k2
-                c = get(key, 0) + c1 * c2
+                c = get(key, 0) + twice * c2
                 if c:
                     out[key] = c
                 else:
                     del out[key]
-        guards = self.vs.guards
-        if any(key & guards for key in out):
-            raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
-        return Polynomial._of(self.vs, out)
+        return out
 
     __rmul__ = __mul__
 

@@ -107,7 +107,7 @@ def _expand(A: Sequence[Sequence], by_pairs: bool) -> object:
             if _is_zero(entry):
                 continue
             sub = expand(rest[:pos] + rest[pos + 1 :])
-            term = entry * sub if pos % 2 == 0 else -(entry * sub)
+            term = entry * sub if pos % 2 == 0 else (-entry) * sub
             total = term if total is None else total + term
         if total is None:
             total = _zero_like(A)

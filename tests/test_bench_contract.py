@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 from sporbits.involutions import FpfInvolution
+from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
 #: per-layer metrics that bench/run.py computes itself, not through the tracer
@@ -42,3 +43,22 @@ def test_every_per_layer_metric_resolves():
 
 def test_workloads_call_permutation():
     assert callable(getattr(FpfInvolution, "permutation", None))
+
+
+def test_square_is_traced_as_a_product():
+    """Squaring runs inside Polynomial.__mul__, so the polynomials.mul span and
+    its terms_out counter cover p * p and the squares inside p ** k."""
+    assert Polynomial.__rmul__ is Polynomial.__mul__
+    p = parse_polynomial(VariableSet.named("x", "y"), "x + 2*y - 1/2")
+    tracer = _load_tracer().Tracer(time.process_time)
+    tracer.install()
+    try:
+        square = p * p
+        assert tracer.value("polynomials.mul.calls") == 1
+        assert tracer.value("polynomials.mul.terms_out") == len(square.terms) == 6
+        # p ** 2 squares the base, then multiplies the constant 1 by it
+        assert p**2 == square
+        assert tracer.value("polynomials.mul.calls") == 3
+        assert tracer.value("polynomials.mul.terms_out") == 3 * len(square.terms)
+    finally:
+        tracer.uninstall()

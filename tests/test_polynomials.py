@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sporbits.polynomials import MAX_EXPONENT, Polynomial, VariableSet, parse_polynomial
@@ -93,6 +93,17 @@ def term_dicts(nvars, max_terms=5):
     exponents are mostly small, some up to 2**29."""
     coeff = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
     expo = st.integers(0, 3) | st.integers(0, 1 << 29)
+    mono = st.tuples(*[expo] * nvars)
+    return st.dictionaries(mono, coeff, max_size=max_terms).map(
+        lambda d: {m: c for m, c in d.items() if c}
+    )
+
+
+def near_guard_dicts(nvars, max_terms=5):
+    """Tuple-keyed term dicts whose exponents are small or within 3 of 2**30,
+    so a product's exponents can cross 2**31 or stop just below it."""
+    coeff = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    expo = st.integers(0, 3) | st.integers((1 << 30) - 3, (1 << 30) + 3)
     mono = st.tuples(*[expo] * nvars)
     return st.dictionaries(mono, coeff, max_size=max_terms).map(
         lambda d: {m: c for m, c in d.items() if c}
@@ -217,6 +228,35 @@ class TestPackedAgainstTupleReference:
         assert (0, 0) in p.terms and (1, 0) not in p.terms and (1,) not in p.terms
         with pytest.raises(KeyError):
             p.terms[(1,)]
+
+
+class TestSquare:
+    """p * p takes each unordered pair of terms once; p times a distinct copy
+    of itself takes the general path.  Both must give the same polynomial."""
+
+    XYZ = VariableSet.named("x", "y", "z")
+
+    @settings(max_examples=80, deadline=None)
+    @given(term_dicts(3, max_terms=8) | near_guard_dicts(3))
+    @example({})
+    @example({(0, 0, 0): 3})
+    @example({(0, 0, 0): Fraction(-1, 2)})
+    @example({(1 << 30, 0, 0): 1})
+    def test_square_matches_general_product(self, a):
+        p = Polynomial(self.XYZ, a)
+        copy = Polynomial._of(p.vs, dict(p._packed))
+        assert copy is not p
+        ref = _ref_mul(a, a)
+        if any(e > MAX_EXPONENT for mono in ref for e in mono):
+            for other in (p, copy):
+                with pytest.raises(ValueError):
+                    p * other
+            return
+        square, general = p * p, p * copy
+        assert square == general and hash(square) == hash(general)
+        assert str(square) == str(general)
+        assert square.terms == ref
+        assert p**2 == square
 
 
 class TestMonomialChecks:
