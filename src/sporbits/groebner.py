@@ -5,10 +5,14 @@ eliminating an auxiliary variable it adds and drops itself.
 
 Inside the kernel a term is its packed order key (orders.TermOrder), packed
 once on entry and unpacked once on exit: a monomial product is one addition,
-a divisibility test one AND.  Coefficients are ints when integral and
-Fractions otherwise, as in Polynomial: every quotient goes through `_div`,
-which keeps an int over a ±1 lead, so the ±1 Fulton minors and the monic
-bases Buchberger builds from integer input stay in small ints.  Division is
+a divisibility test one AND.  On exit the order's slots are read with one
+struct call and the polynomial key written with another; callers that hold
+terms keyed already (the Fulton minors, keyed from the order's per-variable
+`units`) pass them in as dicts and skip the entry packing.  Coefficients
+are ints when integral and Fractions otherwise, as in Polynomial: every
+quotient goes through `_div`, which keeps an int over a ±1 lead, so the ±1
+Fulton minors and the monic bases Buchberger builds from integer input stay
+in small ints.  Division is
 heap-ordered (Monagan-Pearce, "Sparse polynomial division using a heap",
 2011), against a divisor set prepared once per basis (`Reducers`) that
 Buchberger grows with the basis.  Every S-polynomial is built one way, from
@@ -109,7 +113,9 @@ def _pack(f: Polynomial, order: TermOrder) -> dict[int, Coeff]:
 
 
 def _unpack(terms: dict[int, Coeff], vs: VariableSet, order: TermOrder) -> Polynomial:
-    return Polynomial._of(vs, {vs.pack(order.exponents(k)): c for k, c in terms.items()})
+    # every exponent is at most FIELD_MASK, far inside a polynomial field
+    pack, exponents = vs.packer.pack, order.exponents
+    return Polynomial._of(vs, {int.from_bytes(pack(*exponents(k)), "big"): c for k, c in terms.items()})
 
 
 def _div(a: Coeff, b: Coeff) -> Coeff:
@@ -129,7 +135,7 @@ class Reducers:
     `add` keeps that order, so a set grown one divisor at a time equals one
     prepared from the whole list at once."""
 
-    def __init__(self, G: Sequence[Polynomial], order: TermOrder):
+    def __init__(self, G: Sequence[Polynomial | dict[int, Coeff]], order: TermOrder):
         self.order = order
         self.entries: list[Entry] = []
         for g in G:
@@ -214,11 +220,16 @@ def _reduce_terms(work: dict[int, Coeff], reducers: list[Entry], guards: int) ->
     return out
 
 
-def normal_form(f: Polynomial, G: Sequence[Polynomial] | Reducers, order: TermOrder) -> Polynomial:
+def normal_form(
+    f: Polynomial | dict[int, Coeff], G: Sequence[Polynomial] | Reducers, order: TermOrder
+) -> Polynomial:
     """Remainder of f under multivariate division by G: no monomial of the
     result is divisible by any leading monomial of G, and f - result lies in
-    the ideal generated by G.  G may be given prepared (see `_prepared`)."""
-    return _unpack(_reduce_terms(_pack(f, order), _prepared(G, order).entries, order.guards), f.vs, order)
+    the ideal generated by G.  f may be given as a packed term dict under
+    `order`, left as it is (the result is then over order.vs), and G
+    prepared (see `_prepared`)."""
+    vs, terms = (order.vs, dict(f)) if isinstance(f, dict) else (f.vs, _pack(f, order))
+    return _unpack(_reduce_terms(terms, _prepared(G, order).entries, order.guards), vs, order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
@@ -252,16 +263,18 @@ def _pairs(
     index, each counted in stats["pairs_processed"] and followed by a budget
     check.  Product: coprime leads, whose lcm is their product, the sum of
     their keys.  Chain: a third lead k divides the lcm, and the pairs of k
-    with i and with j were already taken."""
+    with i and with j were already taken; bit k of done[i] is set once the
+    pair of i and k is, so the candidates k are the bits of done[i] & done[j]."""
     guards = order.guards
     leads: list[Monomial] = []
     supports: list[int] = []
     heap: list[tuple[int, int, int, int]] = []
-    done: set[tuple[int, int]] = set()
+    done: list[int] = []
     while True:
         for j in range(len(leads), len(basis)):
             leads.append(order.exponents(basis[j][1]))
             supports.append(sum(1 << v for v, x in enumerate(leads[j]) if x))
+            done.append(0)
             for i in range(j):
                 if supports[i] & supports[j]:
                     lcm = order.key(tuple(map(max, leads[i], leads[j])))
@@ -271,16 +284,23 @@ def _pairs(
         if not heap:
             return
         _, lcm, i, j = heapq.heappop(heap)
-        done.add((i, j))
+        done[i] |= 1 << j
+        done[j] |= 1 << i
         stats["pairs_processed"] += 1
         _check_budget(budget, stats, start)
         if not supports[i] & supports[j] or any(
-            k not in (i, j) and not (lcm - basis[k][1]) & guards
-            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-            for k in range(len(basis))
+            not (lcm - basis[k][1]) & guards for k in _bits(done[i] & done[j])
         ):
             continue
         yield basis[i], basis[j], lcm
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def is_groebner_basis(G: Sequence[Polynomial] | Reducers, order: TermOrder, budget: GBBudget | None = None) -> bool:

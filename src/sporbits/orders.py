@@ -28,15 +28,17 @@ ideals are taken.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from sporbits.polynomials import Monomial, VariableSet
 
-#: width of one key field, and its largest value
-FIELD_BITS = 16
+#: width of one key field, and its largest value; each field sits under a
+#: guard bit in a 16-bit slot, so a key is a run of big-endian unsigned shorts
+FIELD_BITS = 15
 FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
@@ -49,12 +51,15 @@ class TermOrder:
 
     Key contract (Monagan-Pearce, "POLY: a new polynomial data structure for
     Maple 17", 2013): `key(m)` is one int of FIELD_BITS-wide fields, each
-    under a guard bit (`guards`), most significant first: the dot products of
-    m with the weight rows, the exponents of m in `ranking` order, and its
-    degree `key(m) & FIELD_MASK`.  So keys compare as the matrix order does,
-    key(a) + key(b) == key(a + b), a divides b exactly when (key(b) - key(a))
-    & guards == 0, exponents(key(m)) == m, and a monomial whose fields
-    overflow raises ValueError.  A given key must keep that contract."""
+    under a guard bit (`guards`) in a 16-bit slot, most significant first:
+    the dot products of m with the weight rows, the exponents of m in
+    `ranking` order, and its degree `key(m) & FIELD_MASK`.  So keys compare
+    as the matrix order does, key(a) + key(b) == key(a + b), a divides b
+    exactly when (key(b) - key(a)) & guards == 0, exponents(key(m)) == m,
+    and a monomial whose fields overflow raises ValueError.  `units[v]` is
+    the key of variable v alone, and key(m) is the sum of m[v] * units[v]
+    (checked for overflow first); `exponents` reads a key's slots back with
+    one struct call.  A given key must keep that contract."""
 
     vs: VariableSet
     weights: tuple[tuple[int, ...], ...]
@@ -63,6 +68,7 @@ class TermOrder:
     key: Callable[[Monomial], int] | None = field(default=None, compare=False, repr=False)
     exponents: Callable[[int], Monomial] = field(init=False, compare=False, repr=False)
     guards: int = field(init=False, compare=False, repr=False)
+    units: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows, rank, n = self.weights, self.ranking, len(self.vs)
@@ -73,19 +79,26 @@ class TermOrder:
         if any(x < 0 for row in rows for x in row):
             raise ValueError("weight rows must be non-negative")
         slot, fields = FIELD_BITS + 1, len(rows) + n + 1
-        # per variable: its exponent shift, and its key (packed matrix column + degree 1)
-        shifts = [slot * (n - rank.index(v)) for v in range(n)]
+        # per variable: its slot, and its key (packed matrix column + degree 1)
+        slots = [len(rows) + rank.index(v) for v in range(n)]
         row_shifts = [slot * (fields - 1 - r) for r in range(len(rows))]
-        cols = [sum(row[v] << h for row, h in zip(rows, row_shifts)) + (1 << s) + 1 for v, s in enumerate(shifts)]
+        units = tuple(
+            sum(row[v] << h for row, h in zip(rows, row_shifts)) + (1 << slot * (fields - 1 - s)) + 1
+            for v, s in enumerate(slots)
+        )
         cap = FIELD_MASK // max([1, *(x for row in rows for x in row)])  # fields fit up to this degree
 
         def key(m: Monomial) -> int:
             if sum(m) > cap and max([sum(m), *(sum(map(mul, row, m)) for row in rows)]) > FIELD_MASK:
                 raise ValueError(f"monomial {m} overflows the {FIELD_BITS}-bit key fields")
-            return sum(map(mul, compress(m, m), compress(cols, m)))  # nonzero exponents only
+            return sum(map(mul, compress(m, m), compress(units, m)))  # nonzero exponents only
 
-        object.__setattr__(self, "exponents", lambda k: tuple([k >> s & FIELD_MASK for s in shifts]))
+        # the exponent slots in variable order, and the degree slot, which
+        # keeps the getter's result a tuple when there is one variable
+        unpack, pick, size = struct.Struct(f">{fields}H").unpack, itemgetter(*slots, fields - 1), 2 * fields
+        object.__setattr__(self, "exponents", lambda k: pick(unpack(k.to_bytes(size, "big")))[:-1])
         object.__setattr__(self, "guards", sum(1 << slot * f + FIELD_BITS for f in range(fields)))
+        object.__setattr__(self, "units", units)
         if self.key is None:
             object.__setattr__(self, "key", key)
 

@@ -37,7 +37,8 @@ class VariableSet:
     """An ordered list of variable names with a deterministic global index.
 
     Matrix variables are laid out row-major as m[1,1] ... m[N,N]; a set with
-    a matrix_size may list further names after them.
+    a matrix_size may list further names after them.  `units[v]` is the
+    packed key of variable v alone.
     """
 
     names: tuple[str, ...]
@@ -45,6 +46,7 @@ class VariableSet:
     index: dict = field(init=False, repr=False, compare=False, hash=False)
     packer: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
     guards: int = field(init=False, repr=False, compare=False, hash=False)
+    units: tuple[int, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -54,6 +56,8 @@ class VariableSet:
         object.__setattr__(self, "packer", packer)
         guards = packer.pack(*[MAX_EXPONENT + 1] * len(self.names))
         object.__setattr__(self, "guards", int.from_bytes(guards, "big"))
+        n = len(self.names)
+        object.__setattr__(self, "units", tuple(1 << FIELD_BITS * (n - 1 - v) for v in range(n)))
 
     @staticmethod
     def matrix(n: int) -> "VariableSet":
@@ -187,7 +191,7 @@ class Polynomial:
         )
         if not 0 <= idx < len(vs):
             raise ValueError(f"no variable {idx} among {len(vs)}")
-        return Polynomial._of(vs, {1 << FIELD_BITS * (len(vs) - 1 - idx): 1})
+        return Polynomial._of(vs, {vs.units[idx]: 1})
 
     # -- structure ----------------------------------------------------------
 
@@ -289,16 +293,21 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        """By repeated squaring, starting from the base's power at the
+        lowest set bit of k, so p ** 2 is one square."""
         if k < 0:
             raise ValueError("negative power")
-        out = Polynomial.constant(self.vs, 1)
+        if not k:
+            return Polynomial.constant(self.vs, 1)
         base = self
-        while k:
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base
+        while k := k >> 1:
+            base = base * base
             if k & 1:
                 out = out * base
-            k >>= 1
-            if k:
-                base = base * base
         return out
 
     def scale(self, c) -> "Polynomial":

@@ -7,6 +7,10 @@ verifiers (Knutson-Miller and the orbit degeneration).
 A pfaffian of MJM^T is a sum of minors of M with disjoint terms
 (`_mjmt_pfaffian`), so one Leibniz writer, `_minor`, writes every generic
 minor and pfaffian; `pfaffian` and `determinant` expand general matrices.
+The writer keys each term as the sum of per-variable keys over its cells:
+the polynomial keys of VariableSet.units for Polynomials, a term order's
+`units` for the verifiers, which so hand minors to the Groebner kernel
+without any term being unpacked or keyed again.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from sporbits.groebner import (
     GBBudget,
     Ideal,
     Reducers,
+    _pack,
     ideal_intersection,
     initial_ideal,
     is_groebner_basis,
@@ -33,7 +38,7 @@ from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
 from sporbits.orders import TermOrder, antidiagonal_order
 from sporbits.pairperms import pair_permutations
 from sporbits.permutations import Permutation, essential_boxes
-from sporbits.polynomials import FIELD_BITS, Polynomial, VariableSet
+from sporbits.polynomials import Polynomial, VariableSet
 
 
 def symplectic_form(n: int) -> tuple[tuple[int, ...], ...]:
@@ -134,20 +139,27 @@ def fulton_minors(p: Permutation) -> list[tuple[tuple[int, ...], tuple[int, ...]
     """(rows, cols, minor) for every rank condition at an essential box: all
     (r+1) x (r+1) minors of the northwest i x j submatrix."""
     vs = VariableSet.matrix(p.size)
+    return [(rows, cols, Polynomial._of(vs, terms)) for rows, cols, terms in _keyed_minors(p, vs.units)]
+
+
+def _keyed_minors(p: Permutation, units: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]]:
+    """fulton_minors(p) with each minor as a term dict keyed by `units`, the
+    per-variable keys of a ring whose first variables are the p.size x p.size
+    matrix, row-major."""
     return [
-        (rows, cols, _minor(vs, rows, cols))
+        (rows, cols, _minor(units, p.size, rows, cols))
         for i, j, r in sorted(essential_boxes(p))
         for rows in itertools.combinations(range(1, i + 1), r + 1)
         for cols in itertools.combinations(range(1, j + 1), r + 1)
     ]
 
 
-def _minor(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
-    """The generic minor on equally many 1-based rows and columns, by Leibniz:
-    one packed squarefree monomial per permutation, with its sign."""
-    last = len(vs) - 1  # m[a, b] packs as Polynomial.variable packs it
-    entries = [1 << FIELD_BITS * (last - vs.matrix_var(a, b)) for a in rows for b in cols]
-    return Polynomial._of(vs, {sum(map(entries.__getitem__, cells)): s for s, cells in _signed_cells(len(rows))})
+def _minor(units: Sequence[int], size: int, rows: Sequence[int], cols: Sequence[int]) -> dict[int, int]:
+    """The generic minor on equally many 1-based rows and columns of the
+    size x size matrix, by Leibniz: one squarefree term per permutation, with
+    its sign, keyed as the sum of units[v] over its variables v."""
+    entries = [units[(a - 1) * size + b - 1] for a in rows for b in cols]
+    return {sum(map(entries.__getitem__, cells)): s for s, cells in _signed_cells(len(rows))}
 
 
 @functools.cache
@@ -168,7 +180,7 @@ def _mjmt_pfaffian(vs: VariableSet, T: Sequence[int], n: int) -> Polynomial:
     written once."""
     packed: dict[int, int] = {}
     for ks in itertools.combinations(range(1, n + 1), len(T) // 2):
-        packed.update(_minor(vs, T, [c for k in ks for c in (2 * k - 1, 2 * k)])._packed)
+        packed.update(_minor(vs.units, 2 * n, T, [c for k in ks for c in (2 * k - 1, 2 * k)]))
     return Polynomial._of(vs, packed)
 
 
@@ -180,7 +192,7 @@ def _antidiagonal(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> 
 
 def _mask_key(order: TermOrder, mask: int) -> int:
     """The key under `order` of the squarefree monomial given as a bitmask."""
-    return order.key(tuple(mask >> v & 1 for v in range(len(order.vs))))
+    return sum(u for v, u in enumerate(order.units) if mask >> v & 1)
 
 
 def _minimal(masks: Iterable[int]) -> list[int]:
@@ -225,7 +237,7 @@ MAX_EXPANDED_TERMS = 1_200_000
 #: largest matrix size N taken by orbit_ideal, verify_knutson_miller and the
 #: groebner command: MAX_EXPANDED_TERMS bounds how many terms are written, this
 #: bounds their width, as a generic N x N matrix has N^2 variables and a
-#: weight-refined key N^2 + 3 fields of 17 bits (2,499 bits at N = 12)
+#: weight-refined key N^2 + 3 slots of 16 bits (2,352 bits at N = 12)
 MAX_MATRIX_SIZE = 12
 
 
@@ -412,11 +424,11 @@ def random_symplectic(n: int, rng) -> Matrix:
 def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> bool:
     """Check that the Fulton generators are a Groebner basis under the
     antidiagonal order (Knutson-Miller, Annals 2005, Thm B).  The minors are
-    prepared once as divisors (Reducers), which keys each term once: each
-    entry's lead must be its minor's antidiagonal term, and is_groebner_basis
-    must hold on the same divisors, which reduces only the pairs the product
-    and chain criteria leave but counts all it examines against the budget
-    (its BudgetExceeded passes through).  ValueError,
+    written keyed by the order's units and prepared once as divisors
+    (Reducers): each entry's lead must be its minor's antidiagonal term, and
+    is_groebner_basis must hold on the same divisors, which reduces only the
+    pairs the product and chain criteria leave but counts all it examines
+    against the budget (its BudgetExceeded passes through).  ValueError,
     before any expansion, when p is larger than MAX_MATRIX_SIZE or its minors
     have more than MAX_EXPANDED_TERMS terms (a k x k minor has k!)."""
     if p.size > MAX_MATRIX_SIZE:
@@ -426,8 +438,8 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
         raise ValueError(f"{p} needs {terms} minor terms, over {MAX_EXPANDED_TERMS}")
     order = antidiagonal_order(VariableSet.matrix(p.size))
     reducers = Reducers((), order)
-    for rows, cols, poly in fulton_minors(p):
-        if reducers.add(poly)[1] != _mask_key(order, _antidiagonal(order.vs, rows, cols)):
+    for rows, cols, terms in _keyed_minors(p, order.units):
+        if reducers.add(terms)[1] != _mask_key(order, _antidiagonal(order.vs, rows, cols)):
             return False
     return is_groebner_basis(reducers, order, budget)
 
@@ -477,11 +489,14 @@ def verify_degeneration(
     (i) each g in G_L reduces to 0 modulo each v's Fulton minors under the
     antidiagonal order, so L lies in J; (ii) a lead of G_L divides each
     generator of A, the intersection of the ideals of the antidiagonal terms
-    of v's minors (squarefree, so pairwise ORs of bitmasks).  G_L's leads are
-    read under the antidiagonal order, from the divisors it prepares: each g
-    is the initial form of a homogeneous element, so its terms share degree
-    and w-weight, the weight-refined order's first two rows tie on g, and it
-    falls through to the antidiagonal ranking, picking the same lead.
+    of v's minors (squarefree, so pairwise ORs of bitmasks).  Each g is
+    keyed once under the antidiagonal order, for every v's normal form and
+    for the divisors whose leads (ii) reads, and the minors are written
+    keyed by that order's units.  Reading G_L's leads under the antidiagonal
+    order is sound: each g is the initial form of a homogeneous element, so
+    its terms share degree and w-weight, the weight-refined order's first two
+    rows tie on g, and it falls through to the antidiagonal ranking, picking
+    the same lead.
 
     Proof: J is homogeneous in degree and weight, as the minors are, so its
     weight-refined leads are antidiagonal leads and lie in each in(I_v), the
@@ -509,14 +524,19 @@ def verify_degeneration(
         exhausted = f"{exc.reason}: {exc.stats}"
         return DegenerationReport(iota, pp.perms, (), None, budget_exhausted=exhausted, timings=timings)
     t0 = time.monotonic()
+    left = [_pack(g, tie) for g in L.generators]
     witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
     for v in pp.perms:
-        minors = fulton_minors(v)
-        reducers = Reducers([poly for *_, poly in minors], tie)
-        witnesses += [f"{g} is not in I_{v}" for g in L.generators if not normal_form(g, reducers, tie).is_zero()]
+        minors = _keyed_minors(v, tie.units)
+        reducers = Reducers([terms for *_, terms in minors], tie)
+        witnesses += [
+            f"{g} is not in I_{v}"
+            for g, terms in zip(L.generators, left)
+            if not normal_form(terms, reducers, tie).is_zero()
+        ]
         gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
         common = _minimal(a | b for a in common for b in gens)
-    leads = [lead for _, lead, _, _ in Reducers(L.generators, tie).entries]
+    leads = [lead for _, lead, _, _ in Reducers(left, tie).entries]
     for m in common:
         key = _mask_key(tie, m)
         if all((key - lead) & tie.guards for lead in leads):

@@ -13,8 +13,10 @@ from sporbits.groebner import (
     Ideal,
     Reducers,
     _div,
+    _pack,
     _reduce_terms,
     _s_pair,
+    _unpack,
     buchberger,
     ideal_intersection,
     initial_form,
@@ -278,6 +280,74 @@ class TestTermOrder:
         assert traced == order and traced.key is spy
         assert max(poly(xy, "x*y + y^3").terms, key=traced.key) == (0, 3)
         assert calls
+
+
+_VS6 = VariableSet.matrix(6)
+_VS6T = VariableSet(_VS6.names + ("t",), matrix_size=6)
+
+
+def _orders_6x6():
+    """Every preset at 6x6: lex, grevlex, antidiagonal, the column-weight
+    refinement over it, and elimination of t over each of the last two."""
+    anti = antidiagonal_order(_VS6)
+    refined = weight_refined_order(_VS6, column_weights(_VS6), anti)
+    return [
+        lex_order(_VS6),
+        grevlex_order(_VS6),
+        anti,
+        refined,
+        elimination_order(_VS6T, anti),
+        elimination_order(_VS6T, refined),
+    ]
+
+
+_ORDERS_6X6 = _orders_6x6()
+_IDS_6X6 = ["lex", "grevlex", "antidiagonal", "weight", "elim-antidiagonal", "elim-weight"]
+
+
+def _monomials(n, top=200):
+    # at most 37 * 200 = 7,400 in degree, so twice that under a weight of 2
+    # still fits a field, and keys of two draws add without overflow
+    return st.lists(st.integers(0, top), min_size=n, max_size=n).map(tuple)
+
+
+class TestKeyRoundTrip:
+    """The kernel's keys at 6x6, under every preset order."""
+
+    @pytest.mark.parametrize("order", _ORDERS_6X6, ids=_IDS_6X6)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_keys_round_trip_and_add(self, order, data):
+        n = len(order.vs)
+        a, b = data.draw(_monomials(n)), data.draw(_monomials(n))
+        assert order.exponents(order.key(a)) == a
+        assert order.key(a) + order.key(b) == order.key(tuple(map(sum, zip(a, b))))
+        assert order.key(a) == sum(e * u for e, u in zip(a, order.units))
+
+    @pytest.mark.parametrize("order", _ORDERS_6X6, ids=_IDS_6X6)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_pack_then_unpack_is_the_identity(self, order, data):
+        vs = order.vs
+        terms = data.draw(st.dictionaries(
+            _monomials(len(vs), top=5),
+            st.integers(-9, 9).filter(bool) | st.fractions().filter(bool),
+            max_size=6,
+        ))
+        f = Polynomial(vs, terms)
+        assert _unpack(_pack(f, order), vs, order) == f
+
+    @pytest.mark.parametrize("order", _ORDERS_6X6, ids=_IDS_6X6)
+    def test_widest_exponent_round_trips_and_one_more_raises(self, order):
+        n = len(order.vs)
+        for v in range(n):
+            unit = [0] * n
+            unit[v] = FIELD_MASK
+            if max([1, *(row[v] for row in order.weights)]) == 1:
+                assert order.exponents(order.key(tuple(unit))) == tuple(unit)
+            unit[v] += 1
+            with pytest.raises(ValueError):
+                order.key(tuple(unit))
 
 
 class TestNormalForm:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -189,7 +190,7 @@ class TestFultonGenerators:
         for k in range(1, size + 1):
             for rows in itertools.combinations(range(1, size + 1), k):
                 for cols in itertools.combinations(range(1, size + 1), k):
-                    minor = symplectic._minor(vs, rows, cols)
+                    minor = Polynomial._of(vs, symplectic._minor(vs.units, size, rows, cols))
                     assert minor == _expanded_minor(vs, rows, cols), (rows, cols)
                     assert len(minor.terms) == math.factorial(k)
 
@@ -199,6 +200,21 @@ class TestFultonGenerators:
         for word in itertools.permutations(range(1, size + 1)):
             for rows, cols, minor in fulton_minors(Permutation(word)):
                 assert minor == _expanded_minor(vs, rows, cols), (word, rows, cols)
+
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_minors_keyed_by_order_units_are_the_packed_minors(self, size):
+        # all of S4, and a fixed sample of S6
+        vs = VariableSet.matrix(size)
+        anti = antidiagonal_order(vs)
+        orders = (anti, weight_refined_order(vs, column_weights(vs), anti))
+        words = list(itertools.permutations(range(1, size + 1)))
+        if size == 6:
+            words = random.Random(6).sample(words, 40)
+        for word in words:
+            p = Permutation(word)
+            for order in orders:
+                packed = [(rows, cols, groebner._pack(minor, order)) for rows, cols, minor in fulton_minors(p)]
+                assert symplectic._keyed_minors(p, order.units) == packed, (word, order.name)
 
     def test_vanishing_cuts_out_the_orbit_points(self):
         # numeric soundness: generators vanish on b * M_w exactly when w <= p
@@ -296,7 +312,7 @@ class TestOrbitIdeal:
                 pf = symplectic._mjmt_pfaffian(vs, T, n)
                 assert pf == pfaffian_of_indices(A, T), T
                 assert len(pf.terms) == pfaffian_terms(n, q), T
-                assert initial_form(pf, weights) == symplectic._minor(vs, T, range(1, q + 1)), T
+                assert initial_form(pf, weights) == Polynomial._of(vs, symplectic._minor(vs.units, 2 * n, T, range(1, q + 1))), T
 
     def test_no_polynomial_products(self, monkeypatch):
         # 21687354 needs 4 x 4 and 6 x 6 pfaffians at 2n = 8; none of them
@@ -527,21 +543,36 @@ class TestVerifiers:
         assert exc.value.reason == "pair cap"
         assert exc.value.stats == {"pairs_processed": 1, "basis_size": 2}
 
-    def test_knutson_miller_unpacks_each_minor_term_once(self, monkeypatch):
-        # the lead check reads the prepared divisors, so every minor term is
-        # unpacked and keyed once, on its way into Reducers
+    def test_knutson_miller_never_unpacks_or_rekeys_a_minor_term(self, monkeypatch):
+        # the minors are written keyed by the order's units, so no term is
+        # unpacked, and order.key runs only on the certificate's pair lcms
         p = perm("15432")
-        terms = sum(len(minor.terms) for *_, minor in fulton_minors(p))
-        calls = []
-        unpack = VariableSet.unpack
+        unpacked, keyed, certifying = [], [], []
+        unpack, certify = VariableSet.unpack, symplectic.is_groebner_basis
 
-        def counted(vs, key):
-            calls.append(key)
+        def counted_unpack(vs, key):
+            unpacked.append(key)
             return unpack(vs, key)
 
-        monkeypatch.setattr(VariableSet, "unpack", counted)
+        def counted_order(vs):
+            order = antidiagonal_order(vs)
+
+            def key(m):
+                keyed.append(bool(certifying))
+                return order.key(m)
+
+            return dataclasses.replace(order, key=key)
+
+        def certificate(*args):
+            certifying.append(True)
+            return certify(*args)
+
+        monkeypatch.setattr(VariableSet, "unpack", counted_unpack)
+        monkeypatch.setattr(symplectic, "antidiagonal_order", counted_order)
+        monkeypatch.setattr(symplectic, "is_groebner_basis", certificate)
         assert verify_knutson_miller(p) is True
-        assert len(calls) == terms
+        assert certifying and keyed and all(keyed)
+        assert unpacked == []
 
     def test_knutson_miller_refuses_a_lead_off_the_antidiagonal(self, monkeypatch):
         # under lex in index order a 2x2 minor leads with its diagonal term
