@@ -16,7 +16,11 @@ the Hasse diagram's bound; past the caps, `poset --n 6` (JSON and DOT),
 2n = 6; `basics`, `orbit-ideal` and `pairperms` on all 105 at 2n = 8;
 `pairperms` on all 945 at 2n = 10; `verify-degeneration --deep` on the 19
 involutions with 2n <= 6 and on the 5 benchmark words at 2n = 8 (21436587
-21437856 21563487 34126587 43216587); `verify-km` on all of S4 and S5;
+21437856 21563487 34126587 43216587); `verify-degeneration --deep --iota
+216543` at `--max-pairs K` caps that stop its 10-pair basis on the first
+pair, in the middle and on the last, one it finishes within, and at a
+`--max-degree 6` exit, so the budget statistics are compared byte for
+byte, not only the verdicts; `verify-km` on all of S4 and S5;
 `verify-km --pi 54321 --max-pairs K` at caps that stop the Groebner
 certificate on its first pair, inside it and on its last pair, and at one
 it finishes within (a cap of K stops on pair K + 1, counted as Buchberger
@@ -127,6 +131,10 @@ def commands(fixtures: str) -> list[list[str]]:
         ["verify-degeneration", "--deep", "--iota", word]
         for word in ("21436587", "21437856", "21563487", "34126587", "43216587")
     ]
+    # 216543's basis takes 10 pairs: budget exits on the first, in the middle,
+    # on the last and past its degree 6, and a cap it finishes within
+    deep = ["verify-degeneration", "--deep", "--iota", "216543"]
+    out += [[*deep, "--max-pairs", str(k)] for k in (0, 4, 9, 10)] + [[*deep, "--max-degree", "6"]]
     for size in (4, 5):
         out += [["verify-km", "--pi", "".join(map(str, w))] for w in itertools.permutations(range(1, size + 1))]
     # 54321 has 20 minors, so 190 pairs: budget exits on the first, inside and on the last

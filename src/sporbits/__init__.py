@@ -56,7 +56,6 @@ from sporbits.groebner import (
     Ideal,
     buchberger,
     ideal_intersection,
-    initial_form,
     initial_ideal,
     is_groebner_basis,
     normal_form,

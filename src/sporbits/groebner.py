@@ -6,9 +6,13 @@ eliminating an auxiliary variable it adds and drops itself.
 Inside the kernel a term is its packed order key (orders.TermOrder), packed
 once on entry and unpacked once on exit: a monomial product is one addition,
 a divisibility test one AND.  On exit the order's slots are read with one
-struct call and the polynomial key written with another; callers that hold
-terms keyed already (the Fulton minors, keyed from the order's per-variable
-`units`) pass them in as dicts and skip the entry packing.  Coefficients
+struct call and the polynomial key written with another.  Callers that hold
+terms keyed already (the Fulton minors and the orbit pfaffians, keyed from
+the order's per-variable `units`) pass them in as dicts and skip both ends:
+`keyed_basis` is Buchberger's algorithm on key dicts, which `buchberger`
+wraps in one packing and one unpacking, and `keyed_initial_forms` reads
+each term's weight off its key under a weight-refined order, for
+`initial_ideal` and the degeneration verifier alike.  Coefficients
 are ints when integral and Fractions otherwise, as in Polynomial: every
 quotient goes through `_div`, which keeps an int over a ±1 lead, so the ±1
 Fulton minors and the monic bases Buchberger builds from integer input stay
@@ -36,10 +40,10 @@ import time
 from bisect import insort
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, weight_refined_order
+from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, key_weigher, weight_refined_order
 from sporbits.polynomials import Monomial, Polynomial, VariableSet
 
 
@@ -325,19 +329,34 @@ def buchberger(
     order: TermOrder,
     budget: GBBudget | None = None,
 ) -> list[Polynomial]:
-    """Reduced Groebner basis by Buchberger's algorithm.
+    """Reduced Groebner basis by Buchberger's algorithm (`keyed_basis`), the
+    generators keyed under `order` on entry and the basis unpacked on exit.
+    The result is monic, auto-reduced, and sorted by leading monomial, so it
+    is unique for the ideal and order."""
+    G = [g for g in generators if not g.is_zero()]
+    if not G:
+        return []
+    return [_unpack(terms, G[0].vs, order) for terms in keyed_basis([_pack(g, order) for g in G], order, budget)]
+
+
+def keyed_basis(
+    generators: Sequence[dict[int, Coeff]],
+    order: TermOrder,
+    budget: GBBudget | None = None,
+    start: float | None = None,
+) -> list[dict[int, Coeff]]:
+    """The reduced Groebner basis of term dicts keyed under `order`, as term
+    dicts sorted by lead; the generators are left as they are.
 
     Normal selection strategy plus both classical pair-elimination criteria
     (coprime leading terms; the chain criterion), as `_pairs` applies them;
-    each nonzero remainder joins the basis, after a second budget check.
-    The result is monic, auto-reduced, and sorted by leading monomial, so it
-    is unique for the ideal and order.
+    each nonzero remainder joins the basis, after a second budget check.  The
+    time cap counts from `start` (time.monotonic(); default: now), so a
+    caller may charge its own work before the pairs to the same cap.
     """
     budget = budget or GBBudget()
-    start = time.monotonic()
+    start = time.monotonic() if start is None else start
     guards = order.guards
-
-    G = [g for g in generators if not g.is_zero()]
     reducers = Reducers((), order)
     # the monic elements in the order they were found
     basis: list[Entry] = []
@@ -346,10 +365,10 @@ def buchberger(
         lead_c = terms[max(terms)]
         basis.append(reducers.add({k: _div(c, lead_c) for k, c in terms.items()}))
 
-    packed = [_pack(g, order) for g in G]
+    packed = [terms for terms in generators if terms]
     for terms in packed:
         add(terms)
-    stats = {"pairs_processed": 0, "basis_size": len(G), "max_degree": max((k & FIELD_MASK for terms in packed for k in terms), default=0)}
+    stats = {"pairs_processed": 0, "basis_size": len(packed), "max_degree": max((k & FIELD_MASK for terms in packed for k in terms), default=0)}
 
     for f, g, lcm in _pairs(basis, order, budget, stats, start):
         h = _reduce_terms(_s_pair(f, g, lcm, guards), reducers.entries, guards)
@@ -359,11 +378,12 @@ def buchberger(
             add(h)
             stats["basis_size"] = len(basis)
 
-    return _reduce_basis(reducers, G[0].vs) if G else []
+    return _reduce_basis(reducers)
 
 
-def _reduce_basis(basis: Reducers, vs: VariableSet) -> list[Polynomial]:
-    """Minimalize then fully tail-reduce a prepared monic Groebner basis."""
+def _reduce_basis(basis: Reducers) -> list[dict[int, Coeff]]:
+    """Minimalize then fully tail-reduce a prepared monic Groebner basis; the
+    result as term dicts sorted by lead."""
     guards = basis.order.guards
     # minimal: drop any element whose lead is divisible by an earlier lead
     minimal: list[Entry] = []
@@ -375,7 +395,7 @@ def _reduce_basis(basis: Reducers, vs: VariableSet) -> list[Polynomial]:
         (lead, _reduce_terms({lead: lead_c, **dict(tail)}, minimal[:idx] + minimal[idx + 1:], guards))
         for idx, (_, lead, lead_c, tail) in enumerate(minimal)
     )
-    return [_unpack(terms, vs, basis.order) for _, terms in reduced]
+    return [terms for _, terms in reduced]
 
 
 def ideal_intersection(I: Ideal, J: Ideal, inner: TermOrder, budget: GBBudget | None = None) -> Ideal:
@@ -400,16 +420,19 @@ def ideal_intersection(I: Ideal, J: Ideal, inner: TermOrder, budget: GBBudget | 
     return Ideal(vs, [Polynomial(vs, {m[:-1]: c for m, c in p.terms.items()}) for p in kept])
 
 
-def initial_form(f: Polynomial, weights: Sequence[int]) -> Polynomial:
-    """The terms of minimal total weight (those surviving t -> 0)."""
-    w = [int(x) for x in weights]
-    if any(x < 0 for x in w):
-        raise ValueError("negative weights rejected")
-    if f.is_zero():
-        return f
-    weighed = [sum(map(mul, f.vs.unpack(k), w)) for k in f._packed]
-    best = min(weighed)
-    return Polynomial._of(f.vs, {k: c for (k, c), x in zip(f._packed.items(), weighed) if x == best})
+def keyed_initial_forms(
+    basis: Sequence[dict[int, Coeff]], order: TermOrder, weights: Sequence[int]
+) -> list[dict[int, Coeff]]:
+    """The initial form of each nonempty term dict keyed under `order`, a
+    weight-refined order of `weights`: its terms of minimal total weight
+    (those surviving t -> 0), each weighed off its key (`key_weigher`)."""
+    weigh = key_weigher(order, weights)
+    forms = []
+    for terms in basis:
+        weighed = {k: weigh(k) for k in terms}
+        best = min(weighed.values())
+        forms.append({k: c for k, c in terms.items() if weighed[k] == best})
+    return forms
 
 
 def initial_ideal(
@@ -428,5 +451,5 @@ def initial_ideal(
     if I.is_zero():
         return Ideal(I.vs, [])
     order = weight_refined_order(I.vs, weights, tie_break)
-    return Ideal(I.vs, [initial_form(g, weights) for g in I.groebner_basis(order, budget)])
-
+    basis = keyed_basis([_pack(g, order) for g in I.generators], order, budget)
+    return Ideal(I.vs, [_unpack(terms, I.vs, order) for terms in keyed_initial_forms(basis, order, weights)])

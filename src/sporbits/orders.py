@@ -144,7 +144,13 @@ def weight_refined_order(
     tie_break: TermOrder | None = None,
 ) -> TermOrder:
     """Total order refining a non-negative weight vector, minimal weight
-    preferred, graded by total degree (see module docstring)."""
+    preferred, graded by total degree (see module docstring).
+
+    Its rows are (1, ..., 1) and max(w) - w over the tie-break's rows, and
+    its ranking is the tie-break's, so a key holds two things callers read
+    without unpacking it: its lowest len(tie.weights) + len(vs) + 1 slots are
+    exactly tie.key(m) (`tie_key_mask`), and w.m is max(w) * deg(m) less its
+    second field (`key_weigher`)."""
     w = tuple(int(x) for x in weights)
     if len(w) != len(vs):
         raise ValueError("one weight per variable required")
@@ -153,6 +159,24 @@ def weight_refined_order(
     tie = tie_break if tie_break is not None else lex_order(vs)
     rows = ((1,) * len(w), tuple(max(w) - x for x in w)) + tie.weights
     return TermOrder(vs, rows, tie.ranking, f"weight{w}/{tie.name}")
+
+
+def tie_key_mask(tie: TermOrder) -> int:
+    """The mask of the low slots of a key under any weight_refined_order over
+    `tie`: they hold tie.key(m)."""
+    return (1 << (FIELD_BITS + 1) * (len(tie.weights) + len(tie.vs) + 1)) - 1
+
+
+def key_weigher(order: TermOrder, weights: Sequence[int]) -> Callable[[int], int]:
+    """The w-weight of a key under `order`, read off its fields: max(w) times
+    the degree field, less the max(w) - w field.  ValueError unless `order`
+    begins with the two rows of weight_refined_order(vs, w, ...)."""
+    w = tuple(int(x) for x in weights)
+    top = max(w, default=0)
+    if order.weights[:2] != ((1,) * len(w), tuple(top - x for x in w)):
+        raise ValueError("the order does not refine these weights")
+    shift = (FIELD_BITS + 1) * (len(order.weights) + len(order.vs) - 1)
+    return lambda k: top * (k & FIELD_MASK) - (k >> shift & FIELD_MASK)
 
 
 def elimination_order(vs: VariableSet, inner: TermOrder) -> TermOrder:

@@ -9,8 +9,8 @@ A pfaffian of MJM^T is a sum of minors of M with disjoint terms
 minor and pfaffian; `pfaffian` and `determinant` expand general matrices.
 The writer keys each term as the sum of per-variable keys over its cells:
 the polynomial keys of VariableSet.units for Polynomials, a term order's
-`units` for the verifiers, which so hand minors to the Groebner kernel
-without any term being unpacked or keyed again.
+`units` for the verifiers, which so hand minors and pfaffians to the
+Groebner kernel without any term being unpacked or keyed again.
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ from sporbits.groebner import (
     GBBudget,
     Ideal,
     Reducers,
-    _pack,
+    _unpack,
     ideal_intersection,
-    initial_ideal,
     is_groebner_basis,
+    keyed_basis,
+    keyed_initial_forms,
     normal_form,
 )
 from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
-from sporbits.orders import TermOrder, antidiagonal_order
+from sporbits.orders import TermOrder, antidiagonal_order, tie_key_mask, weight_refined_order
 from sporbits.pairperms import pair_permutations
 from sporbits.permutations import Permutation, essential_boxes
 from sporbits.polynomials import Polynomial, VariableSet
@@ -59,7 +60,7 @@ def build_mjmt(n: int) -> list[list[Polynomial]]:
     zero = Polynomial.zero(vs)
     A = [[zero for _ in range(size)] for _ in range(size)]
     for a, b in itertools.combinations(range(1, size + 1), 2):
-        A[a - 1][b - 1] = _mjmt_pfaffian(vs, (a, b), n)
+        A[a - 1][b - 1] = Polynomial._of(vs, _mjmt_pfaffian(vs.units, (a, b), n))
         A[b - 1][a - 1] = -A[a - 1][b - 1]
     return A
 
@@ -171,17 +172,17 @@ def _signed_cells(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     )
 
 
-def _mjmt_pfaffian(vs: VariableSet, T: Sequence[int], n: int) -> Polynomial:
+def _mjmt_pfaffian(units: Sequence[int], T: Sequence[int], n: int) -> dict[int, int]:
     """pf((MJM^T)_T) for the generic 2n x 2n matrix M, by the minor summation
     formula (Ishikawa-Wakayama, Linear and Multilinear Algebra 1995): the sum
     of det M[T, S] over the column sets S of |T|/2 pairs {2k-1, 2k}, as
     pf(J_S) is 1 on a union of blocks and 0 on any other S.  Distinct S have
     distinct column sets, so no two minors share a monomial: each term is
-    written once."""
+    written once, keyed by `units` as `_minor` keys it."""
     packed: dict[int, int] = {}
     for ks in itertools.combinations(range(1, n + 1), len(T) // 2):
-        packed.update(_minor(vs.units, 2 * n, T, [c for k in ks for c in (2 * k - 1, 2 * k)]))
-    return Polynomial._of(vs, packed)
+        packed.update(_minor(units, 2 * n, T, [c for k in ks for c in (2 * k - 1, 2 * k)]))
+    return packed
 
 
 def _antidiagonal(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> int:
@@ -230,9 +231,11 @@ def union_schubert_ideal(perms: Sequence[Permutation], budget: GBBudget | None =
 # ---------------------------------------------------------------------------
 # orbit-closure ideals
 
-#: most terms expanded before any budget applies: orbit_ideal's pfaffians for
-#: one involution (at 2n <= 10, 7,3,2,10,9,8,1,6,5,4 needs the most: 1,170,050)
-#: and verify_knutson_miller's minors (all of S_9 needs at most 80,884)
+#: most terms expanded for one input: the orbit pfaffians of one involution
+#: (at 2n <= 10, 7,3,2,10,9,8,1,6,5,4 needs the most: 1,170,050), which
+#: verify_degeneration writes under the time cap, checked between pfaffians,
+#: and orbit_ideal under none, and verify_knutson_miller's minors (all of S_9
+#: needs at most 80,884)
 MAX_EXPANDED_TERMS = 1_200_000
 #: largest matrix size N taken by orbit_ideal, verify_knutson_miller and the
 #: groebner command: MAX_EXPANDED_TERMS bounds how many terms are written, this
@@ -287,7 +290,7 @@ def orbit_ideal(iota: FpfInvolution) -> Ideal:
     dense orbit."""
     index_sets = orbit_pfaffian_indices(iota)
     vs = VariableSet.matrix(iota.size)
-    return Ideal(vs, [_mjmt_pfaffian(vs, T, iota.n) for T in index_sets])
+    return Ideal(vs, [Polynomial._of(vs, _mjmt_pfaffian(vs.units, T, iota.n)) for T in index_sets])
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +492,19 @@ def verify_degeneration(
     (i) each g in G_L reduces to 0 modulo each v's Fulton minors under the
     antidiagonal order, so L lies in J; (ii) a lead of G_L divides each
     generator of A, the intersection of the ideals of the antidiagonal terms
-    of v's minors (squarefree, so pairwise ORs of bitmasks).  Each g is
-    keyed once under the antidiagonal order, for every v's normal form and
-    for the divisors whose leads (ii) reads, and the minors are written
-    keyed by that order's units.  Reading G_L's leads under the antidiagonal
-    order is sound: each g is the initial form of a homogeneous element, so
-    its terms share degree and w-weight, the weight-refined order's first two
-    rows tie on g, and it falls through to the antidiagonal ranking, picking
-    the same lead.
+    of v's minors (squarefree, so pairwise ORs of bitmasks).
+
+    No term leaves its key until the report is written: the pfaffians are
+    written keyed by the weight-refined order's units, G_L is read off that
+    basis's keys (keyed_initial_forms), and each g's antidiagonal keys are
+    the low slots of its weight-refined keys (`tie_key_mask`), used for
+    every v's normal form and for the divisors whose leads (ii) reads; the
+    minors are written keyed by the antidiagonal order's units.  G_L is
+    unpacked once, for the report.  Reading G_L's leads under the
+    antidiagonal order is sound: each g is the initial form of a homogeneous
+    element, so its terms share degree and w-weight, the weight-refined
+    order's first two rows tie on g, and it falls through to the antidiagonal
+    ranking, picking the same lead.
 
     Proof: J is homogeneous in degree and weight, as the minors are, so its
     weight-refined leads are antidiagonal leads and lie in each in(I_v), the
@@ -509,34 +517,45 @@ def verify_degeneration(
     initial ideal of the intersection is the intersection of the initial
     ideals ("Frobenius splitting, point-counting, and degeneration",
     arXiv:0911.4941).  A witness names g and v, or a generator of A outside
-    in(L).  Budget exhaustion, which only G_L can meet, is reported apart."""
+    in(L).  Budget exhaustion, which only G_L can meet, is reported apart:
+    the time cap counts from the first pfaffian and is checked between
+    pfaffians too, the pair and degree caps only in the basis."""
     budget = budget or GBBudget()
     vs = VariableSet.matrix(iota.size)
     weights = column_weights(vs)
     tie = antidiagonal_order(vs)
+    order = weight_refined_order(vs, weights, tie)
     timings: dict[str, float] = {}
     pp = pair_permutations(iota)
     try:
         t0 = time.monotonic()
-        L = initial_ideal(orbit_ideal(iota), weights, tie_break=tie, budget=budget)
+        pfaffians: list[dict[int, int]] = []
+        index_sets = orbit_pfaffian_indices(iota)
+        for T in index_sets:
+            if pfaffians and time.monotonic() - t0 > budget.max_seconds:
+                raise BudgetExceeded("time cap", {"pfaffians_written": len(pfaffians), "pfaffians": len(index_sets)})
+            pfaffians.append(_mjmt_pfaffian(order.units, T, iota.n))
+        left = keyed_initial_forms(keyed_basis(pfaffians, order, budget, t0), order, weights) if pfaffians else []
         timings["left_seconds"] = time.monotonic() - t0
     except BudgetExceeded as exc:
         exhausted = f"{exc.reason}: {exc.stats}"
         return DegenerationReport(iota, pp.perms, (), None, budget_exhausted=exhausted, timings=timings)
     t0 = time.monotonic()
-    left = [_pack(g, tie) for g in L.generators]
+    low = tie_key_mask(tie)
+    keyed = [{k & low: c for k, c in terms.items()} for terms in left]
+    L = [_unpack(terms, vs, tie) for terms in keyed]
     witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
     for v in pp.perms:
         minors = _keyed_minors(v, tie.units)
         reducers = Reducers([terms for *_, terms in minors], tie)
         witnesses += [
             f"{g} is not in I_{v}"
-            for g, terms in zip(L.generators, left)
+            for g, terms in zip(L, keyed)
             if not normal_form(terms, reducers, tie).is_zero()
         ]
         gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
         common = _minimal(a | b for a in common for b in gens)
-    leads = [lead for _, lead, _, _ in Reducers(left, tie).entries]
+    leads = [lead for _, lead, _, _ in Reducers(keyed, tie).entries]
     for m in common:
         key = _mask_key(tie, m)
         if all((key - lead) & tie.guards for lead in leads):
@@ -545,7 +564,7 @@ def verify_degeneration(
     return DegenerationReport(
         iota=iota,
         pair_perms=pp.perms,
-        left_generators=tuple(map(str, L.generators)),
+        left_generators=tuple(map(str, L)),
         equal=not witnesses,
         witnesses=tuple(witnesses),
         timings=timings,

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from sporbits import checks, groebner, symplectic
-from sporbits.groebner import DEEP_BUDGET, GBBudget, is_groebner_basis
+from sporbits.groebner import DEEP_BUDGET, GBBudget, _unpack, is_groebner_basis
 from sporbits.involutions import (
     FpfInvolution,
     enumerate_fpf,
@@ -19,7 +19,6 @@ from sporbits.involutions import (
     in_basic_family,
     j_bar,
 )
-from sporbits.orders import weight_refined_order
 from sporbits.pairperms import conjugation_check, pair_permutations
 from sporbits.permutations import Permutation, length
 from sporbits.symplectic import (
@@ -44,27 +43,26 @@ def fpf(text):
 
 @pytest.fixture
 def reduced_bases(monkeypatch):
-    """Records every reduced basis a test computes, and every nonzero initial
-    ideal's generators the verifier takes as its reduced basis, with the
-    order, so the test can certify each one."""
+    """Records every reduced basis a test computes, and the initial forms the
+    verifier takes as G_L's reduced basis, with the order, so the test can
+    certify each one: both keyed entry points are patched where groebner
+    calls them (buchberger, initial_ideal) and where the verifier does."""
     seen = {}
-    buchberger, initial_ideal = groebner.buchberger, symplectic.initial_ideal
+    keyed_basis, keyed_initial_forms = groebner.keyed_basis, groebner.keyed_initial_forms
 
     def record(basis, order):
-        seen[tuple(basis), order] = None
+        seen[tuple(_unpack(terms, order.vs, order) for terms in basis), order] = None
         return basis
 
-    def recorded_buchberger(G, order, budget=None):
-        return record(buchberger(G, order, budget), order)
+    def recorded_keyed_basis(G, order, budget=None, start=None):
+        return record(keyed_basis(G, order, budget, start), order)
 
-    def recorded_initial_ideal(I, weights, tie_break=None, budget=None):
-        L = initial_ideal(I, weights, tie_break, budget)
-        if not L.is_zero():
-            record(L.generators, weight_refined_order(I.vs, weights, tie_break))
-        return L
+    def recorded_initial_forms(basis, order, weights):
+        return record(keyed_initial_forms(basis, order, weights), order)
 
-    monkeypatch.setattr(groebner, "buchberger", recorded_buchberger)
-    monkeypatch.setattr(symplectic, "initial_ideal", recorded_initial_ideal)
+    for module in (groebner, symplectic):
+        monkeypatch.setattr(module, "keyed_basis", recorded_keyed_basis)
+        monkeypatch.setattr(module, "keyed_initial_forms", recorded_initial_forms)
     return seen
 
 

@@ -1,12 +1,13 @@
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sporbits import cli
+from sporbits import cli, symplectic
 from sporbits.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -478,6 +479,20 @@ class TestVerifiers:
         )
         assert code == EXIT_BUDGET
         assert blob["equal"] is None
+
+    def test_verify_degeneration_time_cap_stops_the_pfaffian_expansion(self, capsys, monkeypatch):
+        # the verifier's clock moves 1,000 s a reading, so the cap of 600 s
+        # passes once the first of 7,3,2,10,9,8,1,6,5,4's 47 pfaffians (its
+        # 1,170,050 terms) is written, before any Groebner step
+        ticks = iter(range(0, 10**9, 1000))
+        monkeypatch.setattr(symplectic, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        start = time.process_time()
+        code, blob = run_json(capsys, "verify-degeneration", "--iota", "7,3,2,10,9,8,1,6,5,4")
+        assert time.process_time() - start < 5.0
+        assert code == EXIT_BUDGET
+        assert blob["equal"] is None
+        assert blob["budget_exhausted"] == "time cap: {'pfaffians_written': 1, 'pfaffians': 47}"
+        assert blob["left_initial_generators"] == [] and blob["timings"] == {}
 
     @pytest.mark.parametrize(
         "cap",

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,10 @@ from sporbits.groebner import (
     _unpack,
     buchberger,
     ideal_intersection,
-    initial_form,
     initial_ideal,
     is_groebner_basis,
+    keyed_basis,
+    keyed_initial_forms,
     normal_form,
     s_polynomial,
 )
@@ -35,7 +38,9 @@ from sporbits.orders import (
     antidiagonal_ranking,
     elimination_order,
     grevlex_order,
+    key_weigher,
     lex_order,
+    tie_key_mask,
     weight_refined_order,
 )
 from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
@@ -350,6 +355,44 @@ class TestKeyRoundTrip:
                 order.key(tuple(unit))
 
 
+class TestWeightRefinedKeyLayout:
+    """A weight-refined key holds the tie-break's key in its low slots and
+    its weight in its top two fields, for every preset as the tie-break."""
+
+    @pytest.mark.parametrize("tie, ref", _ref_presets())
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_low_slots_are_the_tie_key_and_the_weight_reads_off(self, tie, ref, data):
+        n = len(tie.vs)
+        w = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        m = data.draw(_monomials(n, top=40))
+        order = weight_refined_order(tie.vs, w, tie)
+        key = order.key(m)
+        assert key & tie_key_mask(tie) == tie.key(m)
+        assert key_weigher(order, w)(key) == sum(map(mul, m, w))
+
+    @pytest.mark.parametrize("tie, ref", _ref_presets())
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_keyed_initial_forms_match_the_oracle(self, tie, ref, data):
+        vs = tie.vs
+        w = data.draw(st.lists(st.integers(0, 4), min_size=len(vs), max_size=len(vs)))
+        terms = data.draw(st.dictionaries(
+            _monomials(len(vs), top=4), st.integers(-9, 9).filter(bool) | st.fractions().filter(bool), min_size=1, max_size=6,
+        ))
+        f = Polynomial(vs, terms)
+        assert _keyed_initial_form(f, w, tie) == initial_form(f, w)
+
+    def test_key_weigher_needs_an_order_refining_the_weights(self, xy):
+        for order in (lex_order(xy), weight_refined_order(xy, [1, 0])):
+            with pytest.raises(ValueError):
+                key_weigher(order, [0, 1])
+        # a constant shift of the weights refines to the same order, and
+        # the readout is exact for either
+        order = weight_refined_order(xy, [0, 1])
+        assert key_weigher(order, [2, 3])(order.key((2, 1))) == 7
+
+
 class TestNormalForm:
     def test_single_reducer(self, xy):
         f = poly(xy, "x^2 - y")
@@ -476,6 +519,25 @@ class TestBuchberger:
         for g in gens:
             assert normal_form(g, gb, order).is_zero()
 
+    def test_keyed_basis_is_sorted_by_lead_and_leaves_its_input(self, xy):
+        order = grevlex_order(xy)
+        gens = [_pack(poly(xy, "x^3 - 2*x*y"), order), _pack(poly(xy, "x^2*y - 2*y^2 + x"), order), {}]
+        copies = [dict(g) for g in gens]
+        basis = keyed_basis(gens, order)
+        assert gens == copies
+        assert [max(t) for t in basis] == sorted(max(t) for t in basis)
+        assert [_unpack(t, xy, order) for t in basis] == buchberger([_unpack(g, xy, order) for g in gens], order)
+
+    def test_keyed_basis_time_cap_counts_from_start(self, xy):
+        order = grevlex_order(xy)
+        gens = [_pack(poly(xy, "x^3 - 2*x*y"), order), _pack(poly(xy, "x^2*y - 2*y^2 + x"), order)]
+        budget = GBBudget(max_seconds=60.0)
+        with pytest.raises(BudgetExceeded) as exc:
+            keyed_basis(gens, order, budget, start=time.monotonic() - 61)
+        assert exc.value.reason == "time cap"
+        assert exc.value.stats["pairs_processed"] == 1
+        assert keyed_basis(gens, order, budget, start=time.monotonic()) == keyed_basis(gens, order)
+
     def test_budget_pairs(self, xy):
         order = lex_order(xy)
         gens = [poly(xy, "x^3 - 2*x*y"), poly(xy, "x^2*y - 2*y^2 + x")]
@@ -559,16 +621,39 @@ class TestIdealOps:
         assert [g.terms for g in K.generators] == [g.terms for g in ref.generators] != []
 
 
+def initial_form(f: Polynomial, weights) -> Polynomial:
+    """The terms of f of minimal total weight (those surviving t -> 0),
+    weighed from their exponents: the oracle for keyed_initial_forms, which
+    reads the weight off the key."""
+    w = [int(x) for x in weights]
+    if any(x < 0 for x in w):
+        raise ValueError("negative weights rejected")
+    if f.is_zero():
+        return f
+    weighed = [sum(map(mul, f.vs.unpack(k), w)) for k in f._packed]
+    best = min(weighed)
+    return Polynomial._of(f.vs, {k: c for (k, c), x in zip(f._packed.items(), weighed) if x == best})
+
+
+def _keyed_initial_form(f: Polynomial, weights, tie=None) -> Polynomial:
+    """keyed_initial_forms on f alone, keyed under the weight-refined order."""
+    order = weight_refined_order(f.vs, weights, tie)
+    return _unpack(keyed_initial_forms([_pack(f, order)], order, weights)[0], f.vs, order)
+
+
 class TestInitialIdeals:
     def test_initial_form_examples(self, xy):
         # weight 0 on x, 1 on y: minimal-weight terms survive t -> 0
         p = poly(xy, "x^2 + x*y + y^2")
-        assert initial_form(p, [0, 1]) == poly(xy, "x^2")
-        assert initial_form(p, [0, 0]) == p
+        for form in (initial_form, _keyed_initial_form):
+            assert form(p, [0, 1]) == poly(xy, "x^2")
+            assert form(p, [0, 0]) == p
 
     def test_initial_form_rejects_negative(self, xy):
         with pytest.raises(ValueError):
             initial_form(poly(xy, "x"), [-1, 0])
+        with pytest.raises(ValueError):
+            initial_ideal(Ideal(xy, [poly(xy, "x")]), [-1, 0])
 
     def test_homogeneous_principal(self, xy):
         I = Ideal(xy, [poly(xy, "x^2 + x*y")])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, Ideal, buchberger, initial_form, initial_ideal, normal_form
+from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, buchberger, initial_ideal, normal_form
 from sporbits.involutions import FpfInvolution, enumerate_fpf, fpf_length, j_bar, opposite_leq
 from sporbits.orders import antidiagonal_order, grevlex_order, lex_order, weight_refined_order
 from sporbits import groebner, symplectic
@@ -35,6 +35,7 @@ from sporbits.symplectic import (
     verify_degeneration,
     verify_knutson_miller,
 )
+from test_groebner import initial_form
 from test_polynomials import evaluate
 
 
@@ -44,6 +45,10 @@ def fpf(text):
 
 def perm(text):
     return Permutation.from_any(text)
+
+
+#: the degeneration benchmark's words at 2n = 8
+BENCH_WORDS_2N8 = ["21436587", "21437856", "21563487", "34126587", "43216587"]
 
 
 def pfaffian_of_indices(A, indices):
@@ -295,7 +300,7 @@ class TestOrbitIdeal:
     def test_pfaffian_terms_counts_the_expansion(self, n, q):
         vs = VariableSet.matrix(2 * n)
         T = range(1, q + 1)
-        pf = symplectic._mjmt_pfaffian(vs, T, n)
+        pf = Polynomial._of(vs, symplectic._mjmt_pfaffian(vs.units, T, n))
         assert len(pf.terms) == pfaffian_terms(n, q)
         assert pf == pfaffian_of_indices(build_mjmt(n), T)
 
@@ -309,7 +314,7 @@ class TestOrbitIdeal:
         weights = column_weights(vs)
         for q in range(2, 2 * n + 1, 2):
             for T in itertools.combinations(range(1, 2 * n + 1), q):
-                pf = symplectic._mjmt_pfaffian(vs, T, n)
+                pf = Polynomial._of(vs, symplectic._mjmt_pfaffian(vs.units, T, n))
                 assert pf == pfaffian_of_indices(A, T), T
                 assert len(pf.terms) == pfaffian_terms(n, q), T
                 assert initial_form(pf, weights) == Polynomial._of(vs, symplectic._minor(vs.units, 2 * n, T, range(1, q + 1))), T
@@ -639,17 +644,40 @@ class TestVerifiers:
 
     def test_one_buchberger_call_per_degeneration(self, monkeypatch):
         calls = []
-        buchberger = groebner.buchberger
+        keyed_basis = groebner.keyed_basis
 
-        def counted(G, order, budget=None):
+        def counted(G, order, budget=None, start=None):
             calls.append(order)
-            return buchberger(G, order, budget)
+            return keyed_basis(G, order, budget, start)
 
-        monkeypatch.setattr(groebner, "buchberger", counted)
+        monkeypatch.setattr(symplectic, "keyed_basis", counted)
         assert verify_degeneration(fpf("216543")).equal is True
         assert len(calls) == 1
         assert verify_degeneration(j_bar(3)).equal is True
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("word", [str(i) for i in enumerate_fpf(3)] + BENCH_WORDS_2N8)
+    def test_keyed_left_side_matches_the_polynomial_path(self, word):
+        # the verifier's G_L, kept in keys from the pfaffians on, against
+        # initial_ideal on orbit_ideal and the exponent-weighed oracle
+        iota = fpf(word)
+        vs = VariableSet.matrix(iota.size)
+        weights, tie = column_weights(vs), antidiagonal_order(vs)
+        I = orbit_ideal(iota)
+        expected = tuple(map(str, initial_ideal(I, weights, tie_break=tie).generators))
+        basis = buchberger(list(I.generators), weight_refined_order(vs, weights, tie)) if I.generators else []
+        assert verify_degeneration(iota).left_generators == expected
+        assert expected == tuple(str(initial_form(g, weights)) for g in basis)
+
+    def test_degeneration_never_packs_a_term(self, monkeypatch):
+        # the pfaffians are written keyed and G_L's antidiagonal keys are
+        # masked from its weight-refined ones: no Polynomial term is keyed
+        def refuse(*args):
+            raise AssertionError("a term was packed")
+
+        monkeypatch.setattr(groebner, "_pack", refuse)
+        for word in ("4321", "216543", "21437856"):
+            assert verify_degeneration(fpf(word), DEEP_BUDGET).equal is True
 
     def test_degeneration_budget_exhaustion_reported(self):
         report = verify_degeneration(fpf("4321"), GBBudget(max_pairs=0))
@@ -704,7 +732,6 @@ def _mutations():
 
 
 MUTATIONS = _mutations()
-BENCH_WORDS_2N8 = ["21436587", "21437856", "21563487", "34126587", "43216587"]
 
 
 class TestDegenerationCertificate:
@@ -745,27 +772,29 @@ class TestDegenerationCertificate:
     def test_a_lead_with_a_square_covers_no_antidiagonal(self, monkeypatch):
         # m[1,2] times 3412's one minor lies in J = I_1324, but its lead
         # m[1,2]^2*m[2,1] does not divide the antidiagonal m[1,2]*m[2,1]
-        def orbit_ideal(iota):
-            vs = VariableSet.matrix(iota.size)
-            return Ideal(vs, [parse_polynomial(vs, "m[1,2]^2*m[2,1] - m[1,1]*m[1,2]*m[2,2]")])
+        keyed_basis = groebner.keyed_basis
 
-        monkeypatch.setattr(symplectic, "orbit_ideal", orbit_ideal)
+        def injected(G, order, budget=None, start=None):
+            g = parse_polynomial(order.vs, "m[1,2]^2*m[2,1] - m[1,1]*m[1,2]*m[2,2]")
+            return keyed_basis([groebner._pack(g, order)], order, budget, start)
+
+        monkeypatch.setattr(symplectic, "keyed_basis", injected)
         report = verify_degeneration(fpf("3412"))
         assert report.witnesses == ("m[1,2]*m[2,1] is not in in(L)",)
         assert report.equal is False
 
     def test_one_groebner_basis_and_no_elimination(self, monkeypatch):
         calls = []
-        buchberger = groebner.buchberger
+        keyed_basis = groebner.keyed_basis
 
-        def counted(G, order, budget=None):
+        def counted(G, order, budget=None, start=None):
             calls.append(order)
-            return buchberger(G, order, budget)
+            return keyed_basis(G, order, budget, start)
 
         def refuse(*args, **kwargs):
             raise AssertionError("elimination reached")
 
-        monkeypatch.setattr(groebner, "buchberger", counted)
+        monkeypatch.setattr(symplectic, "keyed_basis", counted)
         for name in ("ideal_intersection", "union_schubert_ideal"):
             monkeypatch.setattr(symplectic, name, refuse)
         monkeypatch.setattr(groebner, "ideal_intersection", refuse)
