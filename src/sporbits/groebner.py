@@ -117,7 +117,8 @@ def _pack(f: Polynomial, order: TermOrder) -> dict[int, Coeff]:
 
 
 def _unpack(terms: dict[int, Coeff], vs: VariableSet, order: TermOrder) -> Polynomial:
-    # every exponent is at most FIELD_MASK, far inside a polynomial field
+    # an order key holds each exponent in a field of the polynomial layout, so
+    # none passes MAX_EXPONENT and the slots can be written unchecked
     pack, exponents = vs.packer.pack, order.exponents
     return Polynomial._of(vs, {int.from_bytes(pack(*exponents(k)), "big"): c for k, c in terms.items()})
 

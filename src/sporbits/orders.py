@@ -34,12 +34,9 @@ from itertools import compress
 from operator import itemgetter, mul
 from typing import Callable, Sequence
 
-from sporbits.polynomials import Monomial, VariableSet
-
-#: width of one key field, and its largest value; each field sits under a
-#: guard bit in a 16-bit slot, so a key is a run of big-endian unsigned shorts
-FIELD_BITS = 15
-FIELD_MASK = (1 << FIELD_BITS) - 1
+# a key is a run of big-endian 16-bit slots, each a FIELD_BITS-wide field
+# under a guard bit, as a polynomial key is: FIELD_MASK is MAX_EXPONENT
+from sporbits.polynomials import FIELD_BITS, MAX_EXPONENT as FIELD_MASK, Monomial, VariableSet
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial is a dict from packed monomials to coefficients.  A monomial
-packs into one int: one FIELD_BITS-wide big-endian field per variable, in
-VariableSet index order, whose top bit is a guard.  So exponents run up to
-MAX_EXPONENT, multiplying two monomials is one int addition, and a product
-whose exponent overflows sets a guard bit and raises ValueError.  Overflow
-is checked on the operands first: when no field of the OR of their keys
-reaches 2**30, no sum can reach the guard bit, and only otherwise are the
-product's keys scanned.  `p * p` is a square: it multiplies each unordered
-pair of terms once, the diagonal c_i**2 and the doubled 2 c_i c_j for
-i < j, about half the products of the general loop.
+packs into one int in the Groebner kernel's layout (orders.TermOrder): one
+big-endian 16-bit slot per variable, in VariableSet index order, holding a
+FIELD_BITS = 15-bit field under a guard bit.  So exponents run up to
+MAX_EXPONENT = 32,767, the cap of every order key too, multiplying two
+monomials is one int addition, and a product whose exponent overflows sets
+a guard bit and raises ValueError.  A key is the lex_order(vs) key without
+its degree slot.  Overflow is checked on the operands first: when no field
+of the OR of their keys reaches 2**14, no sum can reach the guard bit, and
+only otherwise are the product's keys scanned.  `p * p` is a square: it
+multiplies each unordered pair of terms once, the diagonal c_i**2 and the
+doubled 2 c_i c_j for i < j, about half the products of the general loop.
 Coefficients are ints when integral and Fractions otherwise, and zero
 coefficients are never stored, so equal polynomials compare equal
 structurally.  `Polynomial.terms` shows the same terms as a read-only
@@ -28,8 +30,10 @@ from functools import reduce
 from operator import or_
 
 Monomial = tuple[int, ...]
-FIELD_BITS = 32
-MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
+#: width of one exponent field, and its largest value; each field sits under
+#: a guard bit in a 16-bit slot, in polynomial and order keys alike
+FIELD_BITS = 15
+MAX_EXPONENT = (1 << FIELD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -52,12 +56,12 @@ class VariableSet:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         object.__setattr__(self, "index", {nm: k for k, nm in enumerate(self.names)})
-        packer = struct.Struct(f">{len(self.names)}I")
+        packer = struct.Struct(f">{len(self.names)}H")
         object.__setattr__(self, "packer", packer)
         guards = packer.pack(*[MAX_EXPONENT + 1] * len(self.names))
         object.__setattr__(self, "guards", int.from_bytes(guards, "big"))
         n = len(self.names)
-        object.__setattr__(self, "units", tuple(1 << FIELD_BITS * (n - 1 - v) for v in range(n)))
+        object.__setattr__(self, "units", tuple(1 << (FIELD_BITS + 1) * (n - 1 - v) for v in range(n)))
 
     @staticmethod
     def matrix(n: int) -> "VariableSet":
@@ -244,26 +248,34 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        if other is self:
-            out = self._square()
-        else:
-            out = {}
-            get = out.get
-            right = other._packed.items()
-            for k1, c1 in self._packed.items():
-                for k2, c2 in right:
-                    key = k1 + k2
-                    c = get(key, 0) + c1 * c2
-                    if c:
-                        out[key] = c
-                    else:
-                        del out[key]
+        out = self._checked(other, self._square()) if other is self else self._add_product({}, other)
+        return Polynomial._of(self.vs, out)
+
+    def _add_product(self, out: dict, other: "Polynomial", sign: int = 1) -> dict:
+        """Add sign * self * other into the packed dict `out`, which keeps no
+        zero coefficient, and return it; ValueError as for self * other."""
+        get = out.get
+        right = other._packed.items()
+        for k1, c1 in self._packed.items():
+            c1 *= sign
+            for k2, c2 in right:
+                key = k1 + k2
+                c = get(key, 0) + c1 * c2
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+        return self._checked(other, out)
+
+    def _checked(self, other: "Polynomial", out: dict) -> dict:
+        """`out`, after the operands' products were added to it, unless one
+        of its keys has an exponent above MAX_EXPONENT."""
         guards = self.vs.guards
-        # a sum of two fields below 2**30 stays below the guard bit at 2**31
+        # a sum of two fields below 2**14 stays below the guard bit at 2**15
         fields = reduce(or_, self._packed, 0) | reduce(or_, other._packed, 0)
         if fields & (guards >> 1) and any(key & guards for key in out):
             raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
-        return Polynomial._of(self.vs, out)
+        return out
 
     def _square(self) -> dict[int, int | Fraction]:
         """The terms of self * self, from each unordered pair of terms once:

@@ -94,42 +94,40 @@ def pfaffian(A: Sequence[Sequence]) -> object:
 def _expand(A: Sequence[Sequence], by_pairs: bool) -> object:
     """Signed expansion memoized over index subsets.  The determinant expands
     the next row over the remaining columns; the pfaffian (by_pairs) pairs the
-    first remaining index with each of the others."""
+    first remaining index with each of the others.  When A[0][0] is a
+    Polynomial, each signed entry * sub is added straight into one term dict;
+    otherwise (Fraction, int) terms are plain products and sums."""
     size = len(A)
-    memo: dict[tuple[int, ...], object] = {}
+    probe = A[0][0] if A else 0
+    poly = isinstance(probe, Polynomial)
+    memo: dict[tuple[int, ...], object] = {(): Polynomial.constant(probe.vs, 1) if poly else 1}
 
     def expand(indices: tuple[int, ...]):
-        if not indices:
-            return 1
         if indices in memo:
             return memo[indices]
         if by_pairs:
             row, rest = indices[0], indices[1:]
         else:
             row, rest = size - len(indices), indices
-        total = None
+        total = {} if poly else None
         for pos, j in enumerate(rest):
             entry = A[row][j]
             if _is_zero(entry):
                 continue
             sub = expand(rest[:pos] + rest[pos + 1 :])
-            term = entry * sub if pos % 2 == 0 else (-entry) * sub
-            total = term if total is None else total + term
-        if total is None:
-            total = _zero_like(A)
-        memo[indices] = total
-        return total
+            if poly:
+                probe._coerce(entry)._add_product(total, sub, -1 if pos % 2 else 1)
+            else:
+                term = entry * sub if pos % 2 == 0 else (-entry) * sub
+                total = term if total is None else total + term
+        memo[indices] = Polynomial._of(probe.vs, total) if poly else Fraction(0) if total is None else total
+        return memo[indices]
 
     return expand(tuple(range(size)))
 
 
 def _is_zero(x) -> bool:
     return x.is_zero() if isinstance(x, Polynomial) else x == 0
-
-
-def _zero_like(A):
-    probe = A[0][0] if A else 0
-    return Polynomial.zero(probe.vs) if isinstance(probe, Polynomial) else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sporbits.orders import FIELD_MASK, lex_order
 from sporbits.polynomials import MAX_EXPONENT, Polynomial, VariableSet, parse_polynomial
 
 
@@ -90,9 +91,10 @@ def _ref_str(p):
 
 def term_dicts(nvars, max_terms=5):
     """Tuple-keyed term dicts with int and Fraction coefficients, no zeros;
-    exponents are mostly small, some up to 2**29."""
+    exponents are mostly small, some up to 2**14 - 1, so no product passes
+    MAX_EXPONENT."""
     coeff = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    expo = st.integers(0, 3) | st.integers(0, 1 << 29)
+    expo = st.integers(0, 3) | st.integers(0, (1 << 14) - 1)
     mono = st.tuples(*[expo] * nvars)
     return st.dictionaries(mono, coeff, max_size=max_terms).map(
         lambda d: {m: c for m, c in d.items() if c}
@@ -100,10 +102,10 @@ def term_dicts(nvars, max_terms=5):
 
 
 def near_guard_dicts(nvars, max_terms=5):
-    """Tuple-keyed term dicts whose exponents are small or within 3 of 2**30,
-    so a product's exponents can cross 2**31 or stop just below it."""
+    """Tuple-keyed term dicts whose exponents are small or within 3 of 2**14,
+    so a product's exponents can cross 2**15 or stop just below it."""
     coeff = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    expo = st.integers(0, 3) | st.integers((1 << 30) - 3, (1 << 30) + 3)
+    expo = st.integers(0, 3) | st.integers((1 << 14) - 3, (1 << 14) + 3)
     mono = st.tuples(*[expo] * nvars)
     return st.dictionaries(mono, coeff, max_size=max_terms).map(
         lambda d: {m: c for m, c in d.items() if c}
@@ -241,7 +243,7 @@ class TestSquare:
     @example({})
     @example({(0, 0, 0): 3})
     @example({(0, 0, 0): Fraction(-1, 2)})
-    @example({(1 << 30, 0, 0): 1})
+    @example({(1 << 14, 0, 0): 1})
     def test_square_matches_general_product(self, a):
         p = Polynomial(self.XYZ, a)
         copy = Polynomial._of(p.vs, dict(p._packed))
@@ -273,23 +275,41 @@ class TestMonomialChecks:
             Polynomial(xy, {(-1, 2): 1})
 
     def test_exponent_over_field_rejected(self, xy):
-        assert MAX_EXPONENT == 2**31 - 1
+        assert MAX_EXPONENT == 2**15 - 1
         assert parse_polynomial(xy, f"y^{MAX_EXPONENT}").terms == {(0, MAX_EXPONENT): 1}
-        for mono in ((2**31, 0), (0, 2**31), (0, 2**32)):
+        for mono in ((32768, 0), (0, 32768), (65536, 0), (0, 65536), (-1, 0)):
             with pytest.raises(ValueError):
                 Polynomial(xy, {mono: 1})
         with pytest.raises(ValueError):
-            parse_polynomial(xy, f"x*y^{2**31}")
+            parse_polynomial(xy, f"x*y^{2**15}")
 
     @pytest.mark.parametrize("text", ["x", "y", "x*y"])
     def test_overflowing_product_raises(self, xy, text):
+        # the operands' fields reach 2**14, so the guard scan runs
         var = parse_polynomial(xy, text)
-        half = var ** (2**30)
-        assert half * var ** (2**30 - 1) == var ** MAX_EXPONENT
+        half = var**16384
+        assert half * var**16383 == var**32767 == var**MAX_EXPONENT
         with pytest.raises(ValueError):
             half * half
         with pytest.raises(ValueError):
             half * (half + 1)
+
+
+class TestKernelLayout:
+    """Polynomial keys use the Groebner kernel's 16-bit slots: a key is the
+    lex_order(vs) key without its degree slot."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.integers(0, MAX_EXPONENT // n)] * n)))
+    @example((MAX_EXPONENT,))
+    @example((0, MAX_EXPONENT))
+    @example((0, 0, 0))
+    def test_key_is_the_lex_key_without_its_degree_slot(self, mono):
+        vs = VariableSet.named(*(f"x{k}" for k in range(len(mono))))
+        key = lex_order(vs).key(mono)
+        assert vs.pack(mono) == key >> 16
+        assert key & 0xFFFF == sum(mono)
+        assert FIELD_MASK is MAX_EXPONENT
 
 
 class TestParsing:

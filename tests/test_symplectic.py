@@ -159,6 +159,98 @@ class TestDeterminantAndPfaffian:
             assert pfaffian(J) == Fraction(1)
 
 
+def _inversions(word):
+    return sum(a > b for a, b in itertools.combinations(word, 2))
+
+
+def leibniz_determinant(A):
+    """The determinant as a signed sum over all permutations: the oracle for
+    the memoized expansion."""
+    total = 0
+    for w in itertools.permutations(range(len(A))):
+        term = (-1) ** _inversions(w)
+        for i, j in enumerate(w):
+            term = A[i][j] * term
+        total = term + total
+    return total
+
+
+def _matchings(idx):
+    if not idx:
+        yield []
+    for k in range(1, len(idx)):
+        for rest in _matchings(idx[1:k] + idx[k + 1 :]):
+            yield [(idx[0], idx[k])] + rest
+
+
+def matching_pfaffian(A):
+    """The pfaffian as a signed sum over perfect matchings {i1 < j1, ...},
+    each signed by the permutation i1 j1 i2 j2 ...: the oracle for the
+    memoized expansion."""
+    total = 0
+    for m in _matchings(list(range(len(A)))):
+        term = (-1) ** _inversions([x for pair in m for x in pair])
+        for i, j in m:
+            term = A[i][j] * term
+        total = term + total
+    return total
+
+
+class TestExpansionAgainstOracles:
+    """determinant and pfaffian add each signed entry * sub into one term
+    dict over Polynomials, and take plain products over numbers."""
+
+    XYZ = VariableSet.named("x", "y", "z")
+
+    def _entries(self, rng, count):
+        # small polynomials in 3 variables, so that products collide and cancel
+        texts = ["x", "y", "z", "x - y", "2*x*y - z", "1/2*z^2 + y", "x^2 - 3", "-y*z + x", "0", "1"]
+        return [parse_polynomial(self.XYZ, rng.choice(texts)) for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symbolic_4x4_matches_the_oracles(self, seed):
+        rng = random.Random(seed)
+        M = [self._entries(rng, 4) for _ in range(4)]
+        assert determinant(M) == leibniz_determinant(M)
+        mixed = [[Fraction(i - j, 2) if (i + j) % 3 == 1 else e for j, e in enumerate(row)] for i, row in enumerate(M)]
+        assert determinant(mixed) == leibniz_determinant(mixed)
+        A = [[Polynomial.zero(self.XYZ)] * 4 for _ in range(4)]
+        for (i, j), entry in zip(itertools.combinations(range(4), 2), self._entries(rng, 6)):
+            A[i][j], A[j][i] = entry, -entry
+        assert pfaffian(A) == matching_pfaffian(A)
+        assert pfaffian(A) * pfaffian(A) == determinant(A)
+
+    def test_generic_4x4_matches_the_oracles(self):
+        vs = VariableSet.matrix(4)
+        M = [[Polynomial.variable(vs, vs.matrix_var(i, j)) for j in range(1, 5)] for i in range(1, 5)]
+        assert len(determinant(M).terms) == 24
+        assert determinant(M) == leibniz_determinant(M)
+        A = build_mjmt(2)
+        assert pfaffian(A) == matching_pfaffian(A)
+
+    def test_numeric_matrices_keep_their_values_and_types(self):
+        rng = random.Random(7)
+        F = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
+        assert determinant(F) == leibniz_determinant(F) and type(determinant(F)) is Fraction
+        Z = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
+        assert determinant(Z) == leibniz_determinant(Z) and type(determinant(Z)) is int
+        J = [list(row) for row in symplectic_form(2)]
+        assert pfaffian(J) == matching_pfaffian(J) == 1 and type(pfaffian(J)) is int
+        assert determinant([[0, 0], [0, 0]]) == 0 and type(determinant([[0, 0], [0, 0]])) is Fraction
+
+    def test_overflowing_expansion_raises(self):
+        xy = VariableSet.named("x", "y")
+        half, zero = parse_polynomial(xy, "x^16384 + y"), Polynomial.zero(xy)
+        with pytest.raises(ValueError):
+            determinant([[half, zero], [zero, half]])
+        A = [[zero] * 4 for _ in range(4)]
+        A[0][1], A[1][0], A[2][3], A[3][2] = half, -half, half, -half
+        with pytest.raises(ValueError):
+            pfaffian(A)
+        A[2][3], A[3][2] = parse_polynomial(xy, "x^16383"), parse_polynomial(xy, "-x^16383")
+        assert pfaffian(A) == parse_polynomial(xy, "x^32767 + x^16383*y")
+
+
 def _expanded_minor(vs, rows, cols):
     """The minor as fulton_minors once built it: determinant over Polynomial entries."""
     return determinant([[Polynomial.variable(vs, vs.matrix_var(a, b)) for b in cols] for a in rows])
