@@ -29,7 +29,10 @@ each pair entering it once, when it is created; reduced bases are
 sorted by leading monomial.  Budgets cap the number of S-pairs processed, the
 total degree of intermediate polynomials, and wall time; exceeding one raises
 BudgetExceeded carrying the partial statistics, never a silently truncated
-answer.
+answer.  One check (`_check_budget`) decides every cap.  Its deadline is
+fixed when an entry point is called, and every loop that can run long reads
+it: the pair loop after each pair, each reduction after every _CHECK_TERMS
+tail terms it writes, and the final tail-reduction between elements.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from bisect import insort
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, key_weigher, weight_refined_order
 from sporbits.polynomials import Monomial, Polynomial, VariableSet
@@ -110,6 +113,9 @@ Coeff = int | Fraction
 #: every coefficient a Coeff, so ±1 minors stay ints
 Entry = tuple[tuple[int, int], int, Coeff, list[tuple[int, Coeff]]]
 _OVERFLOW = f"a product overflows the {FIELD_BITS}-bit key fields"
+#: tail terms a reduction writes between two budget checks: one reduction
+#: step on a 2n = 8 basis can write 300,000, so heap pops are no measure
+_CHECK_TERMS = 20_000
 
 
 def _pack(f: Polynomial, order: TermOrder) -> dict[int, Coeff]:
@@ -182,17 +188,20 @@ def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Coeff]:
     return {k: c for k, c in out.items() if c}
 
 
-def _reduce_terms(work: dict[int, Coeff], reducers: list[Entry], guards: int) -> dict[int, Coeff]:
+def _reduce_terms(work: dict[int, Coeff], reducers: list[Entry], guards: int, check: Callable[[], float] | None = None) -> dict[int, Coeff]:
     """Full normal form of a packed term dict, consumed, against prepared
     reducer entries.  A min-heap of negated keys pops the largest term first.
     A term that cancels stays in the heap, skipped when popped, until dead
     keys outnumber live ones and the heap is rebuilt.  A popped term never
     comes back, as reductions add only smaller terms, so terms leave as a
     rescan for the largest would take them.  A product that sets a guard bit
-    has overflowed its field and raises ValueError."""
+    has overflowed its field and raises ValueError.  `check`, when given, is
+    called once the reduction steps have written more than _CHECK_TERMS tail
+    terms since it last was."""
     heap = [-k for k in work]
     heapq.heapify(heap)
     out: dict[int, Coeff] = {}
+    written = 0
     while heap:
         k = -heapq.heappop(heap)
         coeff = work.pop(k, None)
@@ -219,22 +228,21 @@ def _reduce_terms(work: dict[int, Coeff], reducers: list[Entry], guards: int) ->
                 if len(heap) > 2 * len(work):  # mostly dead keys
                     heap = [-k for k in work]
                     heapq.heapify(heap)
+                written += len(tail)
+                if written > _CHECK_TERMS and check:
+                    written = 0
+                    check()
                 break
         else:
             out[k] = coeff
     return out
 
 
-def normal_form(
-    f: Polynomial | dict[int, Coeff], G: Sequence[Polynomial] | Reducers, order: TermOrder
-) -> Polynomial:
+def normal_form(f: Polynomial, G: Sequence[Polynomial] | Reducers, order: TermOrder) -> Polynomial:
     """Remainder of f under multivariate division by G: no monomial of the
     result is divisible by any leading monomial of G, and f - result lies in
-    the ideal generated by G.  f may be given as a packed term dict under
-    `order`, left as it is (the result is then over order.vs), and G
-    prepared (see `_prepared`)."""
-    vs, terms = (order.vs, dict(f)) if isinstance(f, dict) else (f.vs, _pack(f, order))
-    return _unpack(_reduce_terms(terms, _prepared(G, order).entries, order.guards), vs, order)
+    the ideal generated by G.  G may be given prepared (see `_prepared`)."""
+    return _unpack(_reduce_terms(_pack(f, order), _prepared(G, order).entries, order.guards), f.vs, order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
@@ -245,28 +253,35 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     return _unpack(_s_pair(ef, eg, lcm, order.guards), f.vs, order)
 
 
-def _check_budget(budget: GBBudget, stats: dict, start: float) -> None:
-    """Raise BudgetExceeded, carrying `stats`, once its pairs pass the pair
-    cap, its degree (where it keeps one) the degree cap, or the time since
-    `start` the time cap."""
-    if stats["pairs_processed"] > budget.max_pairs:
-        raise BudgetExceeded("pair cap", stats)
-    if stats.get("max_degree", 0) > budget.max_degree:
-        raise BudgetExceeded("degree cap", stats)
-    if time.monotonic() - start > budget.max_seconds:
-        raise BudgetExceeded("time cap", stats)
+def _check_budget(budget: GBBudget, stats: dict) -> Callable[[], float]:
+    """The check of `budget` on `stats`, its deadline the time cap from now.
+    Each call raises BudgetExceeded, carrying stats as they then are, once
+    their pairs (where they count them) pass the pair cap, their degree
+    (where they keep one) the degree cap, or the clock the deadline;
+    otherwise it returns the seconds left, for a budget handed on."""
+    deadline = time.monotonic() + budget.max_seconds
+
+    def check() -> float:
+        if stats.get("pairs_processed", 0) > budget.max_pairs:
+            raise BudgetExceeded("pair cap", stats)
+        if stats.get("max_degree", 0) > budget.max_degree:
+            raise BudgetExceeded("degree cap", stats)
+        left = deadline - time.monotonic()
+        if left < 0:
+            raise BudgetExceeded("time cap", stats)
+        return left
+
+    return check
 
 
-def _pairs(
-    basis: list[Entry], order: TermOrder, budget: GBBudget, stats: dict, start: float
-) -> Iterator[tuple[Entry, Entry, int]]:
+def _pairs(basis: list[Entry], order: TermOrder, stats: dict, check: Callable[[], float]) -> Iterator[tuple[Entry, Entry, int]]:
     """The S-pairs of `basis` that neither of Buchberger's criteria skips
     (EUROSAM 1979; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 2
     Sec. 10), as (f, g, lcm of their leads).  A pair (i, j) enters a heap
     once, when j arrives; the caller may append to `basis` between pairs.
     Pairs leave lowest lcm degree first, ties by the term order, then by
-    index, each counted in stats["pairs_processed"] and followed by a budget
-    check.  Product: coprime leads, whose lcm is their product, the sum of
+    index, each counted in stats["pairs_processed"] and followed by
+    `check`.  Product: coprime leads, whose lcm is their product, the sum of
     their keys.  Chain: a third lead k divides the lcm, and the pairs of k
     with i and with j were already taken; bit k of done[i] is set once the
     pair of i and k is, so the candidates k are the bits of done[i] & done[j]."""
@@ -292,7 +307,7 @@ def _pairs(
         done[i] |= 1 << j
         done[j] |= 1 << i
         stats["pairs_processed"] += 1
-        _check_budget(budget, stats, start)
+        check()
         if not supports[i] & supports[j] or any(
             not (lcm - basis[k][1]) & guards for k in _bits(done[i] & done[j])
         ):
@@ -314,14 +329,14 @@ def is_groebner_basis(G: Sequence[Polynomial] | Reducers, order: TermOrder, budg
     yields reduces to zero against them.  The pairs index the divisor order
     (ascending degree, then lead), not G's list order, and are taken as
     Buchberger takes them, under the same pair and time caps
-    (BudgetExceeded)."""
-    budget = budget or GBBudget()
-    start = time.monotonic()
+    (BudgetExceeded), the time cap counted from this call."""
+    stats = {"pairs_processed": 0}
+    check = _check_budget(budget or GBBudget(), stats)
     entries = _prepared(G, order).entries
-    stats = {"pairs_processed": 0, "basis_size": len(entries)}
+    stats["basis_size"] = len(entries)
     return not any(
-        _reduce_terms(_s_pair(f, g, lcm, order.guards), entries, order.guards)
-        for f, g, lcm in _pairs(entries, order, budget, stats, start)
+        _reduce_terms(_s_pair(f, g, lcm, order.guards), entries, order.guards, check)
+        for f, g, lcm in _pairs(entries, order, stats, check)
     )
 
 
@@ -340,23 +355,19 @@ def buchberger(
     return [_unpack(terms, G[0].vs, order) for terms in keyed_basis([_pack(g, order) for g in G], order, budget)]
 
 
-def keyed_basis(
-    generators: Sequence[dict[int, Coeff]],
-    order: TermOrder,
-    budget: GBBudget | None = None,
-    start: float | None = None,
-) -> list[dict[int, Coeff]]:
+def keyed_basis(generators: Sequence[dict[int, Coeff]], order: TermOrder, budget: GBBudget | None = None) -> list[dict[int, Coeff]]:
     """The reduced Groebner basis of term dicts keyed under `order`, as term
     dicts sorted by lead; the generators are left as they are.
 
     Normal selection strategy plus both classical pair-elimination criteria
     (coprime leading terms; the chain criterion), as `_pairs` applies them;
     each nonzero remainder joins the basis, after a second budget check.  The
-    time cap counts from `start` (time.monotonic(); default: now), so a
-    caller may charge its own work before the pairs to the same cap.
+    time cap counts from this call and is read after each pair, within each
+    reduction and between the elements of the final tail-reduction (see
+    `_check_budget`); a caller that spent time first hands on what is left.
     """
-    budget = budget or GBBudget()
-    start = time.monotonic() if start is None else start
+    stats = {"pairs_processed": 0}
+    check = _check_budget(budget or GBBudget(), stats)
     guards = order.guards
     reducers = Reducers((), order)
     # the monic elements in the order they were found
@@ -369,22 +380,23 @@ def keyed_basis(
     packed = [terms for terms in generators if terms]
     for terms in packed:
         add(terms)
-    stats = {"pairs_processed": 0, "basis_size": len(packed), "max_degree": max((k & FIELD_MASK for terms in packed for k in terms), default=0)}
+    stats.update(basis_size=len(packed), max_degree=max((k & FIELD_MASK for terms in packed for k in terms), default=0))
 
-    for f, g, lcm in _pairs(basis, order, budget, stats, start):
-        h = _reduce_terms(_s_pair(f, g, lcm, guards), reducers.entries, guards)
+    for f, g, lcm in _pairs(basis, order, stats, check):
+        h = _reduce_terms(_s_pair(f, g, lcm, guards), reducers.entries, guards, check)
         if h:
             stats["max_degree"] = max(stats["max_degree"], max(k & FIELD_MASK for k in h))
-            _check_budget(budget, stats, start)
+            check()
             add(h)
             stats["basis_size"] = len(basis)
 
-    return _reduce_basis(reducers)
+    return _reduce_basis(reducers, check)
 
 
-def _reduce_basis(basis: Reducers) -> list[dict[int, Coeff]]:
-    """Minimalize then fully tail-reduce a prepared monic Groebner basis; the
-    result as term dicts sorted by lead."""
+def _reduce_basis(basis: Reducers, check: Callable[[], float]) -> list[dict[int, Coeff]]:
+    """Minimalize then fully tail-reduce a prepared monic Groebner basis,
+    calling `check` between elements and within each reduction; the result
+    as term dicts sorted by lead."""
     guards = basis.order.guards
     # minimal: drop any element whose lead is divisible by an earlier lead
     minimal: list[Entry] = []
@@ -392,11 +404,12 @@ def _reduce_basis(basis: Reducers) -> list[dict[int, Coeff]]:
         if all((entry[1] - other[1]) & guards for other in minimal):
             minimal.append(entry)
     # no other lead divides a minimal lead, so each element keeps its lead
-    reduced = sorted(
-        (lead, _reduce_terms({lead: lead_c, **dict(tail)}, minimal[:idx] + minimal[idx + 1:], guards))
-        for idx, (_, lead, lead_c, tail) in enumerate(minimal)
-    )
-    return [terms for _, terms in reduced]
+    reduced = []
+    for idx, (_, lead, lead_c, tail) in enumerate(minimal):
+        if idx:
+            check()
+        reduced.append((lead, _reduce_terms({lead: lead_c, **dict(tail)}, minimal[:idx] + minimal[idx + 1:], guards, check)))
+    return [terms for _, terms in sorted(reduced)]
 
 
 def ideal_intersection(I: Ideal, J: Ideal, inner: TermOrder, budget: GBBudget | None = None) -> Ideal:

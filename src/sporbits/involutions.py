@@ -140,22 +140,18 @@ def covers(iota: FpfInvolution, kappa: FpfInvolution) -> bool:
     """
     if iota.size != kappa.size:
         raise ValueError("size mismatch")
-    return kappa in _switch_neighbors(iota, -2)
+    return kappa in upper_covers(iota)
 
 
 def upper_covers(iota: FpfInvolution) -> frozenset[FpfInvolution]:
     """All elements covering iota (one switch, two units shorter)."""
-    return _switch_neighbors(iota, -2)
-
-
-def _switch_neighbors(iota: FpfInvolution, delta: int) -> frozenset[FpfInvolution]:
     base = length(iota)
     out = set()
     for i, j in itertools.combinations(range(1, iota.size + 1), 2):
         if iota(i) == j:
             continue  # switching a wire's own endpoints is a no-op
         other = conjugate_by_transposition(iota, i, j)
-        if length(other) == base + delta:
+        if length(other) == base - 2:
             out.add(other)
     return frozenset(out)
 

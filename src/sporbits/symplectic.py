@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,12 +28,13 @@ from sporbits.groebner import (
     GBBudget,
     Ideal,
     Reducers,
+    _check_budget,
+    _reduce_terms,
     _unpack,
     ideal_intersection,
     is_groebner_basis,
     keyed_basis,
     keyed_initial_forms,
-    normal_form,
 )
 from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
 from sporbits.orders import TermOrder, antidiagonal_order, tie_key_mask, weight_refined_order
@@ -230,10 +231,10 @@ def union_schubert_ideal(perms: Sequence[Permutation], budget: GBBudget | None =
 # orbit-closure ideals
 
 #: most terms expanded for one input: the orbit pfaffians of one involution
-#: (at 2n <= 10, 7,3,2,10,9,8,1,6,5,4 needs the most: 1,170,050), which
-#: verify_degeneration writes under the time cap, checked between pfaffians,
-#: and orbit_ideal under none, and verify_knutson_miller's minors (all of S_9
-#: needs at most 80,884)
+#: (at 2n <= 10, 7,3,2,10,9,8,1,6,5,4 needs the most: 1,170,050) or
+#: verify_knutson_miller's minors (all of S_9 needs at most 80,884).
+#: verify_degeneration also reads its deadline after each pfaffian;
+#: orbit_ideal reads no clock, so this is its only bound
 MAX_EXPANDED_TERMS = 1_200_000
 #: largest matrix size N taken by orbit_ideal, verify_knutson_miller and the
 #: groebner command: MAX_EXPANDED_TERMS bounds how many terms are written, this
@@ -429,9 +430,13 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
     (Reducers): each entry's lead must be its minor's antidiagonal term, and
     is_groebner_basis must hold on the same divisors, which reduces only the
     pairs the product and chain criteria leave but counts all it examines
-    against the budget (its BudgetExceeded passes through).  ValueError,
-    before any expansion, when p is larger than MAX_MATRIX_SIZE or its minors
-    have more than MAX_EXPANDED_TERMS terms (a k x k minor has k!)."""
+    against the budget (its BudgetExceeded passes through).  The time cap
+    counts from this call: the certificate gets the time the minors left.
+    ValueError, before any expansion, when p is larger than MAX_MATRIX_SIZE
+    or its minors have more than MAX_EXPANDED_TERMS terms (a k x k minor has
+    k!)."""
+    budget = budget or GBBudget()
+    check = _check_budget(budget, {"pairs_processed": 0})
     if p.size > MAX_MATRIX_SIZE:
         raise ValueError(f"Knutson-Miller is checked for sizes <= {MAX_MATRIX_SIZE}, not {p.size}")
     terms = sum(math.comb(i, r + 1) * math.comb(j, r + 1) * math.factorial(r + 1) for i, j, r in essential_boxes(p))
@@ -442,7 +447,7 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
     for rows, cols, terms in _keyed_minors(p, order.units):
         if reducers.add(terms)[1] != _mask_key(order, _antidiagonal(order.vs, rows, cols)):
             return False
-    return is_groebner_basis(reducers, order, budget)
+    return is_groebner_basis(reducers, order, replace(budget, max_seconds=check()))
 
 
 def column_weights(vs: VariableSet) -> tuple[int, ...]:
@@ -515,10 +520,14 @@ def verify_degeneration(
     initial ideal of the intersection is the intersection of the initial
     ideals ("Frobenius splitting, point-counting, and degeneration",
     arXiv:0911.4941).  A witness names g and v, or a generator of A outside
-    in(L).  Budget exhaustion, which only G_L can meet, is reported apart:
-    the time cap counts from the first pfaffian and is checked between
-    pfaffians too, the pair and degree caps only in the basis."""
+    in(L).  Budget exhaustion is reported apart, with no verdict.  One time
+    cap counts from this call: it is checked after each pfaffian, handed on
+    to the basis as the time left, and checked before each v and within each
+    reduction of the certificate; the pair and degree caps bind only the
+    basis."""
     budget = budget or GBBudget()
+    stats = {"pfaffians_written": 0}
+    check = _check_budget(budget, stats)
     vs = VariableSet.matrix(iota.size)
     weights = column_weights(vs)
     tie = antidiagonal_order(vs)
@@ -529,30 +538,33 @@ def verify_degeneration(
         t0 = time.monotonic()
         pfaffians: list[dict[int, int]] = []
         index_sets = orbit_pfaffian_indices(iota)
+        stats["pfaffians"] = len(index_sets)
         for T in index_sets:
-            if pfaffians and time.monotonic() - t0 > budget.max_seconds:
-                raise BudgetExceeded("time cap", {"pfaffians_written": len(pfaffians), "pfaffians": len(index_sets)})
             pfaffians.append(_mjmt_pfaffian(order.units, T, iota.n))
-        left = keyed_initial_forms(keyed_basis(pfaffians, order, budget, t0), order, weights) if pfaffians else []
+            stats["pfaffians_written"] = len(pfaffians)
+            check()
+        left = keyed_initial_forms(keyed_basis(pfaffians, order, replace(budget, max_seconds=check())), order, weights) if pfaffians else []
         timings["left_seconds"] = time.monotonic() - t0
+        t0 = time.monotonic()
+        low = tie_key_mask(tie)
+        keyed = [{k & low: c for k, c in terms.items()} for terms in left]
+        L = [_unpack(terms, vs, tie) for terms in keyed]
+        witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
+        for checked, v in enumerate(pp.perms):
+            stats["pair_permutations_checked"] = checked
+            check()
+            minors = _keyed_minors(v, tie.units)
+            reducers = Reducers([terms for *_, terms in minors], tie)
+            witnesses += [
+                f"{g} is not in I_{v}"
+                for g, terms in zip(L, keyed)
+                if _reduce_terms(dict(terms), reducers.entries, tie.guards, check)
+            ]
+            gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
+            common = _minimal(a | b for a in common for b in gens)
     except BudgetExceeded as exc:
         exhausted = f"{exc.reason}: {exc.stats}"
         return DegenerationReport(iota, pp.perms, (), None, budget_exhausted=exhausted, timings=timings)
-    t0 = time.monotonic()
-    low = tie_key_mask(tie)
-    keyed = [{k & low: c for k, c in terms.items()} for terms in left]
-    L = [_unpack(terms, vs, tie) for terms in keyed]
-    witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
-    for v in pp.perms:
-        minors = _keyed_minors(v, tie.units)
-        reducers = Reducers([terms for *_, terms in minors], tie)
-        witnesses += [
-            f"{g} is not in I_{v}"
-            for g, terms in zip(L, keyed)
-            if not normal_form(terms, reducers, tie).is_zero()
-        ]
-        gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
-        common = _minimal(a | b for a in common for b in gens)
     leads = [lead for _, lead, _, _ in Reducers(keyed, tie).entries]
     for m in common:
         key = _mask_key(tie, m)

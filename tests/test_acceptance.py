@@ -54,8 +54,8 @@ def reduced_bases(monkeypatch):
         seen[tuple(_unpack(terms, order.vs, order) for terms in basis), order] = None
         return basis
 
-    def recorded_keyed_basis(G, order, budget=None, start=None):
-        return record(keyed_basis(G, order, budget, start), order)
+    def recorded_keyed_basis(G, order, budget=None):
+        return record(keyed_basis(G, order, budget), order)
 
     def recorded_initial_forms(basis, order, weights):
         return record(keyed_initial_forms(basis, order, weights), order)

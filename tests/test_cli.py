@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sporbits import cli, symplectic
+from sporbits import cli, groebner, symplectic
 from sporbits.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -485,7 +485,7 @@ class TestVerifiers:
         # passes once the first of 7,3,2,10,9,8,1,6,5,4's 47 pfaffians (its
         # 1,170,050 terms) is written, before any Groebner step
         ticks = iter(range(0, 10**9, 1000))
-        monkeypatch.setattr(symplectic, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
         start = time.process_time()
         code, blob = run_json(capsys, "verify-degeneration", "--iota", "7,3,2,10,9,8,1,6,5,4")
         assert time.process_time() - start < 5.0
@@ -493,6 +493,25 @@ class TestVerifiers:
         assert blob["equal"] is None
         assert blob["budget_exhausted"] == "time cap: {'pfaffians_written': 1, 'pfaffians': 47}"
         assert blob["left_initial_generators"] == [] and blob["timings"] == {}
+
+    def test_verify_degeneration_time_cap_in_the_certificate(self, capsys, monkeypatch):
+        # the clock passes the cap once G_L is read off the basis, so the
+        # certificate's first check stops it: no verdict, exit 3
+        now = [0.0]
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        initial_forms = symplectic.keyed_initial_forms
+
+        def late_initial_forms(*args):
+            now[0] = 1000.0
+            return initial_forms(*args)
+
+        monkeypatch.setattr(symplectic, "keyed_initial_forms", late_initial_forms)
+        code, blob = run_json(capsys, "verify-degeneration", "--iota", "216543")
+        assert code == EXIT_BUDGET
+        assert blob["equal"] is None
+        assert blob["budget_exhausted"] == "time cap: {'pfaffians_written': 2, 'pfaffians': 2, 'pair_permutations_checked': 0}"
+        assert blob["left_initial_generators"] == [] and blob["right_initial_generators"] == []
+        assert list(blob["timings"]) == ["left_seconds"]
 
     @pytest.mark.parametrize(
         "cap",

@@ -1,9 +1,9 @@
 import dataclasses
 import itertools
 import random
-import time
 from fractions import Fraction
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -528,15 +528,48 @@ class TestBuchberger:
         assert [max(t) for t in basis] == sorted(max(t) for t in basis)
         assert [_unpack(t, xy, order) for t in basis] == buchberger([_unpack(g, xy, order) for g in gens], order)
 
-    def test_keyed_basis_time_cap_counts_from_start(self, xy):
+    def test_keyed_basis_time_cap_counts_from_start(self, xy, monkeypatch):
+        # the cap counts from the call: a clock at 0 on entry and 61 after
+        # stops the first pair, one that stays at 1,000 stops nothing
+        from sporbits import groebner
+
         order = grevlex_order(xy)
         gens = [_pack(poly(xy, "x^3 - 2*x*y"), order), _pack(poly(xy, "x^2*y - 2*y^2 + x"), order)]
         budget = GBBudget(max_seconds=60.0)
+        readings = itertools.chain([0.0], itertools.repeat(61.0))
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: next(readings)))
         with pytest.raises(BudgetExceeded) as exc:
-            keyed_basis(gens, order, budget, start=time.monotonic() - 61)
+            keyed_basis(gens, order, budget)
         assert exc.value.reason == "time cap"
         assert exc.value.stats["pairs_processed"] == 1
-        assert keyed_basis(gens, order, budget, start=time.monotonic()) == keyed_basis(gens, order)
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: 1000.0))
+        assert keyed_basis(gens, order, budget) == keyed_basis(gens, order)
+
+    def test_time_cap_stops_a_long_reduction(self, monkeypatch):
+        # y*z - x and y - 1 give the S-pair z - x, and reducing x by x - P
+        # writes P's 20,825 terms in one step; the clock passes the cap as
+        # that S-pair is built, so the check inside the reduction raises
+        # before the remainder z - P is finished or joins the basis
+        from sporbits import groebner
+
+        vs = VariableSet.named("y", "z", "x", "a", "b", "c")
+        order = lex_order(vs)
+        P = Polynomial(vs, {(0, 0, 0, i, j, k): 1 for i in range(49) for j in range(49 - i) for k in range(49 - i - j)})
+        assert len(P.terms) == 20_825
+        gens = [_pack(g, order) for g in (Polynomial.variable(vs, "x") - P, poly(vs, "y*z - x"), poly(vs, "y - 1"))]
+        now = [0.0]
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+        def late_s_pair(*args):
+            now[0] = 61.0
+            return _s_pair(*args)
+
+        monkeypatch.setattr(groebner, "_s_pair", late_s_pair)
+        with pytest.raises(BudgetExceeded) as exc:
+            keyed_basis(gens, order, GBBudget(max_seconds=60.0))
+        assert exc.value.reason == "time cap"
+        assert exc.value.stats["basis_size"] == 3
+        assert [entry.name for entry in exc.traceback][-3:] == ["keyed_basis", "_reduce_terms", "check"]
 
     def test_budget_pairs(self, xy):
         order = lex_order(xy)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -640,6 +641,23 @@ class TestVerifiers:
         assert exc.value.reason == "pair cap"
         assert exc.value.stats == {"pairs_processed": 1, "basis_size": 2}
 
+    def test_knutson_miller_time_cap_counts_from_the_call(self, monkeypatch):
+        # the clock passes the cap while the minors are written, so the
+        # certificate gets no time left and stops before its first pair
+        now = [0.0]
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        keyed_minors = symplectic._keyed_minors
+
+        def late_minors(*args):
+            yield from keyed_minors(*args)
+            now[0] = 61.0
+
+        monkeypatch.setattr(symplectic, "_keyed_minors", late_minors)
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_knutson_miller(perm("2143"), GBBudget(max_seconds=60.0))
+        assert exc.value.reason == "time cap"
+        assert exc.value.stats == {"pairs_processed": 0}
+
     def test_knutson_miller_never_unpacks_or_rekeys_a_minor_term(self, monkeypatch):
         # the minors are written keyed by the order's units, so no term is
         # unpacked, and order.key runs only on the certificate's pair lcms
@@ -738,9 +756,9 @@ class TestVerifiers:
         calls = []
         keyed_basis = groebner.keyed_basis
 
-        def counted(G, order, budget=None, start=None):
+        def counted(G, order, budget=None):
             calls.append(order)
-            return keyed_basis(G, order, budget, start)
+            return keyed_basis(G, order, budget)
 
         monkeypatch.setattr(symplectic, "keyed_basis", counted)
         assert verify_degeneration(fpf("216543")).equal is True
@@ -866,9 +884,9 @@ class TestDegenerationCertificate:
         # m[1,2]^2*m[2,1] does not divide the antidiagonal m[1,2]*m[2,1]
         keyed_basis = groebner.keyed_basis
 
-        def injected(G, order, budget=None, start=None):
+        def injected(G, order, budget=None):
             g = parse_polynomial(order.vs, "m[1,2]^2*m[2,1] - m[1,1]*m[1,2]*m[2,2]")
-            return keyed_basis([groebner._pack(g, order)], order, budget, start)
+            return keyed_basis([groebner._pack(g, order)], order, budget)
 
         monkeypatch.setattr(symplectic, "keyed_basis", injected)
         report = verify_degeneration(fpf("3412"))
@@ -879,9 +897,9 @@ class TestDegenerationCertificate:
         calls = []
         keyed_basis = groebner.keyed_basis
 
-        def counted(G, order, budget=None, start=None):
+        def counted(G, order, budget=None):
             calls.append(order)
-            return keyed_basis(G, order, budget, start)
+            return keyed_basis(G, order, budget)
 
         def refuse(*args, **kwargs):
             raise AssertionError("elimination reached")
