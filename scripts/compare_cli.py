@@ -32,8 +32,10 @@ the ideal files of IDEALS, written to a temporary directory: two
 named-variable ideals under `lex` and `grevlex`, a `--max-pairs 2` and a
 `--max-degree 3` budget exit (the latter on a generator whose lex lead has
 lower degree than its tail), a 2x2 matrix ideal with an extra variable `t`
-under `antidiagonal`, and an exponent too wide for the order's key fields
-(exit 2).  The words are built here, not by the code under comparison.
+under `antidiagonal`, an exponent too wide for the order's key fields
+(exit 2), and under `lex` and `grevlex` the zero generators the kernel
+drops: only zeros, no generators at all, and a zero among nonzero ones.
+The words are built here, not by the code under comparison.
 """
 
 from __future__ import annotations
@@ -90,6 +92,12 @@ IDEALS = {
         [["--order", "antidiagonal"]],
     ),
     "over-wide": ({"variables": ["x", "y"], "generators": ["x^70000 - y", "x*y - 1"]}, [["--order", "lex"]]),
+    "zeros": ({"variables": ["x", "y"], "generators": ["0", "0*x"]}, [["--order", "lex"], ["--order", "grevlex"]]),
+    "no-generators": ({"variables": ["x", "y"], "generators": []}, [["--order", "lex"], ["--order", "grevlex"]]),
+    "zero-among": (
+        {"variables": ["x", "y"], "generators": ["x^2 - y", "0", "x*y - 1"]},
+        [["--order", "lex"], ["--order", "grevlex"]],
+    ),
 }
 
 

@@ -45,6 +45,9 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+#: the term orders of `groebner --order`, by name
+ORDERS = {"lex": lex_order, "grevlex": grevlex_order, "antidiagonal": antidiagonal_order}
+
 
 def _budget(args) -> GBBudget:
     """The default or --deep caps with those of flags and config over them;
@@ -156,12 +159,7 @@ def cmd_groebner(args) -> int:
         gens = [parse_polynomial(vs, s) for s in blob["generators"]]
     except ZeroDivisionError as exc:
         raise ValueError(f"{args.ideal}: bad generator: {exc}") from exc
-    if args.order == "antidiagonal":
-        order = antidiagonal_order(vs)
-    elif args.order == "grevlex":
-        order = grevlex_order(vs)
-    else:
-        order = lex_order(vs)
+    order = ORDERS[args.order](vs)
     gb = buchberger(gens, order, _budget(args))
     _emit(args, {"order": order.name, "reduced_basis": [str(g) for g in gb]})
     return EXIT_OK
@@ -274,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groebner", help="reduced Groebner basis of an ideal file")
     p.add_argument("--ideal", required=True, help="JSON file with variables/generators")
-    p.add_argument("--order", choices=["lex", "grevlex", "antidiagonal"], default="lex")
+    p.add_argument("--order", choices=list(ORDERS), default="lex")
     common(p, budget=True)
     p.set_defaults(func=cmd_groebner)
 

@@ -5,22 +5,24 @@ eliminating an auxiliary variable it adds and drops itself.
 
 Inside the kernel a term is its packed order key (orders.TermOrder), packed
 once on entry and unpacked once on exit: a monomial product is one addition,
-a divisibility test one AND.  On exit the order's slots are read with one
-struct call and the polynomial key written with another.  Callers that hold
-terms keyed already (the Fulton minors and the orbit pfaffians, keyed from
-the order's per-variable `units`) pass them in as dicts and skip both ends:
-`keyed_basis` is Buchberger's algorithm on key dicts, which `buchberger`
-wraps in one packing and one unpacking, and `keyed_initial_forms` reads
-each term's weight off its key under a weight-refined order, for
-`initial_ideal` and the degeneration verifier alike.  Coefficients
-are ints when integral and Fractions otherwise, as in Polynomial: every
-quotient goes through `_div`, which keeps an int over a ±1 lead, so the ±1
-Fulton minors and the monic bases Buchberger builds from integer input stay
-in small ints.  Division is
-heap-ordered (Monagan-Pearce, "Sparse polynomial division using a heap",
-2011), against a divisor set prepared once per basis (`Reducers`) that
-Buchberger grows with the basis.  Every S-polynomial is built one way, from
-two prepared divisors' tails.
+a divisibility test one AND.  Every Polynomial entry point is "pack, keyed
+core, unpack": `_pack` refuses a polynomial over other variables than the
+order's (ValueError), and `_unpack` writes the result over the order's
+variables, reading the order's slots with one struct call and writing the
+polynomial key with another.  Callers that hold terms keyed already (the
+Fulton minors and the orbit pfaffians, keyed from the order's per-variable
+`units`) call the keyed cores on dicts and skip both ends: `keyed_basis` is
+Buchberger's algorithm, `keyed_certificate` the Groebner certificate, and
+`keyed_initial_forms` reads each term's weight off its key under a
+weight-refined order, for `initial_ideal` and the degeneration verifier
+alike.  Coefficients are ints when integral and Fractions otherwise, as in
+Polynomial: every quotient goes through `_div`, which keeps an int over a
+±1 lead, so the ±1 Fulton minors and the monic bases Buchberger builds from
+integer input stay in small ints.  Division is heap-ordered (Monagan-Pearce,
+"Sparse polynomial division using a heap", 2011), against a divisor list: one
+Entry per divisor, in ascending rank (`_divisors`), which Buchberger grows
+with the basis.  Every S-polynomial is built one way, from two entries'
+tails.
 
 Everything is deterministic: the pair queue, the one S-pair loop that
 Buchberger and the certificate share, is a heap under the normal selection
@@ -119,12 +121,15 @@ _CHECK_TERMS = 20_000
 
 
 def _pack(f: Polynomial, order: TermOrder) -> dict[int, Coeff]:
+    if f.vs.names != order.vs.names:
+        raise ValueError("mixed variable sets")
     return {order.key(f.vs.unpack(k)): c for k, c in f._packed.items()}
 
 
-def _unpack(terms: dict[int, Coeff], vs: VariableSet, order: TermOrder) -> Polynomial:
+def _unpack(terms: dict[int, Coeff], order: TermOrder) -> Polynomial:
     # an order key holds each exponent in a field of the polynomial layout, so
     # none passes MAX_EXPONENT and the slots can be written unchecked
+    vs = order.vs
     pack, exponents = vs.packer.pack, order.exponents
     return Polynomial._of(vs, {int.from_bytes(pack(*exponents(k)), "big"): c for k, c in terms.items()})
 
@@ -140,38 +145,16 @@ def _div(a: Coeff, b: Coeff) -> Coeff:
     return q.numerator if q.denominator == 1 else q
 
 
-class Reducers:
-    """A divisor set prepared for division under one term order: Entries
-    tried in ascending rank, low-degree leads first, ties in the order added.
-    `add` keeps that order, so a set grown one divisor at a time equals one
-    prepared from the whole list at once."""
-
-    def __init__(self, G: Sequence[Polynomial | dict[int, Coeff]], order: TermOrder):
-        self.order = order
-        self.entries: list[Entry] = []
-        for g in G:
-            self.add(g)
-
-    def add(self, g: Polynomial | dict[int, Coeff]) -> Entry | None:
-        """Add a polynomial or packed term dict; returns its entry, or None."""
-        terms = g if isinstance(g, dict) else _pack(g, self.order)
-        if not terms:
-            return None
-        lead = max(terms)
-        entry = ((lead & FIELD_MASK, lead), lead, terms[lead], [(k, c) for k, c in terms.items() if k != lead])
-        insort(self.entries, entry, key=itemgetter(0))
-        return entry
+def _entry(terms: dict[int, Coeff]) -> Entry:
+    """The divisor entry of a nonempty term dict: its lead is max(terms)."""
+    lead = max(terms)
+    return (lead & FIELD_MASK, lead), lead, terms[lead], [(k, c) for k, c in terms.items() if k != lead]
 
 
-def _prepared(G: Sequence[Polynomial] | Reducers, order: TermOrder) -> Reducers:
-    """G as a divisor set prepared under `order`: built here from a list of
-    polynomials, or passed through when given prepared, which must then be
-    under `order` (ValueError otherwise)."""
-    if not isinstance(G, Reducers):
-        return Reducers(G, order)
-    if G.order != order:
-        raise ValueError("reducers prepared under another term order")
-    return G
+def _divisors(dicts: Sequence[dict[int, Coeff]]) -> list[Entry]:
+    """The entries of the nonempty term dicts in the order division tries
+    them: ascending rank, low-degree leads first, ties as given."""
+    return sorted((_entry(terms) for terms in dicts if terms), key=itemgetter(0))
 
 
 def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Coeff]:
@@ -188,16 +171,16 @@ def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Coeff]:
     return {k: c for k, c in out.items() if c}
 
 
-def _reduce_terms(work: dict[int, Coeff], reducers: list[Entry], guards: int, check: Callable[[], float] | None = None) -> dict[int, Coeff]:
-    """Full normal form of a packed term dict, consumed, against prepared
-    reducer entries.  A min-heap of negated keys pops the largest term first.
-    A term that cancels stays in the heap, skipped when popped, until dead
-    keys outnumber live ones and the heap is rebuilt.  A popped term never
-    comes back, as reductions add only smaller terms, so terms leave as a
-    rescan for the largest would take them.  A product that sets a guard bit
-    has overflowed its field and raises ValueError.  `check`, when given, is
-    called once the reduction steps have written more than _CHECK_TERMS tail
-    terms since it last was."""
+def _reduce_terms(work: dict[int, Coeff], divisors: list[Entry], guards: int, check: Callable[[], float] | None = None) -> dict[int, Coeff]:
+    """Full normal form of a packed term dict, consumed, against a divisor
+    list in ascending rank (`_divisors`).  A min-heap of negated keys pops
+    the largest term first.  A term that cancels stays in the heap, skipped
+    when popped, until dead keys outnumber live ones and the heap is rebuilt.
+    A popped term never comes back, as reductions add only smaller terms, so
+    terms leave as a rescan for the largest would take them.  A product that
+    sets a guard bit has overflowed its field and raises ValueError.
+    `check`, when given, is called once the reduction steps have written
+    more than _CHECK_TERMS tail terms since it last was."""
     heap = [-k for k in work]
     heapq.heapify(heap)
     out: dict[int, Coeff] = {}
@@ -207,7 +190,7 @@ def _reduce_terms(work: dict[int, Coeff], reducers: list[Entry], guards: int, ch
         coeff = work.pop(k, None)
         if coeff is None:
             continue
-        for _, lead, lead_c, tail in reducers:
+        for _, lead, lead_c, tail in divisors:
             q = k - lead
             if not q & guards:
                 factor = _div(coeff, lead_c)
@@ -238,19 +221,20 @@ def _reduce_terms(work: dict[int, Coeff], reducers: list[Entry], guards: int, ch
     return out
 
 
-def normal_form(f: Polynomial, G: Sequence[Polynomial] | Reducers, order: TermOrder) -> Polynomial:
+def normal_form(f: Polynomial, G: Sequence[Polynomial], order: TermOrder) -> Polynomial:
     """Remainder of f under multivariate division by G: no monomial of the
     result is divisible by any leading monomial of G, and f - result lies in
-    the ideal generated by G.  G may be given prepared (see `_prepared`)."""
-    return _unpack(_reduce_terms(_pack(f, order), _prepared(G, order).entries, order.guards), f.vs, order)
+    the ideal generated by G."""
+    divisors = _divisors([_pack(g, order) for g in G])
+    return _unpack(_reduce_terms(_pack(f, order), divisors, order.guards), order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     """The S-polynomial of two nonzero polynomials, built as every S-pair of
     the kernel is (`_s_pair`)."""
-    ef, eg = Reducers((), order).add(f), Reducers((), order).add(g)
+    ef, eg = _entry(_pack(f, order)), _entry(_pack(g, order))
     lcm = order.key(tuple(map(max, order.exponents(ef[1]), order.exponents(eg[1]))))
-    return _unpack(_s_pair(ef, eg, lcm, order.guards), f.vs, order)
+    return _unpack(_s_pair(ef, eg, lcm, order.guards), order)
 
 
 def _check_budget(budget: GBBudget, stats: dict) -> Callable[[], float]:
@@ -323,16 +307,22 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def is_groebner_basis(G: Sequence[Polynomial] | Reducers, order: TermOrder, budget: GBBudget | None = None) -> bool:
-    """Certificate that G is a Groebner basis, G given as polynomials or
-    prepared (see `_prepared`): every S-pair of its divisors that `_pairs`
-    yields reduces to zero against them.  The pairs index the divisor order
-    (ascending degree, then lead), not G's list order, and are taken as
-    Buchberger takes them, under the same pair and time caps
-    (BudgetExceeded), the time cap counted from this call."""
+def is_groebner_basis(G: Sequence[Polynomial], order: TermOrder, budget: GBBudget | None = None) -> bool:
+    """Certificate that G is a Groebner basis (`keyed_certificate`), G keyed
+    under `order` on entry."""
+    return keyed_certificate([_pack(g, order) for g in G], order, budget)
+
+
+def keyed_certificate(G: Sequence[dict[int, Coeff]], order: TermOrder, budget: GBBudget | None = None) -> bool:
+    """Certificate that the term dicts G, keyed under `order`, are a Groebner
+    basis: every S-pair of their divisors that `_pairs` yields reduces to
+    zero against them.  The pairs index the divisor order (ascending degree,
+    then lead), not G's list order, and are taken as Buchberger takes them,
+    under the same pair and time caps (BudgetExceeded), the time cap counted
+    from this call."""
     stats = {"pairs_processed": 0}
     check = _check_budget(budget or GBBudget(), stats)
-    entries = _prepared(G, order).entries
+    entries = _divisors(G)
     stats["basis_size"] = len(entries)
     return not any(
         _reduce_terms(_s_pair(f, g, lcm, order.guards), entries, order.guards, check)
@@ -349,10 +339,7 @@ def buchberger(
     generators keyed under `order` on entry and the basis unpacked on exit.
     The result is monic, auto-reduced, and sorted by leading monomial, so it
     is unique for the ideal and order."""
-    G = [g for g in generators if not g.is_zero()]
-    if not G:
-        return []
-    return [_unpack(terms, G[0].vs, order) for terms in keyed_basis([_pack(g, order) for g in G], order, budget)]
+    return [_unpack(terms, order) for terms in keyed_basis([_pack(g, order) for g in generators], order, budget)]
 
 
 def keyed_basis(generators: Sequence[dict[int, Coeff]], order: TermOrder, budget: GBBudget | None = None) -> list[dict[int, Coeff]]:
@@ -369,13 +356,14 @@ def keyed_basis(generators: Sequence[dict[int, Coeff]], order: TermOrder, budget
     stats = {"pairs_processed": 0}
     check = _check_budget(budget or GBBudget(), stats)
     guards = order.guards
-    reducers = Reducers((), order)
-    # the monic elements in the order they were found
+    # the monic elements in the order they were found, and as divisors
     basis: list[Entry] = []
+    divisors: list[Entry] = []
 
     def add(terms: dict[int, Coeff]) -> None:
         lead_c = terms[max(terms)]
-        basis.append(reducers.add({k: _div(c, lead_c) for k, c in terms.items()}))
+        basis.append(_entry({k: _div(c, lead_c) for k, c in terms.items()}))
+        insort(divisors, basis[-1], key=itemgetter(0))
 
     packed = [terms for terms in generators if terms]
     for terms in packed:
@@ -383,24 +371,23 @@ def keyed_basis(generators: Sequence[dict[int, Coeff]], order: TermOrder, budget
     stats.update(basis_size=len(packed), max_degree=max((k & FIELD_MASK for terms in packed for k in terms), default=0))
 
     for f, g, lcm in _pairs(basis, order, stats, check):
-        h = _reduce_terms(_s_pair(f, g, lcm, guards), reducers.entries, guards, check)
+        h = _reduce_terms(_s_pair(f, g, lcm, guards), divisors, guards, check)
         if h:
             stats["max_degree"] = max(stats["max_degree"], max(k & FIELD_MASK for k in h))
             check()
             add(h)
             stats["basis_size"] = len(basis)
 
-    return _reduce_basis(reducers, check)
+    return _reduce_basis(divisors, guards, check)
 
 
-def _reduce_basis(basis: Reducers, check: Callable[[], float]) -> list[dict[int, Coeff]]:
-    """Minimalize then fully tail-reduce a prepared monic Groebner basis,
-    calling `check` between elements and within each reduction; the result
-    as term dicts sorted by lead."""
-    guards = basis.order.guards
+def _reduce_basis(entries: list[Entry], guards: int, check: Callable[[], float]) -> list[dict[int, Coeff]]:
+    """Minimalize then fully tail-reduce a monic Groebner basis given as
+    divisor entries in ascending rank, calling `check` between elements and
+    within each reduction; the result as term dicts sorted by lead."""
     # minimal: drop any element whose lead is divisible by an earlier lead
     minimal: list[Entry] = []
-    for entry in basis.entries:
+    for entry in entries:
         if all((entry[1] - other[1]) & guards for other in minimal):
             minimal.append(entry)
     # no other lead divides a minimal lead, so each element keeps its lead
@@ -466,4 +453,4 @@ def initial_ideal(
         return Ideal(I.vs, [])
     order = weight_refined_order(I.vs, weights, tie_break)
     basis = keyed_basis([_pack(g, order) for g in I.generators], order, budget)
-    return Ideal(I.vs, [_unpack(terms, I.vs, order) for terms in keyed_initial_forms(basis, order, weights)])
+    return Ideal(I.vs, [_unpack(terms, order) for terms in keyed_initial_forms(basis, order, weights)])

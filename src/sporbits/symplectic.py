@@ -27,13 +27,13 @@ from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
-    Reducers,
     _check_budget,
+    _divisors,
     _reduce_terms,
     _unpack,
     ideal_intersection,
-    is_groebner_basis,
     keyed_basis,
+    keyed_certificate,
     keyed_initial_forms,
 )
 from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
@@ -426,12 +426,12 @@ def random_symplectic(n: int, rng) -> Matrix:
 def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> bool:
     """Check that the Fulton generators are a Groebner basis under the
     antidiagonal order (Knutson-Miller, Annals 2005, Thm B).  The minors are
-    written keyed by the order's units and prepared once as divisors
-    (Reducers): each entry's lead must be its minor's antidiagonal term, and
-    is_groebner_basis must hold on the same divisors, which reduces only the
-    pairs the product and chain criteria leave but counts all it examines
-    against the budget (its BudgetExceeded passes through).  The time cap
-    counts from this call: the certificate gets the time the minors left.
+    written keyed by the order's units: each minor's lead, the largest of its
+    keys, must be its antidiagonal term, and keyed_certificate must hold on
+    the same term dicts, which reduces only the pairs the product and chain
+    criteria leave but counts all it examines against the budget (its
+    BudgetExceeded passes through).  The time cap counts from this call:
+    the certificate gets the time the minors left.
     ValueError, before any expansion, when p is larger than MAX_MATRIX_SIZE
     or its minors have more than MAX_EXPANDED_TERMS terms (a k x k minor has
     k!)."""
@@ -443,11 +443,10 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
     if terms > MAX_EXPANDED_TERMS:
         raise ValueError(f"{p} needs {terms} minor terms, over {MAX_EXPANDED_TERMS}")
     order = antidiagonal_order(VariableSet.matrix(p.size))
-    reducers = Reducers((), order)
-    for rows, cols, terms in _keyed_minors(p, order.units):
-        if reducers.add(terms)[1] != _mask_key(order, _antidiagonal(order.vs, rows, cols)):
-            return False
-    return is_groebner_basis(reducers, order, replace(budget, max_seconds=check()))
+    minors = _keyed_minors(p, order.units)
+    if any(max(terms) != _mask_key(order, _antidiagonal(order.vs, rows, cols)) for rows, cols, terms in minors):
+        return False
+    return keyed_certificate([terms for *_, terms in minors], order, replace(budget, max_seconds=check()))
 
 
 def column_weights(vs: VariableSet) -> tuple[int, ...]:
@@ -501,9 +500,10 @@ def verify_degeneration(
     written keyed by the weight-refined order's units, G_L is read off that
     basis's keys (keyed_initial_forms), and each g's antidiagonal keys are
     the low slots of its weight-refined keys (`tie_key_mask`), used for
-    every v's normal form and for the divisors whose leads (ii) reads; the
-    minors are written keyed by the antidiagonal order's units.  G_L is
-    unpacked once, for the report.  Reading G_L's leads under the
+    every v's normal form, and the largest of them is the lead (ii) reads;
+    each v's minors are written keyed by the antidiagonal order's units and
+    divided by as one divisor list (`_divisors`).  G_L is unpacked once, for
+    the report.  Reading G_L's leads under the
     antidiagonal order is sound: each g is the initial form of a homogeneous
     element, so its terms share degree and w-weight, the weight-refined
     order's first two rows tie on g, and it falls through to the antidiagonal
@@ -548,24 +548,24 @@ def verify_degeneration(
         t0 = time.monotonic()
         low = tie_key_mask(tie)
         keyed = [{k & low: c for k, c in terms.items()} for terms in left]
-        L = [_unpack(terms, vs, tie) for terms in keyed]
+        L = [_unpack(terms, tie) for terms in keyed]
         witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
         for checked, v in enumerate(pp.perms):
             stats["pair_permutations_checked"] = checked
             check()
             minors = _keyed_minors(v, tie.units)
-            reducers = Reducers([terms for *_, terms in minors], tie)
+            divisors = _divisors([terms for *_, terms in minors])
             witnesses += [
                 f"{g} is not in I_{v}"
                 for g, terms in zip(L, keyed)
-                if _reduce_terms(dict(terms), reducers.entries, tie.guards, check)
+                if _reduce_terms(dict(terms), divisors, tie.guards, check)
             ]
             gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
             common = _minimal(a | b for a in common for b in gens)
     except BudgetExceeded as exc:
         exhausted = f"{exc.reason}: {exc.stats}"
         return DegenerationReport(iota, pp.perms, (), None, budget_exhausted=exhausted, timings=timings)
-    leads = [lead for _, lead, _, _ in Reducers(keyed, tie).entries]
+    leads = list(map(max, keyed))
     for m in common:
         key = _mask_key(tie, m)
         if all((key - lead) & tie.guards for lead in leads):

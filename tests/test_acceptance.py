@@ -51,7 +51,7 @@ def reduced_bases(monkeypatch):
     keyed_basis, keyed_initial_forms = groebner.keyed_basis, groebner.keyed_initial_forms
 
     def record(basis, order):
-        seen[tuple(_unpack(terms, order.vs, order) for terms in basis), order] = None
+        seen[tuple(_unpack(terms, order) for terms in basis), order] = None
         return basis
 
     def recorded_keyed_basis(G, order, budget=None):

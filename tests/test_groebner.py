@@ -1,8 +1,9 @@
 import dataclasses
 import itertools
 import random
+from bisect import insort
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from types import SimpleNamespace
 
 import pytest
@@ -13,8 +14,9 @@ from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
-    Reducers,
     _div,
+    _divisors,
+    _entry,
     _pack,
     _reduce_terms,
     _s_pair,
@@ -340,7 +342,7 @@ class TestKeyRoundTrip:
             max_size=6,
         ))
         f = Polynomial(vs, terms)
-        assert _unpack(_pack(f, order), vs, order) == f
+        assert _unpack(_pack(f, order), order) == f
 
     @pytest.mark.parametrize("order", _ORDERS_6X6, ids=_IDS_6X6)
     def test_widest_exponent_round_trips_and_one_more_raises(self, order):
@@ -430,7 +432,7 @@ class TestNormalForm:
 
     def test_certificate_budget(self, xy):
         gens = buchberger([poly(xy, "x^3 - y"), poly(xy, "x*y^2 - 1")], grevlex_order(xy))
-        # basis_size counts the prepared divisors, so a zero adds none; as in
+        # basis_size counts the divisors, so a zero adds none; as in
         # buchberger, the pair that passes the cap is counted
         for G in (gens, gens + [poly(xy, "0")]):
             with pytest.raises(BudgetExceeded) as exc:
@@ -438,17 +440,21 @@ class TestNormalForm:
             assert exc.value.reason == "pair cap"
             assert exc.value.stats == {"pairs_processed": 2, "basis_size": len(gens)}
 
-
-    def test_certificate_takes_prepared_divisors(self, xy):
-        order = lex_order(xy)
-        gens = [poly(xy, "x^2 - 1"), poly(xy, "x*y - 1")]
-        gb = buchberger(gens, order)
-        assert is_groebner_basis(Reducers(gb, order), order)
-        assert not is_groebner_basis(Reducers(gens, order), order)
-        # a set prepared under another order is refused, as by normal_form
-        for check in (is_groebner_basis, lambda G, o: normal_form(gens[0], G, o)):
-            with pytest.raises(ValueError, match="another term order"):
-                check(Reducers(gb, order), grevlex_order(xy))
+    def test_an_order_over_other_variables_is_refused(self, xy):
+        # an order over the same names ranked y > x, or over a third
+        # variable, is not the polynomials' order: no entry point keys their
+        # terms under it (the first would give the basis for x > y)
+        gens = [poly(xy, "x^2 - y"), poly(xy, "x*y - 1")]
+        for order in (lex_order(VariableSet.named("y", "x")), lex_order(VariableSet.named("x", "y", "z"))):
+            for call in (
+                lambda: buchberger(gens, order),
+                lambda: normal_form(gens[0], gens[1:], order),
+                lambda: is_groebner_basis(gens, order),
+                lambda: s_polynomial(*gens, order),
+                lambda: Ideal(xy, gens).groebner_basis(order),
+            ):
+                with pytest.raises(ValueError, match="mixed variable sets"):
+                    call()
 
     def test_certificate_takes_buchbergers_pairs(self, monkeypatch):
         # on a reduced basis the certificate and buchberger reduce the same
@@ -526,7 +532,7 @@ class TestBuchberger:
         basis = keyed_basis(gens, order)
         assert gens == copies
         assert [max(t) for t in basis] == sorted(max(t) for t in basis)
-        assert [_unpack(t, xy, order) for t in basis] == buchberger([_unpack(g, xy, order) for g in gens], order)
+        assert [_unpack(t, order) for t in basis] == buchberger([_unpack(g, order) for g in gens], order)
 
     def test_keyed_basis_time_cap_counts_from_start(self, xy, monkeypatch):
         # the cap counts from the call: a clock at 0 on entry and 61 after
@@ -671,7 +677,7 @@ def initial_form(f: Polynomial, weights) -> Polynomial:
 def _keyed_initial_form(f: Polynomial, weights, tie=None) -> Polynomial:
     """keyed_initial_forms on f alone, keyed under the weight-refined order."""
     order = weight_refined_order(f.vs, weights, tie)
-    return _unpack(keyed_initial_forms([_pack(f, order)], order, weights)[0], f.vs, order)
+    return _unpack(keyed_initial_forms([_pack(f, order)], order, weights)[0], order)
 
 
 class TestInitialIdeals:
@@ -827,8 +833,9 @@ def _rescan_reduce_terms(terms, reducers, key):
 
 
 def _tuple_entries(G, order):
-    """Reducer entries with tuple monomials, built from G in the order
-    Reducers tries them: ascending (lead degree, lead), ties as given."""
+    """Divisor entries with tuple monomials, built from G in the order
+    division tries them (_divisors): ascending (lead degree, lead), ties as
+    given."""
     entries = []
     for g in G:
         if not g.is_zero():
@@ -861,22 +868,23 @@ class TestHeapDivision:
         assert _rescan_reduce_terms(f.terms, _tuple_entries(G, order), order.key) == {(1, 1): 1}
         assert normal_form(f, G, order) == poly(xy, "x*y")
         # and one that cancels for good leaves no term behind
-        assert normal_form(poly(xy, "x^2 - x*y"), Reducers(G, order), order).is_zero()
+        assert normal_form(poly(xy, "x^2 - x*y"), G, order).is_zero()
 
-    def test_reducers_grown_one_at_a_time(self, xy):
+    def test_divisors_grown_one_at_a_time(self, xy):
+        # a divisor list grown by insort, as Buchberger grows its own, equals
+        # the one _divisors sorts from the whole list at once
         order = grevlex_order(xy)
-        G = [poly(xy, "y^2 - 1"), poly(xy, "x^2 - y"), poly(xy, "x"), poly(xy, "x^2 + 3"), poly(xy, "0")]
-        grown = Reducers([], order)
-        for g in G:
-            grown.add(g)
-        assert grown.entries == Reducers(G, order).entries
+        G = [_pack(poly(xy, s), order) for s in ("y^2 - 1", "x^2 - y", "x", "x^2 + 3", "0")]
+        grown = []
+        for terms in G:
+            if terms:
+                insort(grown, _entry(terms), key=itemgetter(0))
+        assert grown == _divisors(G)
         # entries are packed: rank (degree, lead), lead, its coefficient, tail
         ex = order.exponents
-        assert [e[0] for e in grown.entries] == [(sum(ex(e[1])), e[1]) for e in grown.entries]
-        # low-degree leads first; equal leads in the order they were added
-        assert [str(Polynomial(xy, {ex(e[1]): e[2], **{ex(k): c for k, c in e[3]}})) for e in grown.entries] == [
-            "x", "y^2-1", "x^2-y", "x^2+3"
-        ]
+        assert [e[0] for e in grown] == [(sum(ex(e[1])), e[1]) for e in grown]
+        # low-degree leads first; equal leads in the order they were given
+        assert [str(_unpack({e[1]: e[2], **dict(e[3])}, order)) for e in grown] == ["x", "y^2-1", "x^2-y", "x^2+3"]
 
     def test_overflowing_product_raises(self, xy):
         # x reduces to y^FIELD_MASK, which times x overflows the degree field
@@ -886,13 +894,6 @@ class TestHeapDivision:
             normal_form(poly(xy, "x^2"), G, order)
         with pytest.raises(ValueError):
             buchberger(G + [poly(xy, "x^2")], order, GBBudget(max_degree=2 * FIELD_MASK))
-
-    def test_prepared_reducers_need_their_order(self, xy):
-        G = [poly(xy, "x^2 - y")]
-        f = poly(xy, "x^3")
-        assert normal_form(f, Reducers(G, lex_order(xy)), lex_order(xy)) == normal_form(f, G, lex_order(xy))
-        with pytest.raises(ValueError):
-            normal_form(f, Reducers(G, lex_order(xy)), grevlex_order(xy))
 
     def test_remainder_matches_sympy_reduced(self):
         sympy = pytest.importorskip("sympy")
@@ -1052,7 +1053,7 @@ class TestIntegerCoefficients:
         p = Permutation.from_any(word)
         vs = VariableSet.matrix(p.size)
         order = antidiagonal_order(vs)
-        entries = Reducers([f for _, _, f in fulton_minors(p)], order).entries
+        entries = _divisors([_pack(f, order) for _, _, f in fulton_minors(p)])
         assert entries and all(type(c) is int for e in entries for c in [e[2], *dict(e[3]).values()])
         ex, remainders = order.exponents, 0
         for e, f in itertools.combinations(entries, 2):
@@ -1069,12 +1070,11 @@ class TestIntegerCoefficients:
 
 def _all_pairs_certificate(G, order):
     """The certificate with no pair criterion, as the reference: every S-pair
-    of G, in combinations order, reduces to zero against G."""
-    reducers = Reducers((), order)
-    entries = [e for e in map(reducers.add, G) if e is not None]
+    of G's divisors, in combinations order, reduces to zero against them."""
+    entries = _divisors([_pack(g, order) for g in G])
     leads = [order.exponents(e[1]) for e in entries]
     return all(
-        not _reduce_terms(_s_pair(e, f, order.key(tuple(map(max, a, b))), order.guards), reducers.entries, order.guards)
+        not _reduce_terms(_s_pair(e, f, order.key(tuple(map(max, a, b))), order.guards), entries, order.guards)
         for (e, a), (f, b) in itertools.combinations(zip(entries, leads), 2)
     )
 

@@ -663,7 +663,7 @@ class TestVerifiers:
         # unpacked, and order.key runs only on the certificate's pair lcms
         p = perm("15432")
         unpacked, keyed, certifying = [], [], []
-        unpack, certify = VariableSet.unpack, symplectic.is_groebner_basis
+        unpack, certify = VariableSet.unpack, symplectic.keyed_certificate
 
         def counted_unpack(vs, key):
             unpacked.append(key)
@@ -684,7 +684,7 @@ class TestVerifiers:
 
         monkeypatch.setattr(VariableSet, "unpack", counted_unpack)
         monkeypatch.setattr(symplectic, "antidiagonal_order", counted_order)
-        monkeypatch.setattr(symplectic, "is_groebner_basis", certificate)
+        monkeypatch.setattr(symplectic, "keyed_certificate", certificate)
         assert verify_knutson_miller(p) is True
         assert certifying and keyed and all(keyed)
         assert unpacked == []
