@@ -26,6 +26,7 @@ from sporbits.groebner import (
     initial_ideal,
     is_groebner_basis,
     keyed_basis,
+    keyed_certificate,
     keyed_initial_forms,
     normal_form,
     s_polynomial,
@@ -440,6 +441,19 @@ class TestNormalForm:
             assert exc.value.reason == "pair cap"
             assert exc.value.stats == {"pairs_processed": 2, "basis_size": len(gens)}
 
+    def test_keyed_certificate_takes_term_dicts(self, xy):
+        # the keyed core answers as is_groebner_basis does on the same
+        # polynomials packed: empty dicts add no divisor, list order is free
+        order = lex_order(xy)
+        gens = [poly(xy, "x^2 - 1"), poly(xy, "x*y - 1")]
+        gb = buchberger(gens, order)
+        for G, expected in ((gb, True), (gens, False)):
+            dicts = [_pack(g, order) for g in G]
+            assert keyed_certificate(dicts, order) is expected
+            assert keyed_certificate([{}] + dicts[::-1], order) is expected
+            assert is_groebner_basis(G, order) is expected
+        assert keyed_certificate([], order) and keyed_certificate([{}], order)
+
     def test_an_order_over_other_variables_is_refused(self, xy):
         # an order over the same names ranked y > x, or over a third
         # variable, is not the polynomials' order: no entry point keys their
@@ -533,6 +547,17 @@ class TestBuchberger:
         assert gens == copies
         assert [max(t) for t in basis] == sorted(max(t) for t in basis)
         assert [_unpack(t, order) for t in basis] == buchberger([_unpack(g, order) for g in gens], order)
+
+    def test_zero_generators_are_dropped(self, xy):
+        # keyed_basis drops empty dicts; buchberger unpacks over the order's
+        # variables, so a basis of zeros alone is empty and needs no generator
+        order = grevlex_order(xy)
+        gens = [_pack(poly(xy, s), order) for s in ("x^2 - y", "x*y - 1")]
+        assert keyed_basis([{}] + gens + [{}], order) == keyed_basis(gens, order)
+        assert keyed_basis([{}, {}], order) == keyed_basis([], order) == []
+        assert buchberger([poly(xy, "0")], order) == buchberger([], order) == []
+        basis = buchberger([poly(xy, "0"), poly(xy, "x*y - 1")], order)
+        assert basis == [poly(xy, "x*y - 1")] and all(g.vs == xy for g in basis)
 
     def test_keyed_basis_time_cap_counts_from_start(self, xy, monkeypatch):
         # the cap counts from the call: a clock at 0 on entry and 61 after
