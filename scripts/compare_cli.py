@@ -34,7 +34,17 @@ named-variable ideals under `lex` and `grevlex`, a `--max-pairs 2` and a
 lower degree than its tail), a 2x2 matrix ideal with an extra variable `t`
 under `antidiagonal`, an exponent too wide for the order's key fields
 (exit 2), and under `lex` and `grevlex` the zero generators the kernel
-drops: only zeros, no generators at all, and a zero among nonzero ones.
+drops: only zeros, no generators at all, and a zero among nonzero ones;
+`--config` runs on the config files of CONFIGS, written to the same
+directory, each followed by the same command without the config, so a value
+that outlives its run shows: a config that supplies `--n` to `verify-all`
+and one that a given `--n` beats, `deep: true` alone and under a given
+`--max-pairs`, `format: "text"`, `"max_pairs": "0"` (a string converted as
+on the command line), the key `"max-pairs"`, keys that name no option, `"n":
+"x"` where `--n` takes it (exit 2), where the flag is given and where the
+command has no `--n`, a required `--iota` (never taken from a config, so exit
+2) and a value outside `--format`'s choices (exit 2); and `--help` for the
+program and each subcommand, so the order of the options is compared too.
 The words are built here, not by the code under comparison.
 """
 
@@ -101,6 +111,33 @@ IDEALS = {
 }
 
 
+#: config files for --config: name -> (JSON body, the argvs run after
+#: `--config FILE`); each config run is followed by the same argv without it
+CONFIGS = {
+    "n2": ({"n": 2}, [["verify-all", "--samples", "2"], ["verify-all", "--n", "3", "--samples", "2"]]),
+    "deep": (
+        {"deep": True},
+        [["verify-degeneration", "--iota", "216543"], ["verify-degeneration", "--iota", "216543", "--max-pairs", "4"]],
+    ),
+    "text": ({"format": "text"}, [["enumerate", "--n", "2"], ["boxes", "--iota", "351624"], ["verify-km", "--pi", "321"]]),
+    "pairs-string": ({"max_pairs": "0"}, [["verify-km", "--pi", "54321"], ["verify-all", "--n", "1", "--samples", "1"]]),
+    "pairs-hyphen": ({"max-pairs": 1}, [["verify-km", "--pi", "54321"]]),
+    "no-option": ({"other": [1], "func": 1, "command": "poset"}, [["enumerate", "--n", "2"]]),
+    "n-string": (
+        {"n": "x"},
+        [["verify-all"], ["verify-all", "--n", "1", "--samples", "1"], ["verify-km", "--pi", "21"]],
+    ),
+    "iota": ({"iota": "2143"}, [["boxes"], ["boxes", "--iota", "4321"]]),
+    "bad-choice": ({"format": "xml"}, [["enumerate", "--n", "2"]]),
+}
+
+#: the subcommands, for their --help
+SUBCOMMANDS = (
+    "enumerate", "poset", "wiring", "boxes", "basics", "pairperms", "groebner",
+    "orbit-ideal", "classify", "verify-km", "verify-degeneration", "verify-all",
+)
+
+
 def matchings(points: tuple[int, ...]):
     """Every perfect matching of `points`, as a tuple of pairs."""
     if not points:
@@ -124,7 +161,8 @@ def involutions(size: int) -> list[str]:
 
 
 def commands(fixtures: str) -> list[list[str]]:
-    """The command list; the groebner commands read IDEALS from `fixtures`."""
+    """The command list; the groebner commands read IDEALS and the --config
+    commands CONFIGS from `fixtures`."""
     out = []
     for n in range(1, 6):
         out += [["enumerate", "--n", str(n)], ["poset", "--n", str(n)], ["poset", "--n", str(n), "--format", "dot"]]
@@ -151,6 +189,10 @@ def commands(fixtures: str) -> list[list[str]]:
     out += [["verify-all", "--n", "1", "--samples", "1", "--max-pairs", "0"]]
     for name, (_, flags) in IDEALS.items():
         out += [["groebner", "--ideal", os.path.join(fixtures, f"{name}.json"), *f] for f in flags]
+    for name, (_, argvs) in CONFIGS.items():
+        for argv in argvs:
+            out += [["--config", os.path.join(fixtures, f"{name}.config.json"), *argv], argv]
+    out += [["--help"]] + [[command, "--help"] for command in SUBCOMMANDS]
     return out
 
 
@@ -190,6 +232,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as fixtures:
         for name, (blob, _) in IDEALS.items():
             with open(os.path.join(fixtures, f"{name}.json"), "w") as fh:
+                json.dump(blob, fh)
+        for name, (blob, _) in CONFIGS.items():
+            with open(os.path.join(fixtures, f"{name}.config.json"), "w") as fh:
                 json.dump(blob, fh)
         argvs = commands(fixtures)
         base, head = run_tree(base_src, argvs), run_tree(head_src, argvs)

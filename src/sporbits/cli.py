@@ -52,13 +52,12 @@ ORDERS = {"lex": lex_order, "grevlex": grevlex_order, "antidiagonal": antidiagon
 def _budget(args) -> GBBudget:
     """The default or --deep caps with those of flags and config over them;
     GBBudget refuses an unusable cap."""
-    base = DEEP_BUDGET if getattr(args, "deep", False) else GBBudget()
-    given = {cap.name: getattr(args, cap.name, None) for cap in dataclasses.fields(GBBudget)}
-    return dataclasses.replace(base, **{name: v for name, v in given.items() if v is not None})
+    caps = {cap.name: getattr(args, cap.name) for cap in dataclasses.fields(GBBudget) if hasattr(args, cap.name)}
+    return dataclasses.replace(DEEP_BUDGET if args.deep else GBBudget(), **caps)
 
 
 def _emit(args, payload: dict) -> None:
-    if getattr(args, "format", "json") == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for key, value in payload.items():
@@ -224,121 +223,108 @@ def cmd_verify_all(args) -> int:
     return EXIT_BUDGET if any(ok is None for _, ok, _ in checks) else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sporbits",
-        description="Symplectic orbit combinatorics and degeneration checks",
-    )
-    parser.add_argument("--config", help="JSON config file; flags win", default=None)
+#: an option: its flag and `add_argument` keywords, with the default, which
+#: main applies and argparse never sees
+_N = ("--n", dict(type=int, required=True))
+_IOTA = ("--iota", dict(required=True))
+_FORMAT = ("--format", dict(choices=["json", "text", "dot"], default="json"))
+_BUDGET = (
+    ("--deep", dict(action="store_true", help="raise GB budgets", default=False)),
+    ("--max-pairs", dict(type=int)), ("--max-degree", dict(type=int)), ("--max-seconds", dict(type=float)),
+)
+_CONFIG = ("--config", dict(help="JSON config file; flags win"))
+
+#: the subcommands: name -> (handler, help, options in the order of --help)
+COMMANDS = {
+    "enumerate": (cmd_enumerate, "list fixed-point-free involutions", [_N, _FORMAT]),
+    "poset": (cmd_poset, "opposite-Bruhat Hasse diagram", [_N, _FORMAT]),
+    "wiring": (cmd_wiring, "ASCII wiring diagram", [_IOTA, _FORMAT]),
+    "boxes": (cmd_boxes, "symplectic essential boxes", [_IOTA, _FORMAT]),
+    "basics": (cmd_basics, "basic-element decomposition + glb check", [_IOTA, _FORMAT]),
+    "pairperms": (cmd_pairperms, "pair permutations P(iota)", [_IOTA, _FORMAT]),
+    "groebner": (cmd_groebner, "reduced Groebner basis of an ideal file", [
+        ("--ideal", dict(required=True, help="JSON file with variables/generators")),
+        ("--order", dict(choices=list(ORDERS), default="lex")), _FORMAT, *_BUDGET]),
+    "orbit-ideal": (cmd_orbit_ideal, "pfaffian generators of I(Y_iota) by the box rule", [_IOTA, _FORMAT]),
+    "classify": (cmd_classify, "orbit of a numeric matrix", [
+        ("--matrix", dict(required=True, help="JSON array of rational strings")), _FORMAT]),
+    "verify-km": (cmd_verify_km, "Knutson-Miller Groebner check", [("--pi", dict(required=True)), _FORMAT, *_BUDGET]),
+    "verify-degeneration": (cmd_verify_degeneration, "full degeneration check", [_IOTA, _FORMAT, *_BUDGET]),
+    "verify-all": (cmd_verify_all, "batch invariant suite", [
+        ("--n", dict(type=int, default=4, help="max half-size for enumeration checks")),
+        ("--seed", dict(type=int, default=2024)),
+        ("--samples", dict(type=int, default=20)), _FORMAT, *_BUDGET]),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand. A subparser defaults nothing, so its
+    namespace holds exactly the flags given."""
+    parser = argparse.ArgumentParser("sporbits", description="Symplectic orbit combinatorics and degeneration checks")
+    parser.add_argument(_CONFIG[0], **_CONFIG[1])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, budget=False):
-        p.add_argument("--format", choices=["json", "text", "dot"], default="json")
-        if budget:
-            p.add_argument("--deep", action="store_true", help="raise GB budgets")
-            p.add_argument("--max-pairs", dest="max_pairs", type=int)
-            p.add_argument("--max-degree", dest="max_degree", type=int)
-            p.add_argument("--max-seconds", dest="max_seconds", type=float)
-
-    p = sub.add_parser("enumerate", help="list fixed-point-free involutions")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("poset", help="opposite-Bruhat Hasse diagram")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_poset)
-
-    p = sub.add_parser("wiring", help="ASCII wiring diagram")
-    p.add_argument("--iota", required=True)
-    common(p)
-    p.set_defaults(func=cmd_wiring)
-
-    p = sub.add_parser("boxes", help="symplectic essential boxes")
-    p.add_argument("--iota", required=True)
-    common(p)
-    p.set_defaults(func=cmd_boxes)
-
-    p = sub.add_parser("basics", help="basic-element decomposition + glb check")
-    p.add_argument("--iota", required=True)
-    common(p)
-    p.set_defaults(func=cmd_basics)
-
-    p = sub.add_parser("pairperms", help="pair permutations P(iota)")
-    p.add_argument("--iota", required=True)
-    common(p)
-    p.set_defaults(func=cmd_pairperms)
-
-    p = sub.add_parser("groebner", help="reduced Groebner basis of an ideal file")
-    p.add_argument("--ideal", required=True, help="JSON file with variables/generators")
-    p.add_argument("--order", choices=list(ORDERS), default="lex")
-    common(p, budget=True)
-    p.set_defaults(func=cmd_groebner)
-
-    p = sub.add_parser("orbit-ideal", help="pfaffian generators of I(Y_iota) by the box rule")
-    p.add_argument("--iota", required=True)
-    common(p)
-    p.set_defaults(func=cmd_orbit_ideal)
-
-    p = sub.add_parser("classify", help="orbit of a numeric matrix")
-    p.add_argument("--matrix", required=True, help="JSON array of rational strings")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify-km", help="Knutson-Miller Groebner check")
-    p.add_argument("--pi", required=True)
-    common(p, budget=True)
-    p.set_defaults(func=cmd_verify_km)
-
-    p = sub.add_parser("verify-degeneration", help="full degeneration check")
-    p.add_argument("--iota", required=True)
-    common(p, budget=True)
-    p.set_defaults(func=cmd_verify_degeneration)
-
-    p = sub.add_parser("verify-all", help="batch invariant suite")
-    p.add_argument("--n", type=int, default=4, help="max half-size for enumeration checks")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--samples", type=int, default=20)
-    common(p, budget=True)
-    p.set_defaults(func=cmd_verify_all)
-
+    for name, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag, spec in options:
+            p.add_argument(flag, **{k: v for k, v in spec.items() if k != "default"})
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        # config values that name an option, checked against it, become
-        # parser-level defaults (on the subcommand parsers too, since each
-        # parses into its own namespace); given flags win in a second parse
-        try:
-            cfg = _read_json(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(f"bad config file: {exc}")
-        if not isinstance(cfg, dict):
-            parser.error("bad config file: expected a JSON object")
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parsers = [parser, *sub.choices.values()]
-        kinds = {int: (int,), float: (int, float)}  # a bool is no int here
-        defaults = {}
-        for key, value in cfg.items():
-            dest = key.replace("-", "_")
-            for action in (a for p in parsers for a in p._actions if a.option_strings and a.dest == dest):
-                # a flag takes a bool; strings are left to argparse's conversion
-                if isinstance(action, argparse._StoreTrueAction):
-                    fits = type(value) is bool
-                else:
-                    fits = isinstance(value, str) or type(value) in kinds.get(action.type, ())
-                if not fits or action.choices is not None and value not in action.choices:
-                    parser.error(f"bad config file: {key!r} cannot be {json.dumps(value)}")
-                defaults[dest] = value
-        for p in parsers:
-            p.set_defaults(**defaults)
-        args = parser.parse_args(argv)
+#: built once, at import; nothing changes it after
+PARSER = _parser()
+
+#: every option of every command by its dest
+_OPTIONS = {_dest(flag): spec for _, _, options in COMMANDS.values() for flag, spec in [_CONFIG, *options]}
+
+#: the JSON types of a config value for an option of each type; a bool is no int here
+_KINDS = {None: (str,), int: (str, int), float: (str, int, float)}
+
+
+def _read_config(path: str) -> dict:
+    """The values of a config file by the dest of the option they name, each
+    checked to suit that option: a flag takes a bool, other options a string
+    (converted as on the command line, once main uses it) or a value of their
+    type; keys that name no option are dropped."""
     try:
-        return args.func(args)
+        cfg = _read_json(path)
+    except (OSError, ValueError) as exc:
+        PARSER.error(f"bad config file: {exc}")
+    if not isinstance(cfg, dict):
+        PARSER.error("bad config file: expected a JSON object")
+    values = {}
+    for key, value in cfg.items():
+        if (spec := _OPTIONS.get(_dest(f"--{key}"))) is None:
+            continue
+        kinds = (bool,) if spec.get("action") == "store_true" else _KINDS[spec.get("type")]
+        if type(value) not in kinds or "choices" in spec and value not in spec["choices"]:
+            PARSER.error(f"bad config file: {key!r} cannot be {json.dumps(value)}")
+        values[_dest(f"--{key}")] = value
+    return values
+
+
+def main(argv=None) -> int:
+    given = vars(PARSER.parse_args(argv))
+    handler, _, options = COMMANDS[given.pop("command")]
+    specs = {_dest(flag): spec for flag, spec in options}
+    # the table's defaults, then the config's values, then the given flags
+    values = {dest: spec["default"] for dest, spec in specs.items() if "default" in spec}
+    config = given.pop("config")
+    for dest, value in (_read_config(config) if config else {}).items():
+        if dest not in specs or dest in given:
+            continue
+        if isinstance(value, str) and "type" in specs[dest]:
+            try:
+                value = specs[dest]["type"](value)
+            except ValueError:
+                PARSER.error(f"bad config file: {dest!r} cannot be {json.dumps(value)}")
+        values[dest] = value
+    args = argparse.Namespace(**{**values, **given})
+    try:
+        return handler(args)
     except BudgetExceeded as exc:
         _emit(args, {"budget_exhausted": exc.reason, "stats": exc.stats})
         return EXIT_BUDGET

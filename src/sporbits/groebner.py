@@ -231,8 +231,11 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: TermOrder) -> Pol
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     """The S-polynomial of two nonzero polynomials, built as every S-pair of
-    the kernel is (`_s_pair`)."""
-    ef, eg = _entry(_pack(f, order)), _entry(_pack(g, order))
+    the kernel is (`_s_pair`); ValueError names a zero argument."""
+    pf, pg = _pack(f, order), _pack(g, order)
+    if not (pf and pg):
+        raise ValueError(f"s_polynomial: {'g' if pf else 'f'} is zero")
+    ef, eg = _entry(pf), _entry(pg)
     lcm = order.key(tuple(map(max, order.exponents(ef[1]), order.exponents(eg[1]))))
     return _unpack(_s_pair(ef, eg, lcm, order.guards), order)
 

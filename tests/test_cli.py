@@ -1,4 +1,7 @@
+import argparse
 import json
+import os
+import subprocess
 import sys
 import time
 from types import SimpleNamespace
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sporbits
 from sporbits import cli, groebner, symplectic
 from sporbits.cli import (
     EXIT_BUDGET,
@@ -31,6 +35,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def exit_code(argv):
+    """main's exit code, or argparse's when it exits on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run_json(capsys, *argv):
@@ -658,3 +670,59 @@ class TestConfig:
         code, blob = run_json(capsys, "--config", str(cfg), "verify-all", "--samples", "1")
         assert code == EXIT_OK
         assert not any(name.endswith("2n=4") and not name.startswith("classification") for name, *_ in blob["checks"])
+
+    def test_no_config_value_outlives_its_run(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "text", "max_pairs": 0, "n": 1}))
+        for argv in (["enumerate", "--n", "2"], ["verify-km", "--pi", "321"]):
+            plain = run(capsys, *argv)
+            assert run(capsys, "--config", str(cfg), *argv) != plain
+            assert run(capsys, *argv) == plain
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["verify-all"], EXIT_USAGE), (["verify-all", "--n", "1", "--samples", "1"], EXIT_OK), (["verify-km", "--pi", "21"], EXIT_OK)],
+        ids=["converted", "flag-given", "no-such-option"],
+    )
+    def test_config_string_converted_only_when_used(self, capsys, tmp_path, argv, code):
+        # "x" is no int, but it is converted only where --n takes it from the config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "x"}))
+        assert exit_code(["--config", str(cfg), *argv]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_required_option_never_comes_from_the_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iota": "2143"}))
+        assert exit_code(["--config", str(cfg), "boxes"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_hyphenated_key_names_the_option(self, capsys, tmp_path):
+        outputs = []
+        for key in ("max-pairs", "max_pairs"):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: 0}))
+            outputs.append(run(capsys, "--config", str(cfg), "verify-km", "--pi", "321"))
+        assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_BUDGET
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        # the parser is built once, when the module is imported
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["enumerate", "--n", "2"]) == EXIT_OK
+        assert main(["verify-km", "--pi", "21"]) == EXIT_OK
+        assert built == []
+
+    def test_importing_the_package_leaves_the_cli_out(self):
+        # the parser is built by `sporbits.cli` alone, so `import sporbits` pays nothing for it
+        code = "import sys, sporbits; print(sorted({'argparse', 'sporbits.cli'} & set(sys.modules)))"
+        src = os.path.dirname(os.path.dirname(sporbits.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout == "[]\n"

@@ -424,6 +424,13 @@ class TestNormalForm:
         # y*f - x*g, built from the tails with no polynomial products
         assert s == poly(xy, "x^2 - y")
 
+    def test_s_polynomial_of_zero_names_the_argument(self, xy):
+        order = lex_order(xy)
+        zero, f = poly(xy, "0"), poly(xy, "x - y")
+        for args, name in (((zero, f), "f"), ((f, zero), "g"), ((zero, zero), "f")):
+            with pytest.raises(ValueError, match=f"^s_polynomial: {name} is zero$"):
+                s_polynomial(*args, order)
+
     def test_certificate(self, xy):
         order = lex_order(xy)
         gens = [poly(xy, "x^2 - 1"), poly(xy, "x*y - 1")]
