@@ -33,8 +33,10 @@ named-variable ideals under `lex` and `grevlex`, a `--max-pairs 2` and a
 `--max-degree 3` budget exit (the latter on a generator whose lex lead has
 lower degree than its tail), a 2x2 matrix ideal with an extra variable `t`
 under `antidiagonal`, an exponent too wide for the order's key fields
-(exit 2), and under `lex` and `grevlex` the zero generators the kernel
-drops: only zeros, no generators at all, and a zero among nonzero ones;
+(exit 2), under `lex` and `grevlex` two leads whose lcm overflows the degree
+field (exit 2, raised when the pair is created), and under `lex` and
+`grevlex` the zero generators the kernel drops: only zeros, no generators
+at all, and a zero among nonzero ones;
 `--config` runs on the config files of CONFIGS, written to the same
 directory, each followed by the same command without the config, so a value
 that outlives its run shows: a config that supplies `--n` to `verify-all`
@@ -102,6 +104,10 @@ IDEALS = {
         [["--order", "antidiagonal"]],
     ),
     "over-wide": ({"variables": ["x", "y"], "generators": ["x^70000 - y", "x*y - 1"]}, [["--order", "lex"]]),
+    "overflowing-lcm": (
+        {"variables": ["x", "y"], "generators": ["x^20000*y", "x*y^20000"]},
+        [["--order", "lex"], ["--order", "grevlex"]],
+    ),
     "zeros": ({"variables": ["x", "y"], "generators": ["0", "0*x"]}, [["--order", "lex"], ["--order", "grevlex"]]),
     "no-generators": ({"variables": ["x", "y"], "generators": []}, [["--order", "lex"], ["--order", "grevlex"]]),
     "zero-among": (

@@ -27,7 +27,8 @@ tails.
 Everything is deterministic: the pair queue, the one S-pair loop that
 Buchberger and the certificate share, is a heap under the normal selection
 strategy (lowest lcm degree first, ties by the term order, then by index),
-each pair entering it once, when it is created; reduced bases are
+each pair entering it once, when it is created, its lcm keyed from the two
+lead keys (`_lcm`); reduced bases are
 sorted by leading monomial.  Budgets cap the number of S-pairs processed, the
 total degree of intermediate polynomials, and wall time; exceeding one raises
 BudgetExceeded carrying the partial statistics, never a silently truncated
@@ -45,6 +46,7 @@ import time
 from bisect import insort
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -231,12 +233,17 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: TermOrder) -> Pol
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     """The S-polynomial of two nonzero polynomials, built as every S-pair of
-    the kernel is (`_s_pair`); ValueError names a zero argument."""
+    the kernel is (`_s_pair`), its lcm keyed as `_pairs` keys it (`_lcm`);
+    ValueError names a zero argument, or says that the lcm overflows."""
     pf, pg = _pack(f, order), _pack(g, order)
     if not (pf and pg):
         raise ValueError(f"s_polynomial: {'g' if pf else 'f'} is zero")
     ef, eg = _entry(pf), _entry(pg)
-    lcm = order.key(tuple(map(max, order.exponents(ef[1]), order.exponents(eg[1]))))
+    lf, lg = order.exponents(ef[1]), order.exponents(eg[1])
+    common = sum(1 << v for v, (x, y) in enumerate(zip(lf, lg)) if x and y)
+    lcm = _lcm(ef[1], eg[1], lf, lg, common, order.units)
+    if lcm & order.guards:
+        raise ValueError(_OVERFLOW)
     return _unpack(_s_pair(ef, eg, lcm, order.guards), order)
 
 
@@ -266,27 +273,37 @@ def _pairs(basis: list[Entry], order: TermOrder, stats: dict, check: Callable[[]
     (EUROSAM 1979; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 2
     Sec. 10), as (f, g, lcm of their leads).  A pair (i, j) enters a heap
     once, when j arrives; the caller may append to `basis` between pairs.
-    Pairs leave lowest lcm degree first, ties by the term order, then by
-    index, each counted in stats["pairs_processed"] and followed by
-    `check`.  Product: coprime leads, whose lcm is their product, the sum of
-    their keys.  Chain: a third lead k divides the lcm, and the pairs of k
-    with i and with j were already taken; bit k of done[i] is set once the
-    pair of i and k is, so the candidates k are the bits of done[i] & done[j]."""
-    guards = order.guards
+    Its lcm is keyed then from the two lead keys, as the key is linear: their
+    sum for coprime leads, less the key of their gcd (`_lcm`) otherwise, an
+    lcm that sets a guard bit raising ValueError.  Pairs leave lowest lcm
+    degree first, ties by the term order, then by index, each counted in
+    stats["pairs_processed"] and followed by `check`.  Product: coprime
+    leads, whose lcm is their product.  Chain: a third lead k divides the
+    lcm, and the pairs of k with i and with j were already taken; bit k of
+    done[i] is set once the pair of i and k is, so the candidates k are the
+    bits of done[i] & done[j]."""
+    guards, units = order.guards, order.units
+    bits = [1 << v for v in range(len(units))]
     leads: list[Monomial] = []
     supports: list[int] = []
     heap: list[tuple[int, int, int, int]] = []
     done: list[int] = []
     while True:
         for j in range(len(leads), len(basis)):
-            leads.append(order.exponents(basis[j][1]))
-            supports.append(sum(1 << v for v, x in enumerate(leads[j]) if x))
+            key = basis[j][1]
+            lead = order.exponents(key)
+            support = sum(compress(bits, lead))
+            leads.append(lead)
+            supports.append(support)
             done.append(0)
             for i in range(j):
-                if supports[i] & supports[j]:
-                    lcm = order.key(tuple(map(max, leads[i], leads[j])))
+                common = supports[i] & support
+                if common:
+                    lcm = _lcm(basis[i][1], key, leads[i], lead, common, units)
+                    if lcm & guards:
+                        raise ValueError(_OVERFLOW)
                 else:
-                    lcm = basis[i][1] + basis[j][1]
+                    lcm = basis[i][1] + key
                 heapq.heappush(heap, (lcm & FIELD_MASK, lcm, i, j))
         if not heap:
             return
@@ -300,6 +317,16 @@ def _pairs(basis: list[Entry], order: TermOrder, stats: dict, check: Callable[[]
         ):
             continue
         yield basis[i], basis[j], lcm
+
+
+def _lcm(a: int, b: int, lead_a: Monomial, lead_b: Monomial, common: int, units: Sequence[int]) -> int:
+    """The key of the lcm of two monomials keyed a and b, from their keys,
+    their exponents and the bitmask of the variables both contain: a + b
+    less the key of their gcd, summed over those variables only.  An
+    overflowing field is left to set its guard bit."""
+    for v in _bits(common):
+        a -= min(lead_a[v], lead_b[v]) * units[v]
+    return a + b
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -364,8 +391,8 @@ def keyed_basis(generators: Sequence[dict[int, Coeff]], order: TermOrder, budget
     divisors: list[Entry] = []
 
     def add(terms: dict[int, Coeff]) -> None:
-        lead_c = terms[max(terms)]
-        basis.append(_entry({k: _div(c, lead_c) for k, c in terms.items()}))
+        rank, lead, lead_c, tail = _entry(terms)  # made monic
+        basis.append((rank, lead, 1, [(k, _div(c, lead_c)) for k, c in tail]))
         insort(divisors, basis[-1], key=itemgetter(0))
 
     packed = [terms for terms in generators if terms]

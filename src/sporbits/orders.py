@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, mul
 from typing import Callable, Sequence
 
@@ -73,17 +73,20 @@ class TermOrder:
             raise ValueError("ranking must be a permutation of all variable indices")
         if any(len(row) != n for row in rows):
             raise ValueError("every weight row needs one entry per variable")
-        if any(x < 0 for row in rows for x in row):
+        if min(chain.from_iterable(rows), default=0) < 0:
             raise ValueError("weight rows must be non-negative")
         slot, fields = FIELD_BITS + 1, len(rows) + n + 1
-        # per variable: its slot, and its key (packed matrix column + degree 1)
-        slots = [len(rows) + rank.index(v) for v in range(n)]
-        row_shifts = [slot * (fields - 1 - r) for r in range(len(rows))]
-        units = tuple(
-            sum(row[v] << h for row, h in zip(rows, row_shifts)) + (1 << slot * (fields - 1 - s)) + 1
-            for v, s in enumerate(slots)
-        )
-        cap = FIELD_MASK // max([1, *(x for row in rows for x in row)])  # fields fit up to this degree
+        # per variable: its slot, from one pass over the ranking, and its key
+        # (packed matrix column + degree 1), the rows added one at a time
+        slots, units = [0] * n, [1] * n
+        for s, v in enumerate(rank, len(rows)):
+            slots[v] = s
+            units[v] += 1 << slot * (fields - 1 - s)
+        for r, row in enumerate(rows):
+            shift = slot * (fields - 1 - r)
+            units = [u + (x << shift) for u, x in zip(units, row)]
+        units = tuple(units)
+        cap = FIELD_MASK // max([1, *chain.from_iterable(rows)])  # fields fit up to this degree
 
         def key(m: Monomial) -> int:
             if sum(m) > cap and max([sum(m), *(sum(map(mul, row, m)) for row in rows)]) > FIELD_MASK:

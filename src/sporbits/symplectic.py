@@ -27,6 +27,7 @@ from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
+    _bits,
     _check_budget,
     _divisors,
     _reduce_terms,
@@ -191,8 +192,9 @@ def _antidiagonal(vs: VariableSet, rows: Sequence[int], cols: Sequence[int]) -> 
 
 
 def _mask_key(order: TermOrder, mask: int) -> int:
-    """The key under `order` of the squarefree monomial given as a bitmask."""
-    return sum(u for v, u in enumerate(order.units) if mask >> v & 1)
+    """The key under `order` of the squarefree monomial given as a bitmask:
+    the units of its set bits."""
+    return sum(map(order.units.__getitem__, _bits(mask)))
 
 
 def _minimal(masks: Iterable[int]) -> list[int]:

@@ -247,6 +247,13 @@ class TestGroebner:
         assert code == EXIT_OK
         assert sorted(blob["reduced_basis"]) == ["x-y", "y^2-1"]
 
+    @pytest.mark.parametrize("order", ["lex", "grevlex"])
+    def test_overflowing_lcm_is_usage_error(self, capsys, tmp_path, order):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"variables": ["x", "y"], "generators": ["x^20000*y", "x*y^20000"]}))
+        assert main(["groebner", "--ideal", str(path), "--order", order]) == EXIT_USAGE
+        assert "overflows" in capsys.readouterr().err
+
     def test_missing_generators_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "ideal.json"
         path.write_text(json.dumps({"variables": ["x", "y"]}))

@@ -14,9 +14,11 @@ from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
+    _OVERFLOW,
     _div,
     _divisors,
     _entry,
+    _lcm,
     _pack,
     _reduce_terms,
     _s_pair,
@@ -288,6 +290,40 @@ class TestTermOrder:
         assert traced == order and traced.key is spy
         assert max(poly(xy, "x*y + y^3").terms, key=traced.key) == (0, 3)
         assert calls
+
+
+class TestPairLcm:
+    """`_lcm` keys the lcm of two leads from their keys by linearity."""
+
+    @pytest.mark.parametrize("order, ref", _ref_presets())
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_key_of_the_max_exponents(self, order, ref, data):
+        n = len(order.vs)
+        lead = st.lists(st.integers(0, 7), min_size=n, max_size=n).map(tuple)
+        ea, eb = data.draw(lead), data.draw(lead)
+        # the drawn pair, and b cut to the variables a lacks, which is coprime to a
+        for eb in (eb, tuple(0 if x else y for x, y in zip(ea, eb))):
+            common = sum(1 << v for v in range(n) if ea[v] and eb[v])
+            lcm = _lcm(order.key(ea), order.key(eb), ea, eb, common, order.units)
+            assert lcm == order.key(tuple(map(max, ea, eb))), (ea, eb)
+            assert order.exponents(lcm) == tuple(map(max, ea, eb))
+
+    @pytest.mark.parametrize("make_order", [lex_order, grevlex_order], ids=["lex", "grevlex"])
+    def test_overflowing_lcm_raises_when_its_pair_is_created(self, xy, make_order):
+        # the lcm x^20000*y^20000 overflows the degree field; with a pair cap
+        # of 0 the first pair taken would exit on the cap, so the ValueError
+        # comes from creating the pair, not from taking it; s_polynomial
+        # keys its lcm the same way and raises the same error
+        order = make_order(xy)
+        G = [poly(xy, "x^20000*y"), poly(xy, "x*y^20000")]
+        with pytest.raises(ValueError, match=f"^{_OVERFLOW}$"):
+            s_polynomial(*G, order)
+        for budget in (None, GBBudget(max_pairs=0)):
+            with pytest.raises(ValueError, match=f"^{_OVERFLOW}$"):
+                buchberger(G, order, budget)
+            with pytest.raises(ValueError, match=f"^{_OVERFLOW}$"):
+                is_groebner_basis(G, order, budget)
 
 
 _VS6 = VariableSet.matrix(6)

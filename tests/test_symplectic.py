@@ -659,8 +659,8 @@ class TestVerifiers:
         assert exc.value.stats == {"pairs_processed": 0}
 
     def test_knutson_miller_never_unpacks_or_rekeys_a_minor_term(self, monkeypatch):
-        # the minors are written keyed by the order's units, so no term is
-        # unpacked, and order.key runs only on the certificate's pair lcms
+        # the minors are written keyed by the order's units and the pair lcms
+        # keyed from their leads' keys, so no term is unpacked or keyed again
         p = perm("15432")
         unpacked, keyed, certifying = [], [], []
         unpack, certify = VariableSet.unpack, symplectic.keyed_certificate
@@ -686,8 +686,19 @@ class TestVerifiers:
         monkeypatch.setattr(symplectic, "antidiagonal_order", counted_order)
         monkeypatch.setattr(symplectic, "keyed_certificate", certificate)
         assert verify_knutson_miller(p) is True
-        assert certifying and keyed and all(keyed)
+        assert certifying
+        assert keyed == []
         assert unpacked == []
+
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_mask_key_is_the_key_of_the_squarefree_monomial(self, size):
+        vs = VariableSet.matrix(size)
+        anti = antidiagonal_order(vs)
+        rng = random.Random(size)
+        for order in (anti, weight_refined_order(vs, column_weights(vs), anti), grevlex_order(vs)):
+            for mask in [0, 1, 1 << len(vs) - 1, (1 << len(vs)) - 1] + [rng.getrandbits(len(vs)) for _ in range(50)]:
+                m = tuple(mask >> v & 1 for v in range(len(vs)))
+                assert symplectic._mask_key(order, mask) == order.key(m), (order.name, mask)
 
     def test_knutson_miller_refuses_a_lead_off_the_antidiagonal(self, monkeypatch):
         # under lex in index order a 2x2 minor leads with its diagonal term
