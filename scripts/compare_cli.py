@@ -14,13 +14,13 @@ the Hasse diagram's bound; past the caps, `poset --n 6` (JSON and DOT),
 `enumerate --n 7` and `verify-all --n 7`, all usage errors; `boxes`,
 `basics`, `pairperms`, `wiring` and `orbit-ideal` on all 15 involutions at
 2n = 6; `basics`, `orbit-ideal` and `pairperms` on all 105 at 2n = 8;
-`pairperms` on all 945 at 2n = 10; `verify-degeneration --deep` on the 19
-involutions with 2n <= 6 and on the 5 benchmark words at 2n = 8 (21436587
-21437856 21563487 34126587 43216587); `verify-degeneration --deep --iota
-216543` at `--max-pairs K` caps that stop its 10-pair basis on the first
-pair, in the middle and on the last, one it finishes within, and at a
-`--max-degree 6` exit, so the budget statistics are compared byte for
-byte, not only the verdicts; `verify-km` on all of S4 and S5;
+`basics` and `pairperms` on all 945 at 2n = 10; `verify-degeneration
+--deep` on the 19 involutions with 2n <= 6 and on the 5 benchmark words at
+2n = 8 (21436587 21437856 21563487 34126587 43216587);
+`verify-degeneration --deep --iota 216543` at `--max-pairs K` caps that stop
+its 10-pair basis on the first pair, in the middle and on the last, one it
+finishes within, and at a `--max-degree 6` exit, so the budget statistics
+are compared byte for byte, not only the verdicts; `verify-km` on all of S4 and S5;
 `verify-km --pi 54321 --max-pairs K` at caps that stop the Groebner
 certificate on its first pair, inside it and on its last pair, and at one
 it finishes within (a cap of K stops on pair K + 1, counted as Buchberger
@@ -176,7 +176,7 @@ def commands(fixtures: str) -> list[list[str]]:
     for word in involutions(6):
         out += [[cmd, "--iota", word] for cmd in ("boxes", "basics", "pairperms", "wiring", "orbit-ideal")]
     out += [[cmd, "--iota", word] for cmd in ("basics", "orbit-ideal", "pairperms") for word in involutions(8)]
-    out += [["pairperms", "--iota", word] for word in involutions(10)]
+    out += [[cmd, "--iota", word] for cmd in ("basics", "pairperms") for word in involutions(10)]
     for size in (2, 4, 6):
         out += [["verify-degeneration", "--deep", "--iota", word] for word in involutions(size)]
     out += [

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import gt
 from typing import Iterable, Iterator, Sequence
 
 from sporbits.permutations import (
@@ -306,7 +307,7 @@ def involution_of_ranks(ranks: Sequence[Sequence[int]]) -> FpfInvolution | None:
     column p(i) on, so the word is read off and then checked."""
     ranks = tuple(map(tuple, ranks))
     word = tuple(
-        next((j for j, (a, b) in enumerate(zip(above, row), start=1) if b > a), 0)
+        next(itertools.compress(itertools.count(1), map(gt, row, above)), 0)
         for above, row in zip(((0,) * len(ranks),) + ranks, ranks)
     )
     try:
@@ -316,22 +317,68 @@ def involution_of_ranks(ranks: Sequence[Sequence[int]]) -> FpfInvolution | None:
     return iota if rank_matrix(iota) == ranks else None
 
 
+def _rank_sweep(size: int, target: frozenset[tuple[int, int, int]]) -> list[list[int]]:
+    """The rank matrix of `_with_boxes`, rows 1..size, by cap then sweep:
+    each box and mirror (x, y, r) caps the columns 1..y of rows 1..x at r,
+    then R[a][b] = min(cap, R[a-1][b] + 1, R[a][b-1] + 1) row by row, rounded
+    down to even on the diagonal, with zero borders (so R[a][b] <= min(a, b)).
+    Equal to the per-cell rule of `_with_boxes` for boxes inside the grid."""
+    boxes = [(x, y, r) for i, j, r in target for x, y in ((i, j), (j, i))]
+    # caps[a - 1]: row a's cap per column; rows with the same boxes share a list
+    caps, cap = [], [size] * size
+    for a in range(size, 0, -1):
+        for x, y, r in boxes:
+            if x == a:
+                cap = [min(c, r) for c in cap[:y]] + cap[y:]
+        caps.append(cap)
+    caps.reverse()
+    rows, above = [], [0] * size
+    for a, cap in enumerate(caps, start=1):
+        row, left = [], 0
+        for b, c, up in zip(range(1, size + 1), cap, above):
+            # one step east of the cell to the left or south of the one above
+            left = left + 1 if left < up else up + 1
+            if c < left:
+                left = c
+            if b == a and left % 2:
+                left -= 1
+            row.append(left)
+        rows.append(row)
+        above = row
+    return rows
+
+
 @lru_cache(maxsize=None)
 def _with_boxes(n: int, target: frozenset[tuple[int, int, int]]) -> FpfInvolution:
     """The involution of size 2n whose symplectic essential set is `target`,
     by the rank rule: its rank matrix is the largest one that is at most
-    r + (a-i)+ + (b-j)+ for each box (i, j, r) and its mirror (j, i, r), at
-    most min(a, b), grows by at most one per step south or east, and is even
-    on the diagonal (northwest blocks of an antisymmetric matrix)."""
+    r + (a-x)+ + (b-y)+ for each box (x, y, r) = (i, j, r) and its mirror
+    (j, i, r), at most min(a, b), grows by at most one per step south or
+    east, and is even on the diagonal (northwest blocks of an antisymmetric
+    matrix).  The matrix is then read back as an involution and checked, so
+    an unrealizable target raises InfeasibleBox.
+
+    `_rank_sweep` evaluates the rule without a min over every box bound at
+    every cell: it caps each box's north-west quadrant a <= x, b <= y at r
+    and sweeps the step bounds once.  The two give the same matrix when every
+    box lies in the grid, 1 <= x, y <= 2n:
+    - The sweep is at least the rule: its cap at a cell is the bound of a box
+      whose quadrant holds the cell, so each term of its min is at least one
+      of the rule's, and rounding down to even keeps the order.
+    - The sweep is at most the rule.  Inside a box's quadrant the cap is r,
+      the box's bound there.  Outside it, say a > x, the cell above is in the
+      grid and by induction at most r + (a-1-x)+ + (b-y)+, and one step
+      south adds one, which is the bound at (a, b); b > y likewise.  The
+      diagonal rounding only lowers values, so it keeps every such bound,
+      and the borders give min(a, b).
+    A box outside the grid breaks this: (0, y, -1) bounds row 1 by 0 and no
+    quadrant of rows 1..2n holds it.  No involution has such a box, nor one
+    with i >= j or r < 0, so those targets are refused before the sweep.
+    """
     size = 2 * n
-    R = [[0] * (size + 1) for _ in range(size + 1)]
-    for a, b in itertools.product(range(1, size + 1), repeat=2):
-        bound = min(
-            [a, b, R[a - 1][b] + 1, R[a][b - 1] + 1]
-            + [r + max(a - x, 0) + max(b - y, 0) for i, j, r in target for x, y in ((i, j), (j, i))]
-        )
-        R[a][b] = bound - bound % 2 if a == b else bound
-    iota = involution_of_ranks(row[1:] for row in R[1:])
+    if not all(1 <= i < j <= size and r >= 0 for i, j, r in target):
+        raise InfeasibleBox(f"essential set {sorted(target)} has a box outside 1 <= i < j <= {size}, r >= 0")
+    iota = involution_of_ranks(_rank_sweep(size, target))
     if iota is None or symplectic_essential_boxes(iota) != target:
         raise InfeasibleBox(f"no involution of size {size} has essential set {sorted(target)}")
     return iota

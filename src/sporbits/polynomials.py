@@ -27,6 +27,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from operator import or_
 
 Monomial = tuple[int, ...]
@@ -332,16 +333,15 @@ class Polynomial:
         if not self._packed:
             return "0"
         parts = []
-        # by degree, then exponent tuple, both descending: keys order as tuples do
+        names = self.vs.names
+        slots = range(len(names))
         unpack = self.vs.unpack
-        for _, _, mono, coeff in sorted((-sum(m), -k, m, c) for k, c in self._packed.items() for m in [unpack(k)]):
-            factors = []
-            for idx, e in enumerate(mono):
-                if e == 1:
-                    factors.append(self.vs.names[idx])
-                elif e > 1:
-                    factors.append(f"{self.vs.names[idx]}^{e}")
-            body = "*".join(factors)
+        # by degree, then exponent tuple, both descending: keys order as tuples do
+        terms = ((sum(m), k, m, c) for k, c in self._packed.items() for m in [unpack(k)])
+        for _, _, mono, coeff in sorted(terms, reverse=True):
+            body = "*".join(
+                names[v] if mono[v] == 1 else f"{names[v]}^{mono[v]}" for v in compress(slots, mono)
+            )
             mag = abs(coeff)
             if not body:
                 piece = str(mag)

@@ -8,6 +8,7 @@ from sporbits.involutions import (
     FpfInvolution,
     NoUniqueMeet,
     InfeasibleBox,
+    _rank_sweep,
     _with_boxes,
     basics_decomposition,
     conjugate_by_transposition,
@@ -38,6 +39,20 @@ from sporbits.permutations import Permutation, essential_boxes, length, rank_mat
 
 def fpf(text):
     return FpfInvolution.from_any(text)
+
+
+def per_cell_ranks(size, target):
+    """The rank rule cell by cell, as a reference for the sweep: the min of
+    a, b, the two step bounds and r + (a-x)+ + (b-y)+ for every box and its
+    mirror, rounded down to even on the diagonal."""
+    R = [[0] * (size + 1) for _ in range(size + 1)]
+    for a, b in itertools.product(range(1, size + 1), repeat=2):
+        bound = min(
+            [a, b, R[a - 1][b] + 1, R[a][b - 1] + 1]
+            + [r + max(a - x, 0) + max(b - y, 0) for i, j, r in target for x, y in ((i, j), (j, i))]
+        )
+        R[a][b] = bound - bound % 2 if a == b else bound
+    return [row[1:] for row in R[1:]]
 
 
 def glb_by_scan(elements):
@@ -372,6 +387,20 @@ class TestBasicFamilies:
                     assert built == (matches[0] if matches else None), target
                     realizable += built is not None
         assert realizable == 100
+
+    def test_sweep_matches_per_cell_rule_2n_le_10(self):
+        # every in-grid single-box and odd-family target, realizable or not
+        checked = 0
+        for size in range(2, 11, 2):
+            for i, j in itertools.combinations(range(1, size + 1), 2):
+                for r in range(size + 1):
+                    targets = [frozenset({(i, j, r)})]
+                    if i > 1 and r > 0:
+                        targets.append(frozenset({(i - 1, i, r - 1), (i, j, r)}))
+                    for target in targets:
+                        assert _rank_sweep(size, target) == per_cell_ranks(size, target), target
+                        checked += 1
+        assert checked == 1485
 
     def test_construction_unambiguous_2n_le_8(self):
         # essential sets of basic elements pin down a unique involution

@@ -346,6 +346,25 @@ class TestParsing:
         p = Polynomial(VariableSet.named("x", "y", "z"), terms)
         assert str(p) == _ref_str(p)
 
+    @pytest.mark.parametrize(
+        "vs, text, expected",
+        [
+            (VariableSet.named("x", "y", "z"), "0", "0"),
+            (VariableSet.named("x", "y", "z"), "-7/3", "-7/3"),
+            (VariableSet.named("x", "y", "z"), "5 + z - x*y + 1/4*y^3 - 3/2*x^2*z", "-3/2*x^2*z+1/4*y^3-x*y+z+5"),
+            # 64 slots at 2n = 8, each term touching few of them
+            (
+                VariableSet.matrix(8),
+                "2*m[8,1]^3*m[1,8] - m[4,5]*m[5,4] + 3/5*m[1,1] - 9",
+                "2*m[1,8]*m[8,1]^3-m[4,5]*m[5,4]+3/5*m[1,1]-9",
+            ),
+        ],
+        ids=["zero", "constant", "mixed", "wide"],
+    )
+    def test_str_matches_slot_by_slot_reference(self, vs, text, expected):
+        p = parse_polynomial(vs, text)
+        assert str(p) == _ref_str(p) == expected
+
     def test_str_deterministic(self, vs):
         p = parse_polynomial(vs, "m[2,2] + m[1,1] - m[1,2]*m[2,1]")
         assert str(p) == str(parse_polynomial(vs, str(p)))
