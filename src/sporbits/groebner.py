@@ -17,12 +17,16 @@ Buchberger's algorithm, `keyed_certificate` the Groebner certificate, and
 weight-refined order, for `initial_ideal` and the degeneration verifier
 alike.  Coefficients are ints when integral and Fractions otherwise, as in
 Polynomial: every quotient goes through `_div`, which keeps an int over a
-±1 lead, so the ±1 Fulton minors and the monic bases Buchberger builds from
-integer input stay in small ints.  Division is heap-ordered (Monagan-Pearce,
-"Sparse polynomial division using a heap", 2011), against a divisor list: one
-Entry per divisor, in ascending rank (`_divisors`), which Buchberger grows
-with the basis.  Every S-polynomial is built one way, from two entries'
-tails.
+±1 lead, so the ±1 Fulton minors and pfaffians stay in small ints.  Division
+is heap-ordered (Monagan-Pearce, "Sparse polynomial division using a heap",
+2011), against a divisor list: one Entry per divisor, in ascending rank
+(`_divisors`), which Buchberger grows with the basis.  An entry holds its
+term dict itself, the caller's or the remainder a reduction returned, never
+a copy and never written to; a divisor's lead cancels by arithmetic when
+its whole dict is subtracted.  Every S-polynomial is built one way, from
+two entries' terms.  Buchberger keeps each element as it was found and
+makes the reduced basis monic on exit (`_reduce_basis`), the one place an
+element is scaled.
 
 Everything is deterministic: the pair queue, the one S-pair loop that
 Buchberger and the certificate share, is a heap under the normal selection
@@ -35,7 +39,7 @@ BudgetExceeded carrying the partial statistics, never a silently truncated
 answer.  One check (`_check_budget`) decides every cap.  Its deadline is
 fixed when an entry point is called, and every loop that can run long reads
 it: the pair loop after each pair, each reduction after every _CHECK_TERMS
-tail terms it writes, and the final tail-reduction between elements.
+terms it writes, and the final tail-reduction between elements.
 """
 
 from __future__ import annotations
@@ -113,11 +117,11 @@ class Ideal:
 
 #: an exact coefficient: an int when integral, else a Fraction
 Coeff = int | Fraction
-#: (rank, lead, lead coefficient, tail of (key, coefficient)); rank is (degree, lead),
-#: every coefficient a Coeff, so ±1 minors stay ints
-Entry = tuple[tuple[int, int], int, Coeff, list[tuple[int, Coeff]]]
+#: (rank, lead, lead coefficient, terms); rank is (degree, lead), terms the
+#: term dict itself, lead included and never written to
+Entry = tuple[tuple[int, int], int, Coeff, dict[int, Coeff]]
 _OVERFLOW = f"a product overflows the {FIELD_BITS}-bit key fields"
-#: tail terms a reduction writes between two budget checks: one reduction
+#: terms a reduction writes between two budget checks: one reduction
 #: step on a 2n = 8 basis can write 300,000, so heap pops are no measure
 _CHECK_TERMS = 20_000
 
@@ -148,9 +152,10 @@ def _div(a: Coeff, b: Coeff) -> Coeff:
 
 
 def _entry(terms: dict[int, Coeff]) -> Entry:
-    """The divisor entry of a nonempty term dict: its lead is max(terms)."""
+    """The divisor entry of a nonempty term dict: its lead is max(terms), and
+    the dict itself, not a copy, is the entry's terms."""
     lead = max(terms)
-    return (lead & FIELD_MASK, lead), lead, terms[lead], [(k, c) for k, c in terms.items() if k != lead]
+    return (lead & FIELD_MASK, lead), lead, terms[lead], terms
 
 
 def _divisors(dicts: Sequence[dict[int, Coeff]]) -> list[Entry]:
@@ -160,12 +165,13 @@ def _divisors(dicts: Sequence[dict[int, Coeff]]) -> list[Entry]:
 
 
 def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Coeff]:
-    """The S-polynomial of two entries with leads dividing `lcm`: each tail
-    shifted to the lcm and divided by its lead coefficient, g's subtracted
-    from f's.  The leads cancel by construction."""
+    """The S-polynomial of two entries with leads dividing `lcm`: each
+    entry's terms shifted to the lcm and divided by its lead coefficient,
+    g's subtracted from f's.  Both leads land on the lcm with coefficient 1,
+    so the lcm key cancels to 0 and is dropped with every other zero."""
     (_, lf, cf, tf), (_, lg, cg, tg) = f, g
-    out = {k + lcm - lf: _div(c, cf) for k, c in tf}
-    for k, c in tg:
+    out = {k + lcm - lf: _div(c, cf) for k, c in tf.items()}
+    for k, c in tg.items():
         k += lcm - lg
         out[k] = out.get(k, 0) - _div(c, cg)
     if any(k & guards for k in out):
@@ -176,27 +182,32 @@ def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Coeff]:
 def _reduce_terms(work: dict[int, Coeff], divisors: list[Entry], guards: int, check: Callable[[], float] | None = None) -> dict[int, Coeff]:
     """Full normal form of a packed term dict, consumed, against a divisor
     list in ascending rank (`_divisors`).  A min-heap of negated keys pops
-    the largest term first.  A term that cancels stays in the heap, skipped
-    when popped, until dead keys outnumber live ones and the heap is rebuilt.
-    A popped term never comes back, as reductions add only smaller terms, so
+    the largest term first.  A popped term a divisor's lead divides is
+    reduced by subtracting the whole shifted divisor, its lead included: the
+    factor times the lead coefficient is the popped coefficient exactly, so
+    the popped term cancels by arithmetic; a term no lead divides moves to
+    the remainder.  A term that cancels stays in the heap, skipped when
+    popped, until dead keys outnumber live ones and the heap is rebuilt.  A
+    popped term never comes back, as reductions add only smaller terms, so
     terms leave as a rescan for the largest would take them.  A product that
-    sets a guard bit has overflowed its field and raises ValueError.
-    `check`, when given, is called once the reduction steps have written
-    more than _CHECK_TERMS tail terms since it last was."""
+    sets a guard bit has overflowed its field and raises ValueError.  The
+    divisors' term dicts are only read.  `check`, when given, is called once
+    the reduction steps have written more than _CHECK_TERMS terms since it
+    last was."""
     heap = [-k for k in work]
     heapq.heapify(heap)
     out: dict[int, Coeff] = {}
     written = 0
     while heap:
         k = -heapq.heappop(heap)
-        coeff = work.pop(k, None)
+        coeff = work.get(k)
         if coeff is None:
             continue
-        for _, lead, lead_c, tail in divisors:
+        for _, lead, lead_c, terms in divisors:
             q = k - lead
             if not q & guards:
                 factor = _div(coeff, lead_c)
-                for k2, c2 in tail:
+                for k2, c2 in terms.items():
                     k2 += q
                     c = work.get(k2)
                     if c is None:
@@ -213,13 +224,13 @@ def _reduce_terms(work: dict[int, Coeff], divisors: list[Entry], guards: int, ch
                 if len(heap) > 2 * len(work):  # mostly dead keys
                     heap = [-k for k in work]
                     heapq.heapify(heap)
-                written += len(tail)
+                written += len(terms)
                 if written > _CHECK_TERMS and check:
                     written = 0
                     check()
                 break
         else:
-            out[k] = coeff
+            out[k] = work.pop(k)
     return out
 
 
@@ -373,8 +384,10 @@ def buchberger(
 
 
 def keyed_basis(generators: Sequence[dict[int, Coeff]], order: TermOrder, budget: GBBudget | None = None) -> list[dict[int, Coeff]]:
-    """The reduced Groebner basis of term dicts keyed under `order`, as term
-    dicts sorted by lead; the generators are left as they are.
+    """The reduced Groebner basis of term dicts keyed under `order`, as new
+    monic term dicts sorted by lead.  Each element, a generator's dict or a
+    nonzero remainder, is an entry as it is, unscaled and never written,
+    until `_reduce_basis` copies and scales it on exit.
 
     Normal selection strategy plus both classical pair-elimination criteria
     (coprime leading terms; the chain criterion), as `_pairs` applies them;
@@ -386,35 +399,30 @@ def keyed_basis(generators: Sequence[dict[int, Coeff]], order: TermOrder, budget
     stats = {"pairs_processed": 0}
     check = _check_budget(budget or GBBudget(), stats)
     guards = order.guards
-    # the monic elements in the order they were found, and as divisors
-    basis: list[Entry] = []
-    divisors: list[Entry] = []
-
-    def add(terms: dict[int, Coeff]) -> None:
-        rank, lead, lead_c, tail = _entry(terms)  # made monic
-        basis.append((rank, lead, 1, [(k, _div(c, lead_c)) for k, c in tail]))
-        insort(divisors, basis[-1], key=itemgetter(0))
-
-    packed = [terms for terms in generators if terms]
-    for terms in packed:
-        add(terms)
-    stats.update(basis_size=len(packed), max_degree=max((k & FIELD_MASK for terms in packed for k in terms), default=0))
+    # the elements in the order they were found, and as divisors
+    basis = [_entry(terms) for terms in generators if terms]
+    divisors = sorted(basis, key=itemgetter(0))
+    stats.update(basis_size=len(basis), max_degree=max((k & FIELD_MASK for *_, terms in basis for k in terms), default=0))
 
     for f, g, lcm in _pairs(basis, order, stats, check):
         h = _reduce_terms(_s_pair(f, g, lcm, guards), divisors, guards, check)
         if h:
             stats["max_degree"] = max(stats["max_degree"], max(k & FIELD_MASK for k in h))
             check()
-            add(h)
+            basis.append(_entry(h))
+            insort(divisors, basis[-1], key=itemgetter(0))
             stats["basis_size"] = len(basis)
 
     return _reduce_basis(divisors, guards, check)
 
 
 def _reduce_basis(entries: list[Entry], guards: int, check: Callable[[], float]) -> list[dict[int, Coeff]]:
-    """Minimalize then fully tail-reduce a monic Groebner basis given as
-    divisor entries in ascending rank, calling `check` between elements and
-    within each reduction; the result as term dicts sorted by lead."""
+    """Minimalize then fully tail-reduce a Groebner basis given as divisor
+    entries in ascending rank, calling `check` between elements and within
+    each reduction; the result as monic term dicts sorted by lead.  Each
+    minimal element is reduced in a copy of its terms, so no entry's dict is
+    written, and divided by its lead coefficient once, on exit: the only
+    place the kernel scales an element."""
     # minimal: drop any element whose lead is divisible by an earlier lead
     minimal: list[Entry] = []
     for entry in entries:
@@ -422,10 +430,11 @@ def _reduce_basis(entries: list[Entry], guards: int, check: Callable[[], float])
             minimal.append(entry)
     # no other lead divides a minimal lead, so each element keeps its lead
     reduced = []
-    for idx, (_, lead, lead_c, tail) in enumerate(minimal):
+    for idx, (_, lead, lead_c, terms) in enumerate(minimal):
         if idx:
             check()
-        reduced.append((lead, _reduce_terms({lead: lead_c, **dict(tail)}, minimal[:idx] + minimal[idx + 1:], guards, check)))
+        rest = _reduce_terms(dict(terms), minimal[:idx] + minimal[idx + 1:], guards, check)
+        reduced.append((lead, {k: _div(c, lead_c) for k, c in rest.items()}))
     return [terms for _, terms in sorted(reduced)]
 
 

@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from sporbits.groebner import (
     BudgetExceeded,
@@ -197,10 +197,19 @@ def _mask_key(order: TermOrder, mask: int) -> int:
     return sum(map(order.units.__getitem__, _bits(mask)))
 
 
-def _minimal(masks: Iterable[int]) -> list[int]:
-    """Minimal generators of the ideal of squarefree monomials given as bitmasks."""
+#: candidates `_minimal` tests between two budget checks: each is tested
+#: against every generator kept so far, up to 1,989 of them at 2n = 10
+_CHECK_MASKS = 1_000
+
+
+def _minimal(masks: Iterable[int], check: Callable[[], float] | None = None) -> list[int]:
+    """Minimal generators of the ideal of squarefree monomials given as
+    bitmasks.  `check`, when given, is called before the first candidate and
+    then before every _CHECK_MASKS-th, as the scan is quadratic."""
     kept: list[int] = []
-    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+    for i, m in enumerate(sorted(set(masks), key=lambda m: (m.bit_count(), m))):
+        if check and not i % _CHECK_MASKS:
+            check()
         if all(m & k != k for k in kept):
             kept.append(m)
     return kept
@@ -524,9 +533,9 @@ def verify_degeneration(
     arXiv:0911.4941).  A witness names g and v, or a generator of A outside
     in(L).  Budget exhaustion is reported apart, with no verdict.  One time
     cap counts from this call: it is checked after each pfaffian, handed on
-    to the basis as the time left, and checked before each v and within each
-    reduction of the certificate; the pair and degree caps bind only the
-    basis."""
+    to the basis as the time left, and checked before each v, within each
+    reduction of the certificate and within each intersection for A; the
+    pair and degree caps bind only the basis."""
     budget = budget or GBBudget()
     stats = {"pfaffians_written": 0}
     check = _check_budget(budget, stats)
@@ -563,7 +572,7 @@ def verify_degeneration(
                 if _reduce_terms(dict(terms), divisors, tie.guards, check)
             ]
             gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
-            common = _minimal(a | b for a in common for b in gens)
+            common = _minimal((a | b for a in common for b in gens), check)
     except BudgetExceeded as exc:
         exhausted = f"{exc.reason}: {exc.stats}"
         return DegenerationReport(iota, pp.perms, (), None, budget_exhausted=exhausted, timings=timings)

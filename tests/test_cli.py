@@ -532,6 +532,25 @@ class TestVerifiers:
         assert blob["left_initial_generators"] == [] and blob["right_initial_generators"] == []
         assert list(blob["timings"]) == ["left_seconds"]
 
+    def test_verify_degeneration_time_cap_in_the_intersection(self, capsys, monkeypatch):
+        # 215634 has one pair permutation, so the intersection for A is the
+        # last step that reads the clock; the clock passes the cap as it
+        # starts, and the intersection's own check stops the run
+        now = [0.0]
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        minimal = symplectic._minimal
+
+        def late_minimal(*args):
+            now[0] = 1000.0
+            return minimal(*args)
+
+        monkeypatch.setattr(symplectic, "_minimal", late_minimal)
+        code, blob = run_json(capsys, "verify-degeneration", "--iota", "215634")
+        assert code == EXIT_BUDGET
+        assert blob["equal"] is None
+        assert blob["budget_exhausted"] == "time cap: {'pfaffians_written': 1, 'pfaffians': 1, 'pair_permutations_checked': 0}"
+        assert list(blob["timings"]) == ["left_seconds"]
+
     @pytest.mark.parametrize(
         "cap",
         [["--max-seconds", "nan"], ["--max-seconds", "inf"], ["--max-seconds", "-1"], ["--max-pairs", "-1"], ["--max-degree", "-1"]],

@@ -948,11 +948,13 @@ class TestHeapDivision:
             if terms:
                 insort(grown, _entry(terms), key=itemgetter(0))
         assert grown == _divisors(G)
-        # entries are packed: rank (degree, lead), lead, its coefficient, tail
+        # entries are packed: rank (degree, lead), lead, its coefficient, and
+        # the term dict itself, not a copy
         ex = order.exponents
         assert [e[0] for e in grown] == [(sum(ex(e[1])), e[1]) for e in grown]
+        assert all(_entry(terms)[-1] is terms for terms in G if terms)
         # low-degree leads first; equal leads in the order they were given
-        assert [str(_unpack({e[1]: e[2], **dict(e[3])}, order)) for e in grown] == ["x", "y^2-1", "x^2-y", "x^2+3"]
+        assert [str(_unpack(e[3], order)) for e in grown] == ["x", "y^2-1", "x^2-y", "x^2+3"]
 
     def test_overflowing_product_raises(self, xy):
         # x reduces to y^FIELD_MASK, which times x overflows the degree field
@@ -1050,6 +1052,10 @@ def _xyz_order(name):
     return lex_order(vs) if name == "lex" else grevlex_order(vs)
 
 
+#: x, y, z generators leading with 2, -3 and 1/2 under both lex and grevlex
+_NON_UNIT_LEADS = ("2*x^2 + y*z - 1", "-3*x*y + z^2 + y", "1/2*y^3 - y*z + 3")
+
+
 class TestIntegerCoefficients:
     """The kernel keeps int coefficients where they are integral (`_div`);
     differential checks against the tuple/Fraction rescan reference and
@@ -1108,6 +1114,45 @@ class TestIntegerCoefficients:
         theirs = _sympy_reduced_basis(gens, order, name, sympy.symbols("x y z"))
         assert ours == theirs, (kind, name, [str(g) for g in gens])
 
+    @pytest.mark.parametrize("name", ["lex", "grevlex"])
+    def test_non_unit_leads_made_monic_on_exit(self, name):
+        # the generators lead with 2, -3 and 1/2 under both orders; the
+        # kernel scales only its reduced basis, on exit, so making the
+        # generators monic first changes nothing
+        order = _xyz_order(name)
+        vs = order.vs
+        gens = [poly(vs, t) for t in _NON_UNIT_LEADS]
+        leads = [g.terms[max(g.terms, key=order.key)] for g in gens]
+        assert leads == [2, -3, Fraction(1, 2)]
+        ours = buchberger(gens, order)
+        assert all(b.terms[max(b.terms, key=order.key)] == 1 for b in ours)
+        assert ours == buchberger([g.scale(1 / c) for g, c in zip(gens, leads)], order)
+        for idx, b in enumerate(ours):
+            assert _rescan_reduce_terms(b.terms, _tuple_entries(ours[:idx] + ours[idx + 1:], order), order.key) == dict(b.terms)
+        for g in gens:
+            assert _rescan_reduce_terms(g.terms, _tuple_entries(ours, order), order.key) == {}
+        sympy = pytest.importorskip("sympy")
+        assert ours == _sympy_reduced_basis(gens, order, name, sympy.symbols("x y z"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ideal_cases())
+    def test_s_pair_never_holds_the_lcm_key(self, case):
+        # the leads land on the lcm with coefficient 1 each and cancel to 0;
+        # the rest is the textbook S-polynomial, whatever the lead coefficients
+        _, gens, name = case
+        order = _xyz_order(name)
+        entries = _divisors([_pack(g, order) for g in gens])
+        ex = order.exponents
+        for e, f in itertools.combinations(entries, 2):
+            lcm = order.key(tuple(map(max, ex(e[1]), ex(f[1]))))
+            s = _s_pair(e, f, lcm, order.guards)
+            assert lcm not in s and all(s.values())
+            shifted = [
+                Polynomial(order.vs, {tuple(a - b for a, b in zip(ex(lcm), ex(d[1]))): Fraction(1, d[2])}) * _unpack(d[3], order)
+                for d in (e, f)
+            ]
+            assert _unpack(s, order) == shifted[0] - shifted[1]
+
     @pytest.mark.parametrize("word", ["15432", "25413", "35142", "14253", "21534"])
     def test_fulton_minors_stay_in_ints(self, word):
         """The Knutson-Miller path: S-pairs of Fulton minors and their
@@ -1122,7 +1167,7 @@ class TestIntegerCoefficients:
         vs = VariableSet.matrix(p.size)
         order = antidiagonal_order(vs)
         entries = _divisors([_pack(f, order) for _, _, f in fulton_minors(p)])
-        assert entries and all(type(c) is int for e in entries for c in [e[2], *dict(e[3]).values()])
+        assert entries and all(type(c) is int for e in entries for c in e[3].values())
         ex, remainders = order.exponents, 0
         for e, f in itertools.combinations(entries, 2):
             lcm = order.key(tuple(map(max, ex(e[1]), ex(f[1]))))
@@ -1134,6 +1179,48 @@ class TestIntegerCoefficients:
             remainders += bool(rem)
             assert _reduce_terms(IntTerms(s), entries, order.guards) == {}
         assert remainders
+
+
+class TestInputsAreOnlyRead:
+    """An entry holds the caller's term dict itself, so the keyed entry
+    points must only read their inputs: each equals a copy taken before the
+    call, and no dict keyed_basis returns is one it was given."""
+
+    @staticmethod
+    def _cases():
+        vs = VariableSet.named("x", "y", "z")
+        gens = [poly(vs, t) for t in _NON_UNIT_LEADS]
+        p = Permutation.from_any("15432")
+        yield gens, grevlex_order(vs)
+        yield gens, lex_order(vs)
+        yield _pair_trace_case("216543-weight")
+        yield [f for _, _, f in fulton_minors(p)], antidiagonal_order(VariableSet.matrix(p.size))
+
+    def test_keyed_basis_and_certificate(self):
+        for gens, order in self._cases():
+            dicts = [_pack(g, order) for g in gens]
+            before = [dict(d) for d in dicts]
+            basis = keyed_basis(dicts, order)
+            assert dicts == before
+            assert not any(b is d for b in basis for d in dicts)
+            # a reduced basis given back comes back equal, in new dicts
+            kept = [dict(b) for b in basis]
+            again = keyed_basis(basis, order)
+            assert basis == kept == again
+            assert not any(a is b for a in again for b in basis)
+            for G in (dicts, basis):
+                keyed_certificate(G, order)
+            assert dicts == before and basis == kept
+
+    def test_normal_form(self):
+        for gens, order in self._cases():
+            G = buchberger(gens, order)
+            f = gens[0] * gens[-1] + gens[1]
+            inputs = [f, *gens, *G]
+            copies = [Polynomial(g.vs, dict(g.terms)) for g in inputs]
+            assert normal_form(f, G, order).is_zero()
+            normal_form(f, gens, order)
+            assert inputs == copies
 
 
 def _all_pairs_certificate(G, order):

@@ -626,6 +626,51 @@ class TestRandomMatrices:
 
 
 class TestVerifiers:
+    def test_minimal_reads_its_check_part_way(self):
+        # 4,999 distinct candidates: the check is read before candidates 0,
+        # 1,000, ..., 4,000, so one that raises on its third call stops the
+        # scan at candidate 2,000, long before its end
+        masks = range(1, 5000)
+        calls = []
+
+        def check():
+            calls.append(len(calls))
+            if len(calls) == 3:
+                raise BudgetExceeded("time cap", {})
+            return 1.0
+
+        with pytest.raises(BudgetExceeded):
+            symplectic._minimal(masks, check)
+        assert len(calls) == 3
+        calls.clear()
+        assert symplectic._minimal(masks, lambda: calls.append(None) or 1.0) == symplectic._minimal(masks)
+        assert len(calls) == 5
+
+    def test_certificate_only_reads_its_inputs(self, monkeypatch):
+        # check (i) divides a copy of each g in G_L by v's minors, the
+        # minors' dicts being the divisor entries themselves: neither the
+        # dicts of G_L nor those of any minor change
+        reduce_terms, unpack = symplectic._reduce_terms, symplectic._unpack
+        G_L, reductions = [], []
+
+        def reading(work, divisors, *args):
+            before = [dict(e[3]) for e in divisors]
+            out = reduce_terms(work, divisors, *args)
+            assert [e[3] for e in divisors] == before
+            reductions.append(work)
+            return out
+
+        def unpacking(terms, order):
+            G_L.append((terms, dict(terms)))
+            return unpack(terms, order)
+
+        monkeypatch.setattr(symplectic, "_reduce_terms", reading)
+        monkeypatch.setattr(symplectic, "_unpack", unpacking)
+        assert verify_degeneration(fpf("216543")).equal is True
+        assert G_L and len(reductions) == 2 * len(G_L)
+        assert all(terms == copy for terms, copy in G_L)
+        assert not any(work is terms for work in reductions for terms, _ in G_L)
+
     def test_knutson_miller_s3(self):
         for word in itertools.permutations(range(1, 4)):
             assert verify_knutson_miller(Permutation(word))
