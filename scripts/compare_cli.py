@@ -15,8 +15,10 @@ the Hasse diagram's bound; past the caps, `poset --n 6` (JSON and DOT),
 `basics`, `pairperms`, `wiring` and `orbit-ideal` on all 15 involutions at
 2n = 6; `basics`, `orbit-ideal` and `pairperms` on all 105 at 2n = 8;
 `basics` and `pairperms` on all 945 at 2n = 10; `verify-degeneration
---deep` on the 19 involutions with 2n <= 6 and on the 5 benchmark words at
-2n = 8 (21436587 21437856 21563487 34126587 43216587);
+--deep` on the 19 involutions with 2n <= 6, on the 5 benchmark words at
+2n = 8 (21436587 21437856 21563487 34126587 43216587) and on 5 more at
+2n = 8 whose left phases end in a real final reduction (84523761 85432761
+86437251 21754836 67854123);
 `verify-degeneration --deep --iota 216543` at `--max-pairs K` caps that stop
 its 10-pair basis on the first pair, in the middle and on the last, one it
 finishes within, and at a `--max-degree 6` exit, so the budget statistics
@@ -182,6 +184,11 @@ def commands(fixtures: str) -> list[list[str]]:
     out += [
         ["verify-degeneration", "--deep", "--iota", word]
         for word in ("21436587", "21437856", "21563487", "34126587", "43216587")
+    ]
+    # 2n = 8 left phases whose final reduction is real work
+    out += [
+        ["verify-degeneration", "--deep", "--iota", word]
+        for word in ("84523761", "85432761", "86437251", "21754836", "67854123")
     ]
     # 216543's basis takes 10 pairs: budget exits on the first, in the middle,
     # on the last and past its degree 6, and a cap it finishes within

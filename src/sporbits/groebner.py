@@ -12,12 +12,17 @@ variables, reading the order's slots with one struct call and writing the
 polynomial key with another.  Callers that hold terms keyed already (the
 Fulton minors and the orbit pfaffians, keyed from the order's per-variable
 `units`) call the keyed cores on dicts and skip both ends: `keyed_basis` is
-Buchberger's algorithm, `keyed_certificate` the Groebner certificate, and
-`keyed_initial_forms` reads each term's weight off its key under a
-weight-refined order, for `initial_ideal` and the degeneration verifier
-alike.  Coefficients are ints when integral and Fractions otherwise, as in
-Polynomial: every quotient goes through `_div`, which keeps an int over a
-±1 lead, so the ±1 Fulton minors and pfaffians stay in small ints.  Division
+Buchberger's algorithm, `keyed_certificate` the Groebner certificate,
+`keyed_initial_forms` cuts each element to its initial form under a
+weight-refined order, at its lead when it is homogeneous (one int
+comparison per term) and by weighing every term otherwise, and
+`keyed_initial_basis`, for the degeneration verifier, is the reduced basis
+of the initial ideal of a homogeneous ideal: Buchberger's algorithm, then
+the initial forms of its minimal elements, interreduced, so no element of
+the full basis is tail-reduced.  Coefficients are ints when integral and
+Fractions otherwise, as in Polynomial: every quotient goes through `_div`,
+which keeps an int over a ±1 lead, so the ±1 Fulton minors and pfaffians
+stay in small ints.  Division
 is heap-ordered (Monagan-Pearce, "Sparse polynomial division using a heap",
 2011), against a divisor list: one Entry per divisor, in ascending rank
 (`_divisors`), which Buchberger grows with the basis.  An entry holds its
@@ -39,7 +44,8 @@ BudgetExceeded carrying the partial statistics, never a silently truncated
 answer.  One check (`_check_budget`) decides every cap.  Its deadline is
 fixed when an entry point is called, and every loop that can run long reads
 it: the pair loop after each pair, each reduction after every _CHECK_TERMS
-terms it writes, and the final tail-reduction between elements.
+terms it writes, and the final tail-reduction between elements, as the
+pair loop (`_groebner_divisors`) hands its check on to it.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, key_weigher, weight_refined_order
+from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, key_weigher, weight_mask, weight_refined_order
 from sporbits.polynomials import Monomial, Polynomial, VariableSet
 
 
@@ -385,16 +391,50 @@ def buchberger(
 
 def keyed_basis(generators: Sequence[dict[int, Coeff]], order: TermOrder, budget: GBBudget | None = None) -> list[dict[int, Coeff]]:
     """The reduced Groebner basis of term dicts keyed under `order`, as new
-    monic term dicts sorted by lead.  Each element, a generator's dict or a
-    nonzero remainder, is an entry as it is, unscaled and never written,
-    until `_reduce_basis` copies and scales it on exit.
+    monic term dicts sorted by lead: Buchberger's algorithm
+    (`_groebner_divisors`), then the final tail-reduction of its minimal
+    elements (`_reduce_basis`)."""
+    divisors, check = _groebner_divisors(generators, order, budget)
+    return _reduce_basis(_minimal_entries(divisors, order.guards), order.guards, check)
+
+
+def keyed_initial_basis(
+    generators: Sequence[dict[int, Coeff]], order: TermOrder, weights: Sequence[int], budget: GBBudget | None = None
+) -> list[dict[int, Coeff]]:
+    """The reduced Groebner basis of the initial ideal in_w(I), I generated
+    by degree-homogeneous term dicts keyed under `order`, a weight-refined
+    order of `weights`: as keyed_initial_forms(keyed_basis(...)), but the
+    minimal elements of Buchberger's basis are cut to their initial forms
+    before the final tail-reduction, which so runs on the initial forms
+    alone.  The initial forms of a Groebner basis of a homogeneous I under
+    an order refining w are one of in_w(I) (Sturmfels, Groebner Bases and
+    Convex Polytopes, Prop. 1.13), each keeps its element's lead, so those
+    of a minimal basis are minimal, and their interreduction is the unique
+    reduced basis.  ValueError, before any pair, names an inhomogeneous
+    generator; budgets as for keyed_basis."""
+    for terms in generators:
+        if terms and max(terms) & FIELD_MASK != min(terms) & FIELD_MASK:
+            raise ValueError("keyed_initial_basis needs homogeneous generators")
+    divisors, check = _groebner_divisors(generators, order, budget)
+    minimal = _minimal_entries(divisors, order.guards)
+    forms = keyed_initial_forms([terms for *_, terms in minimal], order, weights)
+    return _reduce_basis([(*entry[:3], form) for entry, form in zip(minimal, forms)], order.guards, check)
+
+
+def _groebner_divisors(
+    generators: Sequence[dict[int, Coeff]], order: TermOrder, budget: GBBudget | None
+) -> tuple[list[Entry], Callable[[], float]]:
+    """A Groebner basis of term dicts keyed under `order`, as divisor
+    entries in ascending rank, and the budget check it ran under, for the
+    final reduction to go on with.  Each element, a generator's dict or a
+    nonzero remainder, is an entry as it is, unscaled and never written.
 
     Normal selection strategy plus both classical pair-elimination criteria
     (coprime leading terms; the chain criterion), as `_pairs` applies them;
     each nonzero remainder joins the basis, after a second budget check.  The
-    time cap counts from this call and is read after each pair, within each
-    reduction and between the elements of the final tail-reduction (see
-    `_check_budget`); a caller that spent time first hands on what is left.
+    time cap counts from this call and is read after each pair and within
+    each reduction (see `_check_budget`); a caller that spent time first
+    hands on what is left.
     """
     stats = {"pairs_processed": 0}
     check = _check_budget(budget or GBBudget(), stats)
@@ -413,21 +453,26 @@ def keyed_basis(generators: Sequence[dict[int, Coeff]], order: TermOrder, budget
             insort(divisors, basis[-1], key=itemgetter(0))
             stats["basis_size"] = len(basis)
 
-    return _reduce_basis(divisors, guards, check)
+    return divisors, check
 
 
-def _reduce_basis(entries: list[Entry], guards: int, check: Callable[[], float]) -> list[dict[int, Coeff]]:
-    """Minimalize then fully tail-reduce a Groebner basis given as divisor
-    entries in ascending rank, calling `check` between elements and within
-    each reduction; the result as monic term dicts sorted by lead.  Each
-    minimal element is reduced in a copy of its terms, so no entry's dict is
-    written, and divided by its lead coefficient once, on exit: the only
-    place the kernel scales an element."""
-    # minimal: drop any element whose lead is divisible by an earlier lead
+def _minimal_entries(entries: list[Entry], guards: int) -> list[Entry]:
+    """The entries, in ascending rank, whose lead no earlier lead divides:
+    a minimal basis, when the entries are a Groebner basis."""
     minimal: list[Entry] = []
     for entry in entries:
         if all((entry[1] - other[1]) & guards for other in minimal):
             minimal.append(entry)
+    return minimal
+
+
+def _reduce_basis(minimal: list[Entry], guards: int, check: Callable[[], float]) -> list[dict[int, Coeff]]:
+    """Fully tail-reduce a minimal Groebner basis given as divisor entries in
+    ascending rank (`_minimal_entries`), calling `check` between elements
+    and within each reduction; the result as monic term dicts sorted by
+    lead.  Each element is reduced in a copy of its terms, so no entry's
+    dict is written, and divided by its lead coefficient once, on exit: the
+    only place the kernel scales an element."""
     # no other lead divides a minimal lead, so each element keeps its lead
     reduced = []
     for idx, (_, lead, lead_c, terms) in enumerate(minimal):
@@ -465,13 +510,23 @@ def keyed_initial_forms(
 ) -> list[dict[int, Coeff]]:
     """The initial form of each nonempty term dict keyed under `order`, a
     weight-refined order of `weights`: its terms of minimal total weight
-    (those surviving t -> 0), each weighed off its key (`key_weigher`)."""
-    weigh = key_weigher(order, weights)
+    (those surviving t -> 0).  A degree-homogeneous dict, whose smallest key
+    carries its lead's degree, is cut at its lead: a key's top two fields
+    are its degree and its max(w) - w field, so the lead has the least
+    weight, and the terms that share it are the keys at least the lead with
+    every slot below those two cleared (`weight_mask`).  Any other dict is
+    weighed term by term (`key_weigher`)."""
+    weigh, top = key_weigher(order, weights), weight_mask(order)
     forms = []
     for terms in basis:
-        weighed = {k: weigh(k) for k in terms}
-        best = min(weighed.values())
-        forms.append({k: c for k, c in terms.items() if weighed[k] == best})
+        lead = max(terms)
+        if min(terms) & FIELD_MASK == lead & FIELD_MASK:
+            cut = lead & top
+            forms.append({k: c for k, c in terms.items() if k >= cut})
+        else:
+            weighed = {k: weigh(k) for k in terms}
+            best = min(weighed.values())
+            forms.append({k: c for k, c in terms.items() if weighed[k] == best})
     return forms
 
 

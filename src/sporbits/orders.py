@@ -175,8 +175,21 @@ def key_weigher(order: TermOrder, weights: Sequence[int]) -> Callable[[int], int
     top = max(w, default=0)
     if order.weights[:2] != ((1,) * len(w), tuple(top - x for x in w)):
         raise ValueError("the order does not refine these weights")
-    shift = (FIELD_BITS + 1) * (len(order.weights) + len(order.vs) - 1)
+    shift = _weight_shift(order)
     return lambda k: top * (k & FIELD_MASK) - (k >> shift & FIELD_MASK)
+
+
+def weight_mask(order: TermOrder) -> int:
+    """The mask of the top two fields of a key under a weight_refined_order,
+    its degree and max(w) - w fields: key & weight_mask(order) is the least
+    key of the same degree and w-weight."""
+    return -1 << _weight_shift(order)
+
+
+def _weight_shift(order: TermOrder) -> int:
+    """The bit offset of the max(w) - w field, the second of the order's
+    fields, in its keys."""
+    return (FIELD_BITS + 1) * (len(order.weights) + len(order.vs) - 1)
 
 
 def elimination_order(vs: VariableSet, inner: TermOrder) -> TermOrder:

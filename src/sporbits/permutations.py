@@ -65,10 +65,7 @@ class Permutation:
         return len(self.word)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.word)
-        for i, v in enumerate(self.word):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
+        return Permutation(tuple(_inverse_word(self.word)))
 
     def to_json(self) -> list[int]:
         return list(self.word)
@@ -77,6 +74,14 @@ class Permutation:
         if self.size <= 9:
             return "".join(str(v) for v in self.word)
         return ",".join(str(v) for v in self.word)
+
+
+def _inverse_word(word: tuple[int, ...]) -> list[int]:
+    """The one-line word of the inverse of a permutation's word."""
+    inv = [0] * len(word)
+    for i, v in enumerate(word, 1):
+        inv[v - 1] = i
+    return inv
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +111,7 @@ def length(p: Permutation) -> int:
 
 def rothe_diagram(p: Permutation) -> frozenset[tuple[int, int]]:
     """Cells (i,j), 1-based, with j < p(i) and p^-1(j) > i."""
-    inv = p.inverse().word
+    inv = _inverse_word(p.word)
     return frozenset(
         (i, j)
         for i in range(1, p.size + 1)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 import struct
-from collections.abc import ItemsView, Mapping
+from collections.abc import Callable, ItemsView, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -330,30 +330,34 @@ class Polynomial:
     # -- text format ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._packed:
-            return "0"
-        parts = []
-        names = self.vs.names
-        slots = range(len(names))
-        unpack = self.vs.unpack
-        # by degree, then exponent tuple, both descending: keys order as tuples do
-        terms = ((sum(m), k, m, c) for k, c in self._packed.items() for m in [unpack(k)])
-        for _, _, mono, coeff in sorted(terms, reverse=True):
-            body = "*".join(
-                names[v] if mono[v] == 1 else f"{names[v]}^{mono[v]}" for v in compress(slots, mono)
-            )
-            mag = abs(coeff)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            parts.append(("-" if coeff < 0 else "+") + piece)
-        text = "".join(parts)
-        return text[1:] if text.startswith("+") else text
+        return _write_terms(self.vs.names, self._packed, self.vs.unpack)
 
     __repr__ = __str__
+
+
+def _write_terms(names: Sequence[str], terms: Mapping[int, int | Fraction], exponents: Callable[[int], Monomial]) -> str:
+    """The text of a term dict over the variables `names`, whose keys
+    `exponents` reads back as exponent tuples: a polynomial's keys, or a
+    term order's, as the degeneration verifier writes G_L without building a
+    Polynomial.  Terms run by degree, then exponent tuple, both descending."""
+    if not terms:
+        return "0"
+    parts = []
+    slots = range(len(names))
+    for _, mono, coeff in sorted(((sum(m), m, c) for k, c in terms.items() for m in [exponents(k)]), reverse=True):
+        body = "*".join(
+            names[v] if mono[v] == 1 else f"{names[v]}^{mono[v]}" for v in compress(slots, mono)
+        )
+        mag = abs(coeff)
+        if not body:
+            piece = str(mag)
+        elif mag == 1:
+            piece = body
+        else:
+            piece = f"{mag}*{body}"
+        parts.append(("-" if coeff < 0 else "+") + piece)
+    text = "".join(parts)
+    return text[1:] if text.startswith("+") else text
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")

@@ -31,17 +31,15 @@ from sporbits.groebner import (
     _check_budget,
     _divisors,
     _reduce_terms,
-    _unpack,
     ideal_intersection,
-    keyed_basis,
     keyed_certificate,
-    keyed_initial_forms,
+    keyed_initial_basis,
 )
 from sporbits.involutions import FpfInvolution, symplectic_essential_boxes
 from sporbits.orders import TermOrder, antidiagonal_order, tie_key_mask, weight_refined_order
 from sporbits.pairperms import pair_permutations
 from sporbits.permutations import Permutation, essential_boxes
-from sporbits.polynomials import Polynomial, VariableSet
+from sporbits.polynomials import Polynomial, VariableSet, _write_terms
 
 
 def symplectic_form(n: int) -> tuple[tuple[int, ...], ...]:
@@ -213,6 +211,18 @@ def _minimal(masks: Iterable[int], check: Callable[[], float] | None = None) -> 
         if all(m & k != k for k in kept):
             kept.append(m)
     return kept
+
+
+def _meet(A: Sequence[int], B: Sequence[int], check: Callable[[], float] | None = None) -> list[int]:
+    """Minimal generators of the intersection of two squarefree monomial
+    ideals, given by minimal generators as bitmasks: the lcms a | b, minimal
+    among them (`_minimal`, which reads `check`).  A generator of A that some
+    b divides lies in B, and every lcm a | b' is a multiple of it, so it is
+    kept as it is; only the others are ORed with B."""
+    kept, rest = [], []
+    for a in A:
+        (kept if any(a & b == b for b in B) else rest).append(a)
+    return _minimal(itertools.chain(kept, (a | b for a in rest for b in B)), check)
 
 
 def fulton_generators(p: Permutation) -> Ideal:
@@ -499,22 +509,24 @@ def verify_degeneration(
 ) -> DegenerationReport:
     """Check L = J: L = in_w(I(Y_iota)) under the column weights w, J the
     intersection of the Fulton ideals I_v over the pair permutations v.  One
-    Groebner basis, that of the orbit ideal under the weight-refined order;
-    its initial forms are G_L, L's reduced basis under the same order, as the
-    pfaffians are homogeneous (see initial_ideal).  Then a certificate:
+    Groebner basis, that of the orbit ideal under the weight-refined order,
+    taken only as far as G_L, L's reduced basis under the same order: the
+    initial forms of its minimal elements, interreduced, as the pfaffians are
+    homogeneous (keyed_initial_basis).  Then a certificate:
     (i) each g in G_L reduces to 0 modulo each v's Fulton minors under the
     antidiagonal order, so L lies in J; (ii) a lead of G_L divides each
     generator of A, the intersection of the ideals of the antidiagonal terms
     of v's minors (squarefree, so pairwise ORs of bitmasks).
 
-    No term leaves its key until the report is written: the pfaffians are
-    written keyed by the weight-refined order's units, G_L is read off that
-    basis's keys (keyed_initial_forms), and each g's antidiagonal keys are
-    the low slots of its weight-refined keys (`tie_key_mask`), used for
-    every v's normal form, and the largest of them is the lead (ii) reads;
-    each v's minors are written keyed by the antidiagonal order's units and
-    divided by as one divisor list (`_divisors`).  G_L is unpacked once, for
-    the report.  Reading G_L's leads under the
+    No term leaves its key: the pfaffians are written keyed by the
+    weight-refined order's units, G_L is cut off that basis's keys, and each
+    g's antidiagonal keys are the low slots of its weight-refined keys
+    (`tie_key_mask`), used for every v's normal form, and the largest of
+    them is the lead (ii) reads; each v's minors are written keyed by the
+    antidiagonal order's units and divided by as one divisor list
+    (`_divisors`).  The report's strings of G_L are written straight from
+    those antidiagonal keys, by the writer Polynomial's text uses.  A is
+    built one v at a time (`_meet`).  Reading G_L's leads under the
     antidiagonal order is sound: each g is the initial form of a homogeneous
     element, so its terms share degree and w-weight, the weight-refined
     order's first two rows tie on g, and it falls through to the antidiagonal
@@ -554,12 +566,12 @@ def verify_degeneration(
             pfaffians.append(_mjmt_pfaffian(order.units, T, iota.n))
             stats["pfaffians_written"] = len(pfaffians)
             check()
-        left = keyed_initial_forms(keyed_basis(pfaffians, order, replace(budget, max_seconds=check())), order, weights) if pfaffians else []
+        left = keyed_initial_basis(pfaffians, order, weights, replace(budget, max_seconds=check())) if pfaffians else []
         timings["left_seconds"] = time.monotonic() - t0
         t0 = time.monotonic()
         low = tie_key_mask(tie)
         keyed = [{k & low: c for k, c in terms.items()} for terms in left]
-        L = [_unpack(terms, tie) for terms in keyed]
+        L = [_write_terms(vs.names, terms, tie.exponents) for terms in keyed]
         witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
         for checked, v in enumerate(pp.perms):
             stats["pair_permutations_checked"] = checked
@@ -571,8 +583,7 @@ def verify_degeneration(
                 for g, terms in zip(L, keyed)
                 if _reduce_terms(dict(terms), divisors, tie.guards, check)
             ]
-            gens = [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors]
-            common = _minimal((a | b for a in common for b in gens), check)
+            common = _meet(common, [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors], check)
     except BudgetExceeded as exc:
         exhausted = f"{exc.reason}: {exc.stats}"
         return DegenerationReport(iota, pp.perms, (), None, budget_exhausted=exhausted, timings=timings)

@@ -514,17 +514,18 @@ class TestVerifiers:
         assert blob["left_initial_generators"] == [] and blob["timings"] == {}
 
     def test_verify_degeneration_time_cap_in_the_certificate(self, capsys, monkeypatch):
-        # the clock passes the cap once G_L is read off the basis, so the
+        # the clock passes the cap once G_L is computed, so the
         # certificate's first check stops it: no verdict, exit 3
         now = [0.0]
         monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: now[0]))
-        initial_forms = symplectic.keyed_initial_forms
+        initial_basis = symplectic.keyed_initial_basis
 
-        def late_initial_forms(*args):
+        def late_initial_basis(*args):
+            out = initial_basis(*args)
             now[0] = 1000.0
-            return initial_forms(*args)
+            return out
 
-        monkeypatch.setattr(symplectic, "keyed_initial_forms", late_initial_forms)
+        monkeypatch.setattr(symplectic, "keyed_initial_basis", late_initial_basis)
         code, blob = run_json(capsys, "verify-degeneration", "--iota", "216543")
         assert code == EXIT_BUDGET
         assert blob["equal"] is None

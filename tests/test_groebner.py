@@ -46,6 +46,7 @@ from sporbits.orders import (
     key_weigher,
     lex_order,
     tie_key_mask,
+    weight_mask,
     weight_refined_order,
 )
 from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
@@ -355,6 +356,13 @@ def _monomials(n, top=200):
     return st.lists(st.integers(0, top), min_size=n, max_size=n).map(tuple)
 
 
+def _homogeneous_monomials(n, degree):
+    # each of `degree` factors picks a variable
+    return st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree).map(
+        lambda picks: tuple(picks.count(v) for v in range(n))
+    )
+
+
 class TestKeyRoundTrip:
     """The kernel's keys at 6x6, under every preset order."""
 
@@ -414,13 +422,33 @@ class TestWeightRefinedKeyLayout:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_keyed_initial_forms_match_the_oracle(self, tie, ref, data):
+        # a general draw, which keyed_initial_forms weighs term by term, and
+        # a degree-homogeneous one, which it cuts at its lead
         vs = tie.vs
         w = data.draw(st.lists(st.integers(0, 4), min_size=len(vs), max_size=len(vs)))
-        terms = data.draw(st.dictionaries(
-            _monomials(len(vs), top=4), st.integers(-9, 9).filter(bool) | st.fractions().filter(bool), min_size=1, max_size=6,
-        ))
-        f = Polynomial(vs, terms)
-        assert _keyed_initial_form(f, w, tie) == initial_form(f, w)
+        coeffs = st.integers(-9, 9).filter(bool) | st.fractions().filter(bool)
+        terms = data.draw(st.dictionaries(_monomials(len(vs), top=4), coeffs, min_size=1, max_size=6))
+        degree = data.draw(st.integers(0, 8))
+        homogeneous = data.draw(st.dictionaries(_homogeneous_monomials(len(vs), degree), coeffs, min_size=1, max_size=6))
+        for f in (Polynomial(vs, terms), Polynomial(vs, homogeneous)):
+            assert _keyed_initial_form(f, w, tie) == initial_form(f, w)
+
+    @pytest.mark.parametrize("tie, ref", _ref_presets())
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_weight_mask_keeps_degree_and_weight(self, tie, ref, data):
+        # two keys agree under the mask exactly when their monomials share
+        # degree and w-weight, and the masked key is at most the key
+        n = len(tie.vs)
+        w = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        degree = data.draw(st.integers(0, 6))
+        a, b = data.draw(_homogeneous_monomials(n, degree)), data.draw(_monomials(n, top=3))
+        order = weight_refined_order(tie.vs, w, tie)
+        mask = weight_mask(order)
+        ka, kb = order.key(a), order.key(b)
+        same = sum(a) == sum(b) and sum(map(mul, a, w)) == sum(map(mul, b, w))
+        assert (ka & mask == kb & mask) == same
+        assert ka & mask <= ka
 
     def test_key_weigher_needs_an_order_refining_the_weights(self, xy):
         for order in (lex_order(xy), weight_refined_order(xy, [1, 0])):
@@ -643,7 +671,7 @@ class TestBuchberger:
             keyed_basis(gens, order, GBBudget(max_seconds=60.0))
         assert exc.value.reason == "time cap"
         assert exc.value.stats["basis_size"] == 3
-        assert [entry.name for entry in exc.traceback][-3:] == ["keyed_basis", "_reduce_terms", "check"]
+        assert [entry.name for entry in exc.traceback][-4:] == ["keyed_basis", "_groebner_divisors", "_reduce_terms", "check"]
 
     def test_budget_pairs(self, xy):
         order = lex_order(xy)

@@ -135,6 +135,15 @@ class TestDiagrams:
         assert rothe_diagram(p) == frozenset()
         assert essential_boxes(p) == frozenset()
 
+    def test_rothe_diagram_builds_no_permutation(self, monkeypatch):
+        # p^-1 is read as a plain word: no validated Permutation is built
+        p = Permutation.from_any("351624")
+        built = []
+        post_init = Permutation.__post_init__
+        monkeypatch.setattr(Permutation, "__post_init__", lambda self: built.append(self) or post_init(self))
+        assert rothe_diagram(p) == frozenset({(1, 1), (1, 2), (2, 1), (2, 2), (2, 4), (4, 2), (4, 4)})
+        assert built == []
+
     def test_rothe_condition(self):
         for p in map(Permutation, itertools.permutations(range(1, 5))):
             inv = p.inverse()

@@ -650,7 +650,7 @@ class TestVerifiers:
         # check (i) divides a copy of each g in G_L by v's minors, the
         # minors' dicts being the divisor entries themselves: neither the
         # dicts of G_L nor those of any minor change
-        reduce_terms, unpack = symplectic._reduce_terms, symplectic._unpack
+        reduce_terms, write_terms = symplectic._reduce_terms, symplectic._write_terms
         G_L, reductions = [], []
 
         def reading(work, divisors, *args):
@@ -660,12 +660,12 @@ class TestVerifiers:
             reductions.append(work)
             return out
 
-        def unpacking(terms, order):
+        def writing(names, terms, exponents):
             G_L.append((terms, dict(terms)))
-            return unpack(terms, order)
+            return write_terms(names, terms, exponents)
 
         monkeypatch.setattr(symplectic, "_reduce_terms", reading)
-        monkeypatch.setattr(symplectic, "_unpack", unpacking)
+        monkeypatch.setattr(symplectic, "_write_terms", writing)
         assert verify_degeneration(fpf("216543")).equal is True
         assert G_L and len(reductions) == 2 * len(G_L)
         assert all(terms == copy for terms, copy in G_L)
@@ -810,13 +810,13 @@ class TestVerifiers:
 
     def test_one_buchberger_call_per_degeneration(self, monkeypatch):
         calls = []
-        keyed_basis = groebner.keyed_basis
+        keyed_initial_basis = groebner.keyed_initial_basis
 
-        def counted(G, order, budget=None):
+        def counted(G, order, weights, budget=None):
             calls.append(order)
-            return keyed_basis(G, order, budget)
+            return keyed_initial_basis(G, order, weights, budget)
 
-        monkeypatch.setattr(symplectic, "keyed_basis", counted)
+        monkeypatch.setattr(symplectic, "keyed_initial_basis", counted)
         assert verify_degeneration(fpf("216543")).equal is True
         assert len(calls) == 1
         assert verify_degeneration(j_bar(3)).equal is True
@@ -834,6 +834,48 @@ class TestVerifiers:
         basis = buchberger(list(I.generators), weight_refined_order(vs, weights, tie)) if I.generators else []
         assert verify_degeneration(iota).left_generators == expected
         assert expected == tuple(str(initial_form(g, weights)) for g in basis)
+
+    @pytest.mark.parametrize("word", [str(i) for i in enumerate_fpf(3)] + BENCH_WORDS_2N8)
+    def test_initial_basis_matches_the_initial_forms_of_the_reduced_basis(self, word):
+        # the old path as the oracle: the whole reduced basis, then each
+        # element's initial form, read off its key and weighed from its
+        # exponents; G_L must agree with both, string for string
+        iota = fpf(word)
+        vs = VariableSet.matrix(iota.size)
+        weights = column_weights(vs)
+        order = weight_refined_order(vs, weights, antidiagonal_order(vs))
+        pfaffians = [symplectic._mjmt_pfaffian(order.units, T, iota.n) for T in orbit_pfaffian_indices(iota)]
+        basis = groebner.keyed_basis(pfaffians, order)
+        G_L = groebner.keyed_initial_basis(pfaffians, order, weights)
+        assert G_L == groebner.keyed_initial_forms(basis, order, weights)
+        expected = [str(initial_form(groebner._unpack(terms, order), weights)) for terms in basis]
+        assert [str(groebner._unpack(terms, order)) for terms in G_L] == expected
+        assert len(G_L) == len(pfaffians) == 0 or any(len(g) < len(b) for g, b in zip(G_L, basis))
+
+    def test_initial_basis_refuses_inhomogeneous_generators(self):
+        vs = VariableSet.matrix(2)
+        weights = column_weights(vs)
+        order = weight_refined_order(vs, weights, antidiagonal_order(vs))
+        f = groebner._pack(parse_polynomial(vs, "m[1,1]*m[2,2] - m[1,2]"), order)
+        with pytest.raises(ValueError, match="homogeneous"):
+            groebner.keyed_initial_basis([f], order, weights)
+
+    def test_meet_matches_the_or_of_every_pair(self):
+        # the old rule as the oracle: every generator of A ORed with every
+        # antidiagonal term of v, then minimalized; the new one keeps the
+        # generators some antidiagonal divides, and some are kept
+        kept = 0
+        for word in [str(i) for i in enumerate_fpf(3)] + BENCH_WORDS_2N8:
+            iota = fpf(word)
+            vs = VariableSet.matrix(iota.size)
+            common = old = [0]
+            for v in pair_permutations(iota).perms:
+                gens = [symplectic._antidiagonal(vs, rows, cols) for rows, cols, _ in symplectic._keyed_minors(v, vs.units)]
+                kept += sum(any(a & b == b for b in gens) for a in common)
+                common = symplectic._meet(common, gens)
+                old = symplectic._minimal(a | b for a in old for b in gens)
+                assert common == old
+        assert kept
 
     def test_degeneration_never_packs_a_term(self, monkeypatch):
         # the pfaffians are written keyed and G_L's antidiagonal keys are
@@ -938,29 +980,29 @@ class TestDegenerationCertificate:
     def test_a_lead_with_a_square_covers_no_antidiagonal(self, monkeypatch):
         # m[1,2] times 3412's one minor lies in J = I_1324, but its lead
         # m[1,2]^2*m[2,1] does not divide the antidiagonal m[1,2]*m[2,1]
-        keyed_basis = groebner.keyed_basis
+        keyed_initial_basis = groebner.keyed_initial_basis
 
-        def injected(G, order, budget=None):
+        def injected(G, order, weights, budget=None):
             g = parse_polynomial(order.vs, "m[1,2]^2*m[2,1] - m[1,1]*m[1,2]*m[2,2]")
-            return keyed_basis([groebner._pack(g, order)], order, budget)
+            return keyed_initial_basis([groebner._pack(g, order)], order, weights, budget)
 
-        monkeypatch.setattr(symplectic, "keyed_basis", injected)
+        monkeypatch.setattr(symplectic, "keyed_initial_basis", injected)
         report = verify_degeneration(fpf("3412"))
         assert report.witnesses == ("m[1,2]*m[2,1] is not in in(L)",)
         assert report.equal is False
 
     def test_one_groebner_basis_and_no_elimination(self, monkeypatch):
         calls = []
-        keyed_basis = groebner.keyed_basis
+        keyed_initial_basis = groebner.keyed_initial_basis
 
-        def counted(G, order, budget=None):
+        def counted(G, order, weights, budget=None):
             calls.append(order)
-            return keyed_basis(G, order, budget)
+            return keyed_initial_basis(G, order, weights, budget)
 
         def refuse(*args, **kwargs):
             raise AssertionError("elimination reached")
 
-        monkeypatch.setattr(symplectic, "keyed_basis", counted)
+        monkeypatch.setattr(symplectic, "keyed_initial_basis", counted)
         for name in ("ideal_intersection", "union_schubert_ideal"):
             monkeypatch.setattr(symplectic, name, refuse)
         monkeypatch.setattr(groebner, "ideal_intersection", refuse)
