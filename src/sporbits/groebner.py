@@ -12,14 +12,13 @@ variables, reading the order's slots with one struct call and writing the
 polynomial key with another.  Callers that hold terms keyed already (the
 Fulton minors and the orbit pfaffians, keyed from the order's per-variable
 `units`) call the keyed cores on dicts and skip both ends: `keyed_basis` is
-Buchberger's algorithm, `keyed_certificate` the Groebner certificate,
-`keyed_initial_forms` cuts each element to its initial form under a
-weight-refined order, at its lead when it is homogeneous (one int
-comparison per term) and by weighing every term otherwise, and
-`keyed_initial_basis`, for the degeneration verifier, is the reduced basis
-of the initial ideal of a homogeneous ideal: Buchberger's algorithm, then
-the initial forms of its minimal elements, interreduced, so no element of
-the full basis is tail-reduced.  Coefficients are ints when integral and
+Buchberger's algorithm, `keyed_certificate` the Groebner certificate, and
+`keyed_initial_basis`, the one path to an initial ideal (the degeneration
+verifier's and `initial_ideal`'s), is the reduced basis of the initial
+ideal of an ideal given by homogeneous generators: Buchberger's algorithm,
+then the initial forms of its minimal elements, each cut at its lead with
+one int comparison per term, interreduced, so no element of the full basis
+is tail-reduced.  Coefficients are ints when integral and
 Fractions otherwise, as in Polynomial: every quotient goes through `_div`,
 which keeps an int over a ±1 lead, so the ±1 Fulton minors and pfaffians
 stay in small ints.  Division
@@ -60,7 +59,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, key_weigher, weight_mask, weight_refined_order
+from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, weight_mask, weight_refined_order
 from sporbits.polynomials import Monomial, Polynomial, VariableSet
 
 
@@ -403,22 +402,28 @@ def keyed_initial_basis(
 ) -> list[dict[int, Coeff]]:
     """The reduced Groebner basis of the initial ideal in_w(I), I generated
     by degree-homogeneous term dicts keyed under `order`, a weight-refined
-    order of `weights`: as keyed_initial_forms(keyed_basis(...)), but the
-    minimal elements of Buchberger's basis are cut to their initial forms
-    before the final tail-reduction, which so runs on the initial forms
-    alone.  The initial forms of a Groebner basis of a homogeneous I under
-    an order refining w are one of in_w(I) (Sturmfels, Groebner Bases and
-    Convex Polytopes, Prop. 1.13), each keeps its element's lead, so those
-    of a minimal basis are minimal, and their interreduction is the unique
-    reduced basis.  ValueError, before any pair, names an inhomogeneous
-    generator; budgets as for keyed_basis."""
+    order of `weights`, as new monic term dicts sorted by lead: the minimal
+    elements of Buchberger's basis are cut to their initial forms before
+    the final tail-reduction, which so runs on the initial forms alone.
+    Every element is homogeneous, so its initial form, its terms of least
+    w-weight, is the terms whose degree and max(w) - w fields match its
+    lead's: the keys at least the lead under `weight_mask`.  The initial
+    forms of a Groebner basis of a homogeneous I under an order refining w
+    are one of in_w(I) (Sturmfels, Groebner Bases and Convex Polytopes,
+    Prop. 1.13), each keeps its element's lead, so those of a minimal basis
+    are minimal, and their interreduction is the unique reduced basis.
+    ValueError, before any pair, names an inhomogeneous generator, or an
+    order that does not refine the weights; budgets as for keyed_basis."""
     for terms in generators:
         if terms and max(terms) & FIELD_MASK != min(terms) & FIELD_MASK:
-            raise ValueError("keyed_initial_basis needs homogeneous generators")
+            raise ValueError("an initial ideal needs homogeneous generators")
+    mask = weight_mask(order, weights)
     divisors, check = _groebner_divisors(generators, order, budget)
-    minimal = _minimal_entries(divisors, order.guards)
-    forms = keyed_initial_forms([terms for *_, terms in minimal], order, weights)
-    return _reduce_basis([(*entry[:3], form) for entry, form in zip(minimal, forms)], order.guards, check)
+    forms = [
+        (rank, lead, lead_c, {k: c for k, c in terms.items() if k >= lead & mask})
+        for rank, lead, lead_c, terms in _minimal_entries(divisors, order.guards)
+    ]
+    return _reduce_basis(forms, order.guards, check)
 
 
 def _groebner_divisors(
@@ -505,46 +510,20 @@ def ideal_intersection(I: Ideal, J: Ideal, inner: TermOrder, budget: GBBudget | 
     return Ideal(vs, [Polynomial(vs, {m[:-1]: c for m, c in p.terms.items()}) for p in kept])
 
 
-def keyed_initial_forms(
-    basis: Sequence[dict[int, Coeff]], order: TermOrder, weights: Sequence[int]
-) -> list[dict[int, Coeff]]:
-    """The initial form of each nonempty term dict keyed under `order`, a
-    weight-refined order of `weights`: its terms of minimal total weight
-    (those surviving t -> 0).  A degree-homogeneous dict, whose smallest key
-    carries its lead's degree, is cut at its lead: a key's top two fields
-    are its degree and its max(w) - w field, so the lead has the least
-    weight, and the terms that share it are the keys at least the lead with
-    every slot below those two cleared (`weight_mask`).  Any other dict is
-    weighed term by term (`key_weigher`)."""
-    weigh, top = key_weigher(order, weights), weight_mask(order)
-    forms = []
-    for terms in basis:
-        lead = max(terms)
-        if min(terms) & FIELD_MASK == lead & FIELD_MASK:
-            cut = lead & top
-            forms.append({k: c for k, c in terms.items() if k >= cut})
-        else:
-            weighed = {k: weigh(k) for k in terms}
-            best = min(weighed.values())
-            forms.append({k: c for k, c in terms.items() if weighed[k] == best})
-    return forms
-
-
 def initial_ideal(
     I: Ideal,
     weights: Sequence[int],
     tie_break: TermOrder | None = None,
     budget: GBBudget | None = None,
 ) -> Ideal:
-    """Initial ideal under a weight vector: the initial forms of I's reduced
-    basis under the weight-refined order, in the basis's order.
-
-    When I is homogeneous, so is that basis, and as the order refines the
-    weights its initial forms are the reduced basis of the initial ideal
-    under the same order (Sturmfels, Groebner Bases and Convex Polytopes,
-    Prop. 1.13): callers may take the generators as that basis."""
+    """Initial ideal in_w(I) of an ideal given by homogeneous generators:
+    its reduced basis under the weight-refined order (`keyed_initial_basis`),
+    monic and sorted by lead, so callers may take the generators as that
+    basis.  ValueError names an inhomogeneous generator, even of an ideal
+    that is homogeneous, as <x, x + y^2> is: the order compares degree
+    first, so it refines w on homogeneous polynomials only."""
     if I.is_zero():
         return Ideal(I.vs, [])
     order = weight_refined_order(I.vs, weights, tie_break)
-    basis = keyed_basis([_pack(g, order) for g in I.generators], order, budget)
-    return Ideal(I.vs, [_unpack(terms, order) for terms in keyed_initial_forms(basis, order, weights)])
+    basis = keyed_initial_basis([_pack(g, order) for g in I.generators], order, weights, budget)
+    return Ideal(I.vs, [_unpack(terms, order) for terms in basis])

@@ -149,8 +149,9 @@ def weight_refined_order(
     Its rows are (1, ..., 1) and max(w) - w over the tie-break's rows, and
     its ranking is the tie-break's, so a key holds two things callers read
     without unpacking it: its lowest len(tie.weights) + len(vs) + 1 slots are
-    exactly tie.key(m) (`tie_key_mask`), and w.m is max(w) * deg(m) less its
-    second field (`key_weigher`)."""
+    exactly tie.key(m) (`tie_key_mask`), and its top two fields, the degree
+    and max(w) - w, are equal on two monomials of one degree exactly when
+    their w-weights are (`weight_mask`)."""
     w = tuple(int(x) for x in weights)
     if len(w) != len(vs):
         raise ValueError("one weight per variable required")
@@ -167,29 +168,16 @@ def tie_key_mask(tie: TermOrder) -> int:
     return (1 << (FIELD_BITS + 1) * (len(tie.weights) + len(tie.vs) + 1)) - 1
 
 
-def key_weigher(order: TermOrder, weights: Sequence[int]) -> Callable[[int], int]:
-    """The w-weight of a key under `order`, read off its fields: max(w) times
-    the degree field, less the max(w) - w field.  ValueError unless `order`
-    begins with the two rows of weight_refined_order(vs, w, ...)."""
+def weight_mask(order: TermOrder, weights: Sequence[int]) -> int:
+    """The mask of the top two fields of a key under `order`, its degree and
+    max(w) - w fields: key & weight_mask(order, w) is the least key of the
+    same degree and w-weight.  ValueError unless `order` begins with the two
+    rows of weight_refined_order(vs, w, ...), so that it refines w on
+    homogeneous polynomials."""
     w = tuple(int(x) for x in weights)
-    top = max(w, default=0)
-    if order.weights[:2] != ((1,) * len(w), tuple(top - x for x in w)):
+    if order.weights[:2] != ((1,) * len(w), tuple(max(w, default=0) - x for x in w)):
         raise ValueError("the order does not refine these weights")
-    shift = _weight_shift(order)
-    return lambda k: top * (k & FIELD_MASK) - (k >> shift & FIELD_MASK)
-
-
-def weight_mask(order: TermOrder) -> int:
-    """The mask of the top two fields of a key under a weight_refined_order,
-    its degree and max(w) - w fields: key & weight_mask(order) is the least
-    key of the same degree and w-weight."""
-    return -1 << _weight_shift(order)
-
-
-def _weight_shift(order: TermOrder) -> int:
-    """The bit offset of the max(w) - w field, the second of the order's
-    fields, in its keys."""
-    return (FIELD_BITS + 1) * (len(order.weights) + len(order.vs) - 1)
+    return -1 << (FIELD_BITS + 1) * (len(order.weights) + len(order.vs) - 1)
 
 
 def elimination_order(vs: VariableSet, inner: TermOrder) -> TermOrder:

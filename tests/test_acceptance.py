@@ -43,14 +43,12 @@ def fpf(text):
 
 @pytest.fixture
 def reduced_bases(monkeypatch):
-    """Records every reduced basis a test computes, the initial forms taken
-    of a basis, and G_L, the reduced basis of the initial forms the verifier
-    takes, with the order, so the test can certify each one: the keyed entry
-    points are patched where groebner calls them (buchberger, initial_ideal,
-    keyed_initial_basis) and where the verifier does."""
+    """Records every reduced basis a test computes, and every reduced basis
+    of an initial ideal, G_L's among them, with the order, so the test can
+    certify each one: the keyed entry points are patched where groebner
+    calls them (buchberger, initial_ideal) and where the verifier does."""
     seen = {}
-    keyed_basis, keyed_initial_forms = groebner.keyed_basis, groebner.keyed_initial_forms
-    keyed_initial_basis = groebner.keyed_initial_basis
+    keyed_basis, keyed_initial_basis = groebner.keyed_basis, groebner.keyed_initial_basis
 
     def record(basis, order):
         seen[tuple(_unpack(terms, order) for terms in basis), order] = None
@@ -59,14 +57,10 @@ def reduced_bases(monkeypatch):
     def recorded_keyed_basis(G, order, budget=None):
         return record(keyed_basis(G, order, budget), order)
 
-    def recorded_initial_forms(basis, order, weights):
-        return record(keyed_initial_forms(basis, order, weights), order)
-
     def recorded_initial_basis(G, order, weights, budget=None):
         return record(keyed_initial_basis(G, order, weights, budget), order)
 
     monkeypatch.setattr(groebner, "keyed_basis", recorded_keyed_basis)
-    monkeypatch.setattr(groebner, "keyed_initial_forms", recorded_initial_forms)
     for module in (groebner, symplectic):
         monkeypatch.setattr(module, "keyed_initial_basis", recorded_initial_basis)
     return seen

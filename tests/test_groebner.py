@@ -29,7 +29,7 @@ from sporbits.groebner import (
     is_groebner_basis,
     keyed_basis,
     keyed_certificate,
-    keyed_initial_forms,
+    keyed_initial_basis,
     normal_form,
     s_polynomial,
 )
@@ -43,7 +43,6 @@ from sporbits.orders import (
     antidiagonal_ranking,
     elimination_order,
     grevlex_order,
-    key_weigher,
     lex_order,
     tie_key_mask,
     weight_mask,
@@ -416,22 +415,26 @@ class TestWeightRefinedKeyLayout:
         order = weight_refined_order(tie.vs, w, tie)
         key = order.key(m)
         assert key & tie_key_mask(tie) == tie.key(m)
-        assert key_weigher(order, w)(key) == sum(map(mul, m, w))
 
     @pytest.mark.parametrize("tie, ref", _ref_presets())
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_keyed_initial_forms_match_the_oracle(self, tie, ref, data):
-        # a general draw, which keyed_initial_forms weighs term by term, and
-        # a degree-homogeneous one, which it cuts at its lead
+    def test_keyed_initial_basis_matches_the_oracle(self, tie, ref, data):
+        # a degree-homogeneous draw, which keyed_initial_basis cuts at its
+        # lead, and a general one, which it refuses unless it is homogeneous
         vs = tie.vs
         w = data.draw(st.lists(st.integers(0, 4), min_size=len(vs), max_size=len(vs)))
         coeffs = st.integers(-9, 9).filter(bool) | st.fractions().filter(bool)
         terms = data.draw(st.dictionaries(_monomials(len(vs), top=4), coeffs, min_size=1, max_size=6))
         degree = data.draw(st.integers(0, 8))
         homogeneous = data.draw(st.dictionaries(_homogeneous_monomials(len(vs), degree), coeffs, min_size=1, max_size=6))
+        order = weight_refined_order(vs, w, tie)
         for f in (Polynomial(vs, terms), Polynomial(vs, homogeneous)):
-            assert _keyed_initial_form(f, w, tie) == initial_form(f, w)
+            if len({sum(m) for m in f.terms}) > 1:
+                with pytest.raises(ValueError, match="homogeneous"):
+                    keyed_initial_basis([_pack(f, order)], order, w)
+            else:
+                assert _keyed_initial_form(f, w, tie) == _monic(initial_form(f, w), order)
 
     @pytest.mark.parametrize("tie, ref", _ref_presets())
     @settings(max_examples=30, deadline=None)
@@ -444,20 +447,23 @@ class TestWeightRefinedKeyLayout:
         degree = data.draw(st.integers(0, 6))
         a, b = data.draw(_homogeneous_monomials(n, degree)), data.draw(_monomials(n, top=3))
         order = weight_refined_order(tie.vs, w, tie)
-        mask = weight_mask(order)
+        mask = weight_mask(order, w)
         ka, kb = order.key(a), order.key(b)
         same = sum(a) == sum(b) and sum(map(mul, a, w)) == sum(map(mul, b, w))
         assert (ka & mask == kb & mask) == same
         assert ka & mask <= ka
 
-    def test_key_weigher_needs_an_order_refining_the_weights(self, xy):
+    def test_weight_mask_needs_an_order_refining_the_weights(self, xy):
+        x = _pack(poly(xy, "x"), lex_order(xy))
         for order in (lex_order(xy), weight_refined_order(xy, [1, 0])):
-            with pytest.raises(ValueError):
-                key_weigher(order, [0, 1])
+            with pytest.raises(ValueError, match="refine"):
+                weight_mask(order, [0, 1])
+            with pytest.raises(ValueError, match="refine"):
+                keyed_initial_basis([x], order, [0, 1])
         # a constant shift of the weights refines to the same order, and
-        # the readout is exact for either
+        # the mask is the same for either
         order = weight_refined_order(xy, [0, 1])
-        assert key_weigher(order, [2, 3])(order.key((2, 1))) == 7
+        assert weight_mask(order, [2, 3]) == weight_mask(order, [0, 1])
 
 
 class TestNormalForm:
@@ -758,7 +764,7 @@ class TestIdealOps:
 
 def initial_form(f: Polynomial, weights) -> Polynomial:
     """The terms of f of minimal total weight (those surviving t -> 0),
-    weighed from their exponents: the oracle for keyed_initial_forms, which
+    weighed from their exponents: the oracle for keyed_initial_basis, which
     reads the weight off the key."""
     w = [int(x) for x in weights]
     if any(x < 0 for x in w):
@@ -771,9 +777,16 @@ def initial_form(f: Polynomial, weights) -> Polynomial:
 
 
 def _keyed_initial_form(f: Polynomial, weights, tie=None) -> Polynomial:
-    """keyed_initial_forms on f alone, keyed under the weight-refined order."""
+    """keyed_initial_basis on a homogeneous f alone, keyed under the
+    weight-refined order: f's initial form, made monic."""
     order = weight_refined_order(f.vs, weights, tie)
-    return _unpack(keyed_initial_forms([_pack(f, order)], order, weights)[0], order)
+    [form] = keyed_initial_basis([_pack(f, order)], order, weights)
+    return _unpack(form, order)
+
+
+def _monic(p: Polynomial, order) -> Polynomial:
+    """p divided by the coefficient of its lead under `order`."""
+    return p.scale(1 / Fraction(p.terms[max(p.terms, key=order.key)]))
 
 
 class TestInitialIdeals:
@@ -783,6 +796,16 @@ class TestInitialIdeals:
         for form in (initial_form, _keyed_initial_form):
             assert form(p, [0, 1]) == poly(xy, "x^2")
             assert form(p, [0, 0]) == p
+
+    def test_inhomogeneous_generators_are_refused(self, xy):
+        # the weight-refined order compares degree first, so it does not
+        # refine w = (0, 1) on y^2 - x, and the initial forms of a basis
+        # need not generate in_w(I), which holds y^3 = y*(y^2 - x) + x*y;
+        # the refusal is by generator, so <x, x + y^2>, a homogeneous
+        # ideal, is refused too
+        for gens in (["y^2 - x", "x*y"], ["x", "x + y^2"]):
+            with pytest.raises(ValueError, match="homogeneous"):
+                initial_ideal(Ideal(xy, [poly(xy, g) for g in gens]), [0, 1])
 
     def test_initial_form_rejects_negative(self, xy):
         with pytest.raises(ValueError):
@@ -841,14 +864,25 @@ class TestIdealClass:
         assert blob["generators"] == ["x-y"]
 
 
+def _random_monomial(n, degree, rng):
+    cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+
 def _random_poly(vs, rng, max_degree=3):
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        degree = rng.randint(0, max_degree)
-        cuts = sorted(rng.randint(0, degree) for _ in range(len(vs) - 1))
-        mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        mono = _random_monomial(len(vs), rng.randint(0, max_degree), rng)
         terms[mono] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
     return Polynomial(vs, terms)
+
+
+def _random_homogeneous_poly(vs, rng):
+    degree = rng.randint(1, 3)
+    return Polynomial(vs, {
+        _random_monomial(len(vs), degree, rng): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for _ in range(rng.randint(1, 3))
+    })
 
 
 def _to_sympy(p, syms):
@@ -877,6 +911,21 @@ def _sympy_reduced_basis(gens, order, name, syms):
     return sorted(basis, key=lambda p: max(map(order.key, p.terms)))
 
 
+def _sympy_weight_order(sympy, weights):
+    """weight_refined_order(vs, weights) as a sympy monomial order: degree,
+    then the max(w) - w weight, then lex in index order."""
+    top = max(weights)
+
+    # a class per call: sympy caches rings by order, and orders compare by class
+    class WeightRefined(sympy.polys.orderings.MonomialOrder):
+        alias, is_global = f"weight{tuple(weights)}", True
+
+        def __call__(self, m):
+            return sum(m), sum((top - x) * e for x, e in zip(weights, m)), m
+
+    return WeightRefined()
+
+
 class TestSympyOracle:
     """Differential check of buchberger against sympy.groebner, which is not
     a dependency: the test skips where sympy is missing."""
@@ -901,6 +950,31 @@ class TestSympyOracle:
                 matched += 1
         # a run where most cases exhaust the budget checks nothing
         assert matched >= 120, (matched, exhausted)
+
+    def test_random_initial_ideals(self):
+        # sympy's reduced basis under the weight-refined order, each element
+        # cut to its initial form by the exponent-weighed oracle, is the
+        # reduced basis of in_w(I) for homogeneous I (Sturmfels, Prop. 1.13)
+        sympy = pytest.importorskip("sympy")
+        vs = VariableSet.named("x", "y", "z")
+        syms = sympy.symbols("x y z")
+        rng = random.Random(20261020)
+        budget = GBBudget(max_pairs=500, max_degree=12, max_seconds=0.25)
+        matched = exhausted = 0
+        for _ in range(60):
+            gens = [_random_homogeneous_poly(vs, rng) for _ in range(rng.randint(2, 3))]
+            for w in ((0, 1, 2), (2, 0, 1), (1, 1, 0)):
+                try:
+                    ours = initial_ideal(Ideal(vs, gens), w, budget=budget)
+                except BudgetExceeded:
+                    exhausted += 1
+                    continue
+                order = weight_refined_order(vs, w)
+                basis = _sympy_reduced_basis(gens, order, _sympy_weight_order(sympy, w), syms)
+                expected = [str(initial_form(g, w)) for g in basis]
+                assert [str(g) for g in ours.generators] == expected, (w, [str(g) for g in gens])
+                matched += 1
+        assert matched >= 135, (matched, exhausted)
 
 
 def _rescan_reduce_terms(terms, reducers, key):
