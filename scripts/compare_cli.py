@@ -22,7 +22,9 @@ the Hasse diagram's bound; past the caps, `poset --n 6` (JSON and DOT),
 `verify-degeneration --deep --iota 216543` at `--max-pairs K` caps that stop
 its 10-pair basis on the first pair, in the middle and on the last, one it
 finishes within, and at a `--max-degree 6` exit, so the budget statistics
-are compared byte for byte, not only the verdicts; `verify-km` on all of S4 and S5;
+are compared byte for byte, not only the verdicts, and at `--max-degree` caps
+of 63, 64, 127, 128 and 200, about the width of a narrow key's exponent field;
+`verify-km` on all of S4 and S5;
 `verify-km --pi 54321 --max-pairs K` at caps that stop the Groebner
 certificate on its first pair, inside it and on its last pair, and at one
 it finishes within (a cap of K stops on pair K + 1, counted as Buchberger
@@ -38,7 +40,9 @@ under `antidiagonal`, an exponent too wide for the order's key fields
 (exit 2), under `lex` and `grevlex` two leads whose lcm overflows the degree
 field (exit 2, raised when the pair is created), and under `lex` and
 `grevlex` the zero generators the kernel drops: only zeros, no generators
-at all, and a zero among nonzero ones;
+at all, and a zero among nonzero ones, and under `antidiagonal` a 2x2 matrix
+ideal with an exponent of 127 and one with 128, and one whose leads' lcm
+passes degree 127;
 `--config` runs on the config files of CONFIGS, written to the same
 directory, each followed by the same command without the config, so a value
 that outlives its run shows: a config that supplies `--n` to `verify-all`
@@ -109,6 +113,21 @@ IDEALS = {
     "overflowing-lcm": (
         {"variables": ["x", "y"], "generators": ["x^20000*y", "x*y^20000"]},
         [["--order", "lex"], ["--order", "grevlex"]],
+    ),
+    # at the edge of a narrow key's 7-bit exponent field, which the groebner
+    # command never uses: exponents of 127 and 128, and leads whose lcm
+    # passes degree 127
+    "exponent-127": (
+        {"matrix_size": 2, "generators": ["m[1,1]^127 - m[1,2]*m[2,1]", "m[1,2]*m[2,2] - m[2,1]"]},
+        [["--order", "antidiagonal", "--max-degree", "300"], ["--order", "antidiagonal"]],
+    ),
+    "exponent-128": (
+        {"matrix_size": 2, "generators": ["m[1,1]^128 - m[1,2]*m[2,1]", "m[1,2]*m[2,2] - m[2,1]"]},
+        [["--order", "antidiagonal", "--max-degree", "300"]],
+    ),
+    "lcm-past-127": (
+        {"matrix_size": 2, "generators": ["m[1,2]*m[1,1]^126 - m[2,1]^127", "m[1,2]^2 - m[1,1]^2"]},
+        [["--order", "antidiagonal", "--max-degree", "300"]],
     ),
     "zeros": ({"variables": ["x", "y"], "generators": ["0", "0*x"]}, [["--order", "lex"], ["--order", "grevlex"]]),
     "no-generators": ({"variables": ["x", "y"], "generators": []}, [["--order", "lex"], ["--order", "grevlex"]]),
@@ -194,6 +213,8 @@ def commands(fixtures: str) -> list[list[str]]:
     # on the last and past its degree 6, and a cap it finishes within
     deep = ["verify-degeneration", "--deep", "--iota", "216543"]
     out += [[*deep, "--max-pairs", str(k)] for k in (0, 4, 9, 10)] + [[*deep, "--max-degree", "6"]]
+    # degree caps about the width of a narrow key's 7-bit exponent fields
+    out += [[*deep, "--max-degree", str(k)] for k in (63, 64, 127, 128, 200)]
     for size in (4, 5):
         out += [["verify-km", "--pi", "".join(map(str, w))] for w in itertools.permutations(range(1, size + 1))]
     # 54321 has 20 minors, so 190 pairs: budget exits on the first, inside and on the last

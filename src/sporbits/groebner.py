@@ -5,13 +5,16 @@ eliminating an auxiliary variable it adds and drops itself.
 
 Inside the kernel a term is its packed order key (orders.TermOrder), packed
 once on entry and unpacked once on exit: a monomial product is one addition,
-a divisibility test one AND.  Every Polynomial entry point is "pack, keyed
-core, unpack": `_pack` refuses a polynomial over other variables than the
-order's (ValueError), and `_unpack` writes the result over the order's
-variables, reading the order's slots with one struct call and writing the
-polynomial key with another.  Callers that hold terms keyed already (the
-Fulton minors and the orbit pfaffians, keyed from the order's per-variable
-`units`) call the keyed cores on dicts and skip both ends: `keyed_basis` is
+a divisibility test one AND, and a product that overflows a field sets its
+guard bit and raises KeyOverflow, a ValueError, which a caller keying in
+the narrow layout may take as its cue to rerun at 16 bits.  Every
+Polynomial entry point is "pack, keyed core, unpack": `_pack` refuses a
+polynomial over other variables than the order's (ValueError), and
+`_unpack` writes the result over the order's variables, reading the order's
+slots with one struct call and writing the polynomial key with another.
+Callers that hold terms keyed already (the Fulton minors and the orbit
+pfaffians, keyed from the order's per-variable `units`) call the keyed
+cores on dicts and skip both ends: `keyed_basis` is
 Buchberger's algorithm, `keyed_certificate` the Groebner certificate, and
 `keyed_initial_basis`, the one path to an initial ideal (the degeneration
 verifier's and `initial_ideal`'s), is the reduced basis of the initial
@@ -55,8 +58,9 @@ import time
 from bisect import insort
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Iterator, Sequence
 
 from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, weight_mask, weight_refined_order
@@ -131,6 +135,12 @@ _OVERFLOW = f"a product overflows the {FIELD_BITS}-bit key fields"
 _CHECK_TERMS = 20_000
 
 
+class KeyOverflow(ValueError):
+    """A product set a guard bit of its key: some field overflowed.  Raised
+    with the message _OVERFLOW, so that a caller may rerun a narrow order's
+    computation at 16 bits (TermOrder.narrow) and others see a ValueError."""
+
+
 def _pack(f: Polynomial, order: TermOrder) -> dict[int, Coeff]:
     if f.vs.names != order.vs.names:
         raise ValueError("mixed variable sets")
@@ -175,51 +185,60 @@ def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Coeff]:
     g's subtracted from f's.  Both leads land on the lcm with coefficient 1,
     so the lcm key cancels to 0 and is dropped with every other zero."""
     (_, lf, cf, tf), (_, lg, cg, tg) = f, g
-    out = {k + lcm - lf: _div(c, cf) for k, c in tf.items()}
+    shift_f, shift_g = lcm - lf, lcm - lg
+    out = {k + shift_f: _div(c, cf) for k, c in tf.items()}
     for k, c in tg.items():
-        k += lcm - lg
+        k += shift_g
         out[k] = out.get(k, 0) - _div(c, cg)
-    if any(k & guards for k in out):
-        raise ValueError(_OVERFLOW)
+    if reduce(or_, out, 0) & guards:
+        raise KeyOverflow(_OVERFLOW)
     return {k: c for k, c in out.items() if c}
 
 
 def _reduce_terms(work: dict[int, Coeff], divisors: list[Entry], guards: int, check: Callable[[], float] | None = None) -> dict[int, Coeff]:
     """Full normal form of a packed term dict, consumed, against a divisor
     list in ascending rank (`_divisors`).  A min-heap of negated keys pops
-    the largest term first.  A popped term a divisor's lead divides is
-    reduced by subtracting the whole shifted divisor, its lead included: the
-    factor times the lead coefficient is the popped coefficient exactly, so
-    the popped term cancels by arithmetic; a term no lead divides moves to
-    the remainder.  A term that cancels stays in the heap, skipped when
-    popped, until dead keys outnumber live ones and the heap is rebuilt.  A
-    popped term never comes back, as reductions add only smaller terms, so
-    terms leave as a rescan for the largest would take them.  A product that
-    sets a guard bit has overflowed its field and raises ValueError.  The
-    divisors' term dicts are only read.  `check`, when given, is called once
-    the reduction steps have written more than _CHECK_TERMS terms since it
-    last was."""
-    heap = [-k for k in work]
+    the largest term first; the dict holds its pending terms under the same
+    negated keys, so the heap and the dict share one int per term.  A popped
+    term a divisor's lead divides is reduced by subtracting the whole
+    shifted divisor, its lead included: the factor times the lead
+    coefficient is the popped coefficient exactly, so the popped term
+    cancels by arithmetic; a term no lead divides moves to the remainder.  A
+    term that cancels stays in the heap, skipped when popped, until dead
+    keys outnumber live ones and the heap is rebuilt.  A popped term never
+    comes back, as reductions add only smaller terms, so terms leave as a
+    rescan for the largest would take them.  A product that sets a guard
+    bit has overflowed its field and raises KeyOverflow.  The divisors' term
+    dicts are only read.  `check`, when given, is called once the reduction
+    steps have written more than _CHECK_TERMS terms since it last was."""
+    # the pending terms, under the negated keys that the heap holds
+    negated = {-k: c for k, c in work.items()}
+    work.clear()
+    work.update(negated)
+    del negated
+    heap = list(work)
     heapq.heapify(heap)
     out: dict[int, Coeff] = {}
     written = 0
     while heap:
-        k = -heapq.heappop(heap)
-        coeff = work.get(k)
+        nk = heapq.heappop(heap)
+        coeff = work.get(nk)
         if coeff is None:
             continue
+        k = -nk
         for _, lead, lead_c, terms in divisors:
             q = k - lead
             if not q & guards:
                 factor = _div(coeff, lead_c)
+                nq = -q
                 for k2, c2 in terms.items():
-                    k2 += q
+                    k2 = nq - k2  # the negated key of the shifted term
                     c = work.get(k2)
                     if c is None:
-                        if k2 & guards:
-                            raise ValueError(_OVERFLOW)
+                        if -k2 & guards:
+                            raise KeyOverflow(_OVERFLOW)
                         work[k2] = -factor * c2
-                        heapq.heappush(heap, -k2)
+                        heapq.heappush(heap, k2)
                     else:
                         c -= factor * c2
                         if c:
@@ -227,7 +246,7 @@ def _reduce_terms(work: dict[int, Coeff], divisors: list[Entry], guards: int, ch
                         else:
                             del work[k2]
                 if len(heap) > 2 * len(work):  # mostly dead keys
-                    heap = [-k for k in work]
+                    heap = list(work)
                     heapq.heapify(heap)
                 written += len(terms)
                 if written > _CHECK_TERMS and check:
@@ -235,7 +254,7 @@ def _reduce_terms(work: dict[int, Coeff], divisors: list[Entry], guards: int, ch
                     check()
                 break
         else:
-            out[k] = work.pop(k)
+            out[k] = work.pop(nk)
     return out
 
 
@@ -259,7 +278,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     common = sum(1 << v for v, (x, y) in enumerate(zip(lf, lg)) if x and y)
     lcm = _lcm(ef[1], eg[1], lf, lg, common, order.units)
     if lcm & order.guards:
-        raise ValueError(_OVERFLOW)
+        raise KeyOverflow(_OVERFLOW)
     return _unpack(_s_pair(ef, eg, lcm, order.guards), order)
 
 
@@ -317,7 +336,7 @@ def _pairs(basis: list[Entry], order: TermOrder, stats: dict, check: Callable[[]
                 if common:
                     lcm = _lcm(basis[i][1], key, leads[i], lead, common, units)
                     if lcm & guards:
-                        raise ValueError(_OVERFLOW)
+                        raise KeyOverflow(_OVERFLOW)
                 else:
                     lcm = basis[i][1] + key
                 heapq.heappush(heap, (lcm & FIELD_MASK, lcm, i, j))
@@ -420,8 +439,9 @@ def keyed_initial_basis(
     mask = weight_mask(order, weights)
     divisors, check = _groebner_divisors(generators, order, budget)
     forms = [
-        (rank, lead, lead_c, {k: c for k, c in terms.items() if k >= lead & mask})
+        (rank, lead, lead_c, {k: c for k, c in terms.items() if k >= cut})
         for rank, lead, lead_c, terms in _minimal_entries(divisors, order.guards)
+        for cut in [lead & mask]
     ]
     return _reduce_basis(forms, order.guards, check)
 

@@ -42,8 +42,14 @@ class FpfInvolution(Permutation):
     Bruhat order, rank matrix and Rothe diagram are the word's own."""
 
     def __post_init__(self) -> None:
+        # one pass accepts the word: values in 1..2n with w(w(i)) = i make w
+        # its own inverse, so a permutation; the checks below run only to
+        # name what is wrong
         w = self.word
-        if len(w) % 2 != 0:
+        size = len(w)
+        if not size % 2 and all(0 < v <= size and v != i and w[v - 1] == i for i, v in enumerate(w, start=1)):
+            return
+        if size % 2 != 0:
             raise ValueError("fixed-point-free involutions need even size")
         super().__post_init__()
         for i, v in enumerate(w, start=1):

@@ -27,6 +27,7 @@ from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
+    KeyOverflow,
     _bits,
     _check_budget,
     _divisors,
@@ -202,10 +203,18 @@ _CHECK_MASKS = 1_000
 
 def _minimal(masks: Iterable[int], check: Callable[[], float] | None = None) -> list[int]:
     """Minimal generators of the ideal of squarefree monomials given as
-    bitmasks.  `check`, when given, is called before the first candidate and
-    then before every _CHECK_MASKS-th, as the scan is quadratic."""
+    bitmasks, scanned by degree, then by mask.  `check`, when given, is
+    called once the candidate set is built, once it is sorted, and then
+    before every _CHECK_MASKS-th candidate after the first, as building the
+    set can take as long as the quadratic scan."""
+    candidates = set(masks)
+    if check:
+        check()
+    # a stable sort by degree keeps the masks ascending within each degree
+    ordered = sorted(candidates)
+    ordered.sort(key=int.bit_count)
     kept: list[int] = []
-    for i, m in enumerate(sorted(set(masks), key=lambda m: (m.bit_count(), m))):
+    for i, m in enumerate(ordered):
         if check and not i % _CHECK_MASKS:
             check()
         if all(m & k != k for k in kept):
@@ -259,8 +268,10 @@ def union_schubert_ideal(perms: Sequence[Permutation], budget: GBBudget | None =
 MAX_EXPANDED_TERMS = 1_200_000
 #: largest matrix size N taken by orbit_ideal, verify_knutson_miller and the
 #: groebner command: MAX_EXPANDED_TERMS bounds how many terms are written, this
-#: bounds their width, as a generic N x N matrix has N^2 variables and a
-#: weight-refined key N^2 + 3 slots of 16 bits (2,352 bits at N = 12)
+#: bounds their width, as a generic N x N matrix has N^2 variables: the
+#: degeneration verifier's weight-refined key has two 16-bit weight slots,
+#: N^2 exponent slots of 8 bits and a 16-bit degree slot (1,200 bits at
+#: N = 12), and N^2 + 3 slots of 16 bits (2,352 bits) when it reruns wide
 MAX_MATRIX_SIZE = 12
 
 
@@ -463,7 +474,7 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
     terms = sum(math.comb(i, r + 1) * math.comb(j, r + 1) * math.factorial(r + 1) for i, j, r in essential_boxes(p))
     if terms > MAX_EXPANDED_TERMS:
         raise ValueError(f"{p} needs {terms} minor terms, over {MAX_EXPANDED_TERMS}")
-    order = antidiagonal_order(VariableSet.matrix(p.size))
+    order = antidiagonal_order(VariableSet.matrix(p.size), narrow=True)
     minors = _keyed_minors(p, order.units)
     if any(max(terms) != _mask_key(order, _antidiagonal(order.vs, rows, cols)) for rows, cols, terms in minors):
         return False
@@ -547,16 +558,46 @@ def verify_degeneration(
     cap counts from this call: it is checked after each pfaffian, handed on
     to the basis as the time left, and checked before each v, within each
     reduction of the certificate and within each intersection for A; the
-    pair and degree caps bind only the basis."""
+    pair and degree caps bind only the basis.
+
+    Every key is narrow (TermOrder.narrow): 8-bit exponent slots under the
+    16-bit weight and degree slots, about half the width of a 16-bit key,
+    so each key addition, AND and dict lookup of the left phase is cheaper.
+    A 7-bit exponent field overflows only once a term passes degree 127,
+    which an S-pair lcm of two elements within the degree cap can do when
+    the cap exceeds 63 (--deep's is 80).  Then a guard bit is set, the
+    kernel raises KeyOverflow, and the whole check reruns at 16 bits under
+    the same deadline, giving the report a 16-bit run gives; a 16-bit
+    overflow passes through as a ValueError."""
     budget = budget or GBBudget()
-    stats = {"pfaffians_written": 0}
+    stats: dict = {}
     check = _check_budget(budget, stats)
+    pp = pair_permutations(iota)
+    try:
+        return _degeneration(iota, pp.perms, budget, stats, check, narrow=True)
+    except KeyOverflow:
+        stats.clear()
+        return _degeneration(iota, pp.perms, budget, stats, check, narrow=False)
+
+
+def _degeneration(
+    iota: FpfInvolution,
+    perms: tuple[Permutation, ...],
+    budget: GBBudget,
+    stats: dict,
+    check: Callable[[], float],
+    narrow: bool,
+) -> DegenerationReport:
+    """verify_degeneration's check against the pair permutations `perms`,
+    under `check`, which reads `budget`'s deadline and `stats`, with every
+    term keyed in the `narrow` layout or at 16 bits; KeyOverflow when a
+    product overflows a field."""
+    stats["pfaffians_written"] = 0
     vs = VariableSet.matrix(iota.size)
     weights = column_weights(vs)
-    tie = antidiagonal_order(vs)
+    tie = antidiagonal_order(vs, narrow)
     order = weight_refined_order(vs, weights, tie)
     timings: dict[str, float] = {}
-    pp = pair_permutations(iota)
     try:
         t0 = time.monotonic()
         pfaffians: list[dict[int, int]] = []
@@ -573,7 +614,7 @@ def verify_degeneration(
         keyed = [{k & low: c for k, c in terms.items()} for terms in left]
         L = [_write_terms(vs.names, terms, tie.exponents) for terms in keyed]
         witnesses, common = [], [0]  # common starts as the unit ideal: the mask of 1
-        for checked, v in enumerate(pp.perms):
+        for checked, v in enumerate(perms):
             stats["pair_permutations_checked"] = checked
             check()
             minors = _keyed_minors(v, tie.units)
@@ -586,7 +627,7 @@ def verify_degeneration(
             common = _meet(common, [_antidiagonal(vs, rows, cols) for rows, cols, _ in minors], check)
     except BudgetExceeded as exc:
         exhausted = f"{exc.reason}: {exc.stats}"
-        return DegenerationReport(iota, pp.perms, (), None, budget_exhausted=exhausted, timings=timings)
+        return DegenerationReport(iota, perms, (), None, budget_exhausted=exhausted, timings=timings)
     leads = list(map(max, keyed))
     for m in common:
         key = _mask_key(tie, m)
@@ -595,7 +636,7 @@ def verify_degeneration(
     timings["certificate_seconds"] = time.monotonic() - t0
     return DegenerationReport(
         iota=iota,
-        pair_perms=pp.perms,
+        pair_perms=perms,
         left_generators=tuple(map(str, L)),
         equal=not witnesses,
         witnesses=tuple(witnesses),

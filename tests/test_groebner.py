@@ -14,6 +14,7 @@ from sporbits.groebner import (
     BudgetExceeded,
     GBBudget,
     Ideal,
+    KeyOverflow,
     _OVERFLOW,
     _div,
     _divisors,
@@ -38,6 +39,7 @@ from sporbits.permutations import Permutation
 from sporbits.orders import (
     FIELD_BITS,
     FIELD_MASK,
+    NARROW_BITS,
     TermOrder,
     antidiagonal_order,
     antidiagonal_ranking,
@@ -164,9 +166,15 @@ def _ref_elimination(vs, k, inner_key):
     return lambda m: (m[base:], inner_key(m[:base] + (0,) * k))
 
 
-def _ref_presets():
+def _narrow(order):
+    """The order with the narrow key layout (its key rebuilt, not replaced)."""
+    return TermOrder(order.vs, order.weights, order.ranking, order.name, narrow=True)
+
+
+def _ref_presets(narrow=False):
     """(order, reference key) pairs: every preset on three named variables,
-    and on a 2x2 matrix ring with a t block."""
+    and on a 2x2 matrix ring with a t block, in the 16-bit layout or, when
+    `narrow`, the narrow one."""
     xyz, xy = VariableSet.named("x", "y", "z"), VariableSet.named("x", "y")
     xyt = VariableSet.named("x", "y", "t")
     w = (2, 0, 1)
@@ -191,7 +199,13 @@ def _ref_presets():
         (weight_refined_order(ext, w5, antidiagonal_order(ext)), _ref_weight(w5, anti_ext)),
         (elimination_order(ext, antidiagonal_order(base)), _ref_elimination(ext, 1, anti)),
     ]
+    if narrow:
+        return [pytest.param(_narrow(order), ref, id=f"{len(order.vs)}vars-{order.name}-narrow") for order, ref in cases]
     return [pytest.param(order, ref, id=f"{len(order.vs)}vars-{order.name}") for order, ref in cases]
+
+
+#: the presets in both layouts, for the tests of the key layout
+_LAYOUT_PRESETS = _ref_presets() + _ref_presets(narrow=True)
 
 
 class TestTermOrder:
@@ -236,20 +250,32 @@ class TestTermOrder:
         assert lex_order(xy) != lex_order(xy, (1, 0))
         assert lex_order(xy) != grevlex_order(xy)
 
-    @pytest.mark.parametrize("order, ref", _ref_presets())
+    @pytest.mark.parametrize("order, ref", _LAYOUT_PRESETS)
     def test_key_ends_with_ranked_exponents(self, order, ref):
         # fields from the least significant: the degree, the exponents from
-        # the last-ranked variable up, then the weight rows from the last up
+        # the last-ranked variable up, then the weight rows from the last up,
+        # each read at its slot's width: 16 bits, or 8 for a narrow exponent
         n, rows = len(order.vs), order.weights
-        fields = lambda k: [k >> (FIELD_BITS + 1) * f & FIELD_MASK for f in range(n + 1 + len(rows))]
+        exponent_slot = (NARROW_BITS if order.narrow else FIELD_BITS) + 1
+        widths = [FIELD_BITS + 1] + [exponent_slot] * n + [FIELD_BITS + 1] * len(rows)
+        assert order.bits == sum(widths)
+
+        def fields(k):
+            out = []
+            for width in widths:
+                out.append(k & (1 << width - 1) - 1)
+                assert not k >> width - 1 & 1  # the guard bit
+                k >>= width
+            assert k == 0
+            return out
+
         for m in itertools.product(range(3), repeat=n):
             k = order.key(m)
             dots = [sum(e * x for e, x in zip(m, row)) for row in rows]
             assert fields(k)[::-1] == dots + [m[v] for v in order.ranking] + [sum(m)]
-            assert k >> (FIELD_BITS + 1) * (n + 1 + len(rows)) == 0
             assert order.exponents(k) == m
 
-    @pytest.mark.parametrize("order, ref", _ref_presets())
+    @pytest.mark.parametrize("order, ref", _LAYOUT_PRESETS)
     def test_key_is_linear_and_guards_test_divisibility(self, order, ref):
         monos = list(itertools.product(range(3), repeat=len(order.vs)))
         key, guards = order.key, order.guards
@@ -405,7 +431,7 @@ class TestWeightRefinedKeyLayout:
     """A weight-refined key holds the tie-break's key in its low slots and
     its weight in its top two fields, for every preset as the tie-break."""
 
-    @pytest.mark.parametrize("tie, ref", _ref_presets())
+    @pytest.mark.parametrize("tie, ref", _LAYOUT_PRESETS)
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_low_slots_are_the_tie_key_and_the_weight_reads_off(self, tie, ref, data):
@@ -416,7 +442,7 @@ class TestWeightRefinedKeyLayout:
         key = order.key(m)
         assert key & tie_key_mask(tie) == tie.key(m)
 
-    @pytest.mark.parametrize("tie, ref", _ref_presets())
+    @pytest.mark.parametrize("tie, ref", _LAYOUT_PRESETS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_keyed_initial_basis_matches_the_oracle(self, tie, ref, data):
@@ -436,7 +462,7 @@ class TestWeightRefinedKeyLayout:
             else:
                 assert _keyed_initial_form(f, w, tie) == _monic(initial_form(f, w), order)
 
-    @pytest.mark.parametrize("tie, ref", _ref_presets())
+    @pytest.mark.parametrize("tie, ref", _LAYOUT_PRESETS)
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_weight_mask_keeps_degree_and_weight(self, tie, ref, data):
@@ -464,6 +490,68 @@ class TestWeightRefinedKeyLayout:
         # the mask is the same for either
         order = weight_refined_order(xy, [0, 1])
         assert weight_mask(order, [2, 3]) == weight_mask(order, [0, 1])
+
+
+class TestNarrowKeys:
+    """The narrow layout, 8-bit exponent slots, orders and divides as the
+    16-bit one does while every exponent fits in 7 bits, and a product past
+    them sets a guard bit, raised as KeyOverflow."""
+
+    @pytest.mark.parametrize("order, ref", _ref_presets())
+    def test_narrow_and_wide_keys_sort_alike(self, order, ref):
+        narrow = _narrow(order)
+        assert narrow == order and hash(narrow) == hash(order)
+        assert narrow.bits < order.bits
+        rng = random.Random(len(order.vs))
+        monos = [tuple(rng.choice((0, 1, 2, 63, 126, 127)) for _ in range(len(order.vs))) for _ in range(300)]
+        monos += list(itertools.product(range(3), repeat=len(order.vs)))
+        assert sorted(monos, key=narrow.key) == sorted(monos, key=order.key)
+        assert [narrow.exponents(narrow.key(m)) for m in monos] == monos
+
+    def test_narrow_exponent_past_its_field_is_refused(self, xy):
+        for order in (lex_order(xy), grevlex_order(xy), weight_refined_order(xy, (3, 0))):
+            narrow = _narrow(order)
+            assert narrow.exponents(narrow.key((127, 1))) == (127, 1)
+            with pytest.raises(ValueError, match="7-bit exponent"):
+                narrow.key((128, 0))
+            assert order.exponents(order.key((128, 0))) == (128, 0)
+
+    @pytest.mark.parametrize("make_order", [lex_order, grevlex_order], ids=["lex", "grevlex"])
+    def test_lcm_past_degree_127_overflows_only_narrow_keys(self, make_order):
+        # the lcm x^2*y^126 of the leads has degree 128: x^2 - y^2 shifted
+        # to it has the term y^128, past a 7-bit field but not a 15-bit one
+        vs = VariableSet.named("x", "y", "z")
+        G = [poly(vs, "x*y^126 - z^127"), poly(vs, "x^2 - y^2")]
+        wide, budget = make_order(vs), GBBudget(max_degree=300)
+        narrow = _narrow(wide)
+        with pytest.raises(KeyOverflow, match=f"^{_OVERFLOW}$"):
+            keyed_basis([_pack(g, narrow) for g in G], narrow, budget)
+        basis = keyed_basis([_pack(g, wide) for g in G], wide, budget)
+        assert [_unpack(terms, wide) for terms in basis] == buchberger(G, wide, budget)
+        assert any("y^128" in str(_unpack(terms, wide)) for terms in basis)
+
+    def test_a_reduction_past_the_exponent_field_raises(self, xy):
+        # under lex with y first, y - x^64 - x^63 leads with y: a shift by x
+        # writes x^65 and x^64, which fit a 7-bit field, while a shift by
+        # x^64 writes x^128, which fits only the 16-bit one
+        order = lex_order(xy, (1, 0))
+        narrow = _narrow(order)
+        G = [poly(xy, "y - x^64 - x^63")]
+        for f, expected in (("x*y", "x^65 + x^64"), ("x^64*y", "x^128 + x^127")):
+            assert normal_form(poly(xy, f), G, order) == poly(xy, expected)
+        assert normal_form(poly(xy, "x*y"), G, narrow) == poly(xy, "x^65 + x^64")
+        with pytest.raises(KeyOverflow, match=f"^{_OVERFLOW}$"):
+            normal_form(poly(xy, "x^64*y"), G, narrow)
+
+    def test_narrow_survives_replace_and_refinement(self):
+        vs = VariableSet.matrix(2)
+        anti = antidiagonal_order(vs, narrow=True)
+        refined = weight_refined_order(vs, column_weights(vs), anti)
+        assert anti.narrow and refined.narrow
+        assert not antidiagonal_order(vs).narrow and not weight_refined_order(vs, column_weights(vs)).narrow
+        for order in (anti, refined):
+            traced = dataclasses.replace(order, key=order.key)
+            assert traced.narrow and traced.bits == order.bits and traced.guards == order.guards
 
 
 class TestNormalForm:

@@ -87,6 +87,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FpfInvolution((2, 1, 3))  # odd size
 
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ((2, 1, 3), "fixed-point-free involutions need even size"),
+            ((2, 1, 4, 4), "not a permutation of 1..4: (2, 1, 4, 4)"),
+            ((1, 2, 4, 3), "fixed point at 1 in (1, 2, 4, 3)"),
+            ((2, 1, 4, 3, 5, 5), "not a permutation of 1..6: (2, 1, 4, 3, 5, 5)"),
+            ((2, 3, 4, 1), "not an involution: (2, 3, 4, 1)"),
+            ((2, 1, 0, 3), "not a permutation of 1..4: (2, 1, 0, 3)"),
+            ((0, 3, 2, 1), "not a permutation of 1..4: (0, 3, 2, 1)"),
+            ((2, 1, -1, 3), "not a permutation of 1..4: (2, 1, -1, 3)"),
+            ((-1, 3, 2, 1), "not a permutation of 1..4: (-1, 3, 2, 1)"),
+            ((2, 1, 5, 3), "not a permutation of 1..4: (2, 1, 5, 3)"),
+            ((5, 3, 2, 1), "not a permutation of 1..4: (5, 3, 2, 1)"),
+        ],
+        ids=["odd", "non-permutation", "fixed-point", "repeat", "non-involution", "0", "0-first", "-1", "-1-first", "2n+1", "2n+1-first"],
+    )
+    def test_validation_message(self, word, message):
+        # one pass accepts a word; a refused one gets the message of the
+        # first check it fails: size, permutation, fixed point, involution
+        with pytest.raises(ValueError) as exc:
+            FpfInvolution(word)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_is_its_permutation(self, n):
         for iota in enumerate_fpf(n):

@@ -7,9 +7,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from sporbits.groebner import DEEP_BUDGET, BudgetExceeded, GBBudget, buchberger, initial_ideal, normal_form
+from sporbits.groebner import (
+    _OVERFLOW,
+    DEEP_BUDGET,
+    BudgetExceeded,
+    GBBudget,
+    KeyOverflow,
+    buchberger,
+    initial_ideal,
+    normal_form,
+)
 from sporbits.involutions import FpfInvolution, enumerate_fpf, fpf_length, j_bar, opposite_leq
-from sporbits.orders import antidiagonal_order, grevlex_order, lex_order, weight_refined_order
+from sporbits.orders import TermOrder, antidiagonal_order, grevlex_order, weight_refined_order
 from sporbits import groebner, symplectic
 from sporbits.pairperms import PairPermutationSet, pair_permutations
 from sporbits.permutations import Permutation, length, rank_matrix
@@ -627,9 +636,10 @@ class TestRandomMatrices:
 
 class TestVerifiers:
     def test_minimal_reads_its_check_part_way(self):
-        # 4,999 distinct candidates: the check is read before candidates 0,
-        # 1,000, ..., 4,000, so one that raises on its third call stops the
-        # scan at candidate 2,000, long before its end
+        # 4,999 distinct candidates: the check is read once the set is
+        # built, once it is sorted, then before candidates 1,000, ...,
+        # 4,000, so one that raises on its third call stops the scan at
+        # candidate 1,000, long before its end
         masks = range(1, 5000)
         calls = []
 
@@ -644,7 +654,40 @@ class TestVerifiers:
         assert len(calls) == 3
         calls.clear()
         assert symplectic._minimal(masks, lambda: calls.append(None) or 1.0) == symplectic._minimal(masks)
-        assert len(calls) == 5
+        assert len(calls) == 6
+        # candidates that log when the set reads them, when the sort
+        # compares them and when the scan tests them: the first read comes
+        # once every candidate is in the set and none is compared, the
+        # second once the sort is done and before the first test
+        events = []
+
+        class Mask(int):
+            def __hash__(self):
+                events.append("read")
+                return int.__hash__(self)
+
+            def __lt__(self, other):
+                events.append("compared")
+                return int.__lt__(self, other)
+
+            def __and__(self, other):
+                events.append("tested")
+                return int.__and__(self, other)
+
+        rng = random.Random(3)
+        masks = [Mask(rng.getrandbits(12)) for _ in range(300)]
+        reads = []
+
+        def check():
+            reads.append(list(events))
+            return 1.0
+
+        kept = symplectic._minimal(masks, check)
+        assert kept == symplectic._minimal(map(int, masks))
+        built, sorted_ = reads
+        assert built.count("read") == len(masks) and "compared" not in built
+        assert "compared" in sorted_ and "tested" not in sorted_
+        assert "tested" in events
 
     def test_certificate_only_reads_its_inputs(self, monkeypatch):
         # check (i) divides a copy of each g in G_L by v's minors, the
@@ -707,15 +750,16 @@ class TestVerifiers:
         # the minors are written keyed by the order's units and the pair lcms
         # keyed from their leads' keys, so no term is unpacked or keyed again
         p = perm("15432")
-        unpacked, keyed, certifying = [], [], []
+        unpacked, keyed, certifying, orders = [], [], [], []
         unpack, certify = VariableSet.unpack, symplectic.keyed_certificate
 
         def counted_unpack(vs, key):
             unpacked.append(key)
             return unpack(vs, key)
 
-        def counted_order(vs):
-            order = antidiagonal_order(vs)
+        def counted_order(vs, narrow=False):
+            order = antidiagonal_order(vs, narrow)
+            orders.append(order)
 
             def key(m):
                 keyed.append(bool(certifying))
@@ -734,6 +778,8 @@ class TestVerifiers:
         assert certifying
         assert keyed == []
         assert unpacked == []
+        # one order, in the narrow layout, which the rekeyed double keeps
+        assert [order.narrow for order in orders] == [True]
 
     @pytest.mark.parametrize("size", [4, 6])
     def test_mask_key_is_the_key_of_the_squarefree_monomial(self, size):
@@ -746,8 +792,12 @@ class TestVerifiers:
                 assert symplectic._mask_key(order, mask) == order.key(m), (order.name, mask)
 
     def test_knutson_miller_refuses_a_lead_off_the_antidiagonal(self, monkeypatch):
-        # under lex in index order a 2x2 minor leads with its diagonal term
-        monkeypatch.setattr(symplectic, "antidiagonal_order", lex_order)
+        # under lex in index order a 2x2 minor leads with its diagonal term;
+        # the double takes the layout flag the verifier passes
+        def lex(vs, narrow=False):
+            return TermOrder(vs, (), tuple(range(len(vs))), "lex", narrow=narrow)
+
+        monkeypatch.setattr(symplectic, "antidiagonal_order", lex)
         assert verify_knutson_miller(perm("2143")) is False
 
     def test_column_weights(self):
@@ -896,6 +946,82 @@ class TestVerifiers:
         blob = report.to_json()
         assert blob["equal"] is True
         assert blob["iota"] == [2, 1]
+
+
+def degeneration_at(iota, narrow, budget=DEEP_BUDGET):
+    """verify_degeneration's check in one layout, narrow or 16-bit, with no
+    rerun; its report JSON without timings."""
+    stats = {}
+    check = groebner._check_budget(budget, stats)
+    report = symplectic._degeneration(iota, pair_permutations(iota).perms, budget, stats, check, narrow)
+    blob = report.to_json()
+    del blob["timings"]
+    return blob
+
+
+class TestNarrowDegeneration:
+    """verify_degeneration keys every term narrow, and reruns the whole check
+    at 16 bits under the same deadline when a narrow field overflows."""
+
+    @pytest.mark.parametrize("word", [str(i) for i in enumerate_fpf(3)] + BENCH_WORDS_2N8)
+    def test_narrow_and_wide_reports_agree(self, monkeypatch, word):
+        iota = fpf(word)
+        layouts, initial_basis = [], symplectic.keyed_initial_basis
+
+        def recorded(G, order, weights, budget=None):
+            layouts.append(order.narrow)
+            return initial_basis(G, order, weights, budget)
+
+        monkeypatch.setattr(symplectic, "keyed_initial_basis", recorded)
+        blob = verify_degeneration(iota, DEEP_BUDGET).to_json()
+        del blob["timings"]
+        assert layouts == ([True] if orbit_pfaffian_indices(iota) else [])
+        assert blob == degeneration_at(iota, narrow=True) == degeneration_at(iota, narrow=False)
+        assert blob["equal"] is True
+
+    def test_narrow_overflow_reruns_wide_under_one_deadline(self, monkeypatch):
+        # an overflow injected into the narrow left phase: the report is the
+        # 16-bit run's, the deadline is fixed once, and a narrow run that
+        # spends it leaves the rerun none, with the rerun's own statistics
+        iota = fpf("216543")
+        expected = degeneration_at(iota, narrow=False, budget=GBBudget(max_seconds=60.0))
+        now, spent, layouts, deadlines = [0.0], [0.0], [], []
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        initial_basis, check_budget = symplectic.keyed_initial_basis, symplectic._check_budget
+
+        def overflowing(G, order, weights, budget=None):
+            layouts.append(order.narrow)
+            if order.narrow:
+                now[0] += spent[0]
+                raise KeyOverflow(_OVERFLOW)
+            return initial_basis(G, order, weights, budget)
+
+        def counted(budget, stats):
+            deadlines.append(budget.max_seconds)
+            return check_budget(budget, stats)
+
+        monkeypatch.setattr(symplectic, "keyed_initial_basis", overflowing)
+        monkeypatch.setattr(symplectic, "_check_budget", counted)
+        blob = verify_degeneration(iota, GBBudget(max_seconds=60.0)).to_json()
+        assert set(blob.pop("timings")) == {"left_seconds", "certificate_seconds"}
+        assert blob == expected and blob["equal"] is True
+        assert layouts == [True, False]
+        assert deadlines == [60.0]
+        layouts.clear(), deadlines.clear()
+        spent[0] = 61.0
+        report = verify_degeneration(iota, GBBudget(max_seconds=60.0))
+        assert report.equal is None
+        assert report.budget_exhausted == "time cap: {'pfaffians_written': 1, 'pfaffians': 2}"
+        assert layouts == [True] and deadlines == [60.0]
+
+    def test_a_wide_overflow_passes_through(self, monkeypatch):
+        # once the rerun overflows too, the ValueError reaches the caller
+        def overflowing(G, order, weights, budget=None):
+            raise KeyOverflow(_OVERFLOW)
+
+        monkeypatch.setattr(symplectic, "keyed_initial_basis", overflowing)
+        with pytest.raises(ValueError, match=f"^{_OVERFLOW}$"):
+            verify_degeneration(fpf("216543"))
 
 
 def two_sided(iota, perms):
