@@ -14,7 +14,9 @@ the Hasse diagram's bound; past the caps, `poset --n 6` (JSON and DOT),
 `enumerate --n 7` and `verify-all --n 7`, all usage errors; `boxes`,
 `basics`, `pairperms`, `wiring` and `orbit-ideal` on all 15 involutions at
 2n = 6; `basics`, `orbit-ideal` and `pairperms` on all 105 at 2n = 8;
-`basics` and `pairperms` on all 945 at 2n = 10; `verify-degeneration
+`basics` and `pairperms` on all 945 at 2n = 10; `orbit-ideal` on
+2,1,4,3,6,5,9,10,7,8, one 8x8 pfaffian of 201,600 terms over 100 variables,
+the widest key of the list; `verify-degeneration
 --deep` on the 19 involutions with 2n <= 6, on the 5 benchmark words at
 2n = 8 (21436587 21437856 21563487 34126587 43216587) and on 5 more at
 2n = 8 whose left phases end in a real final reduction (84523761 85432761
@@ -198,6 +200,8 @@ def commands(fixtures: str) -> list[list[str]]:
         out += [[cmd, "--iota", word] for cmd in ("boxes", "basics", "pairperms", "wiring", "orbit-ideal")]
     out += [[cmd, "--iota", word] for cmd in ("basics", "orbit-ideal", "pairperms") for word in involutions(8)]
     out += [[cmd, "--iota", word] for cmd in ("basics", "pairperms") for word in involutions(10)]
+    # one 8x8 pfaffian of 201,600 terms over the 100 variables of 2n = 10
+    out.append(["orbit-ideal", "--iota", "2,1,4,3,6,5,9,10,7,8"])
     for size in (2, 4, 6):
         out += [["verify-degeneration", "--deep", "--iota", word] for word in involutions(size)]
     out += [

@@ -10,8 +10,9 @@ guard bit and raises KeyOverflow, a ValueError, which a caller keying in
 the narrow layout may take as its cue to rerun at 16 bits.  Every
 Polynomial entry point is "pack, keyed core, unpack": `_pack` refuses a
 polynomial over other variables than the order's (ValueError), and
-`_unpack` writes the result over the order's variables, reading the order's
-slots with one struct call and writing the polynomial key with another.
+`_unpack` writes the result over the order's variables, reading each key's
+exponents back with `TermOrder.exponents` and writing the polynomial key
+with one struct call.
 Callers that hold terms keyed already (the Fulton minors and the orbit
 pfaffians, keyed from the order's per-variable `units`) call the keyed
 cores on dicts and skip both ends: `keyed_basis` is

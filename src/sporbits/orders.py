@@ -71,10 +71,14 @@ class TermOrder:
     divides b exactly when (key(b) - key(a)) & guards == 0, exponents(key(m))
     == m, and a monomial whose fields overflow raises ValueError.  `units[v]`
     is the key of variable v alone, and key(m) is the sum of m[v] * units[v]
-    (checked for overflow first); `exponents` reads a key's slots back with
-    one struct call.  A given key must keep that contract, so a layout is
-    picked when an order is built: dataclasses.replace(order, narrow=...)
-    would keep the old layout's key."""
+    (checked for overflow first).  `exponents` reads a key's exponents back
+    from its big-endian bytes: a narrow exponent is one whole byte, as its
+    guard bit is clear, so one itemgetter picks them all; a 16-bit layout,
+    or a single variable, reads the slots with one struct call.  A key the
+    order built itself is rebuilt whenever the order is, so
+    dataclasses.replace(order, narrow=...) keys in the new layout; a key
+    given in, such as a tracer's wrapper, is kept as given and must keep
+    the contract itself."""
 
     vs: VariableSet
     weights: tuple[tuple[int, ...], ...]
@@ -119,15 +123,26 @@ class TermOrder:
                 raise ValueError(f"monomial {m} overflows the {fields} fields")
             return sum(map(mul, compress(m, m), compress(units, m)))  # nonzero exponents only
 
-        # the exponent slots in variable order, and the degree slot, which
-        # keeps the getter's result a tuple when there is one variable
         layout = struct.Struct(f">{len(rows)}H{n}{'B' if self.narrow else 'H'}H")
-        unpack, pick, size = layout.unpack, itemgetter(*slots, len(widths) - 1), layout.size
-        object.__setattr__(self, "exponents", lambda k: pick(unpack(k.to_bytes(size, "big")))[:-1])
-        object.__setattr__(self, "guards", sum(1 << s + w - 1 for s, w in zip(shifts, widths)))
+        size = layout.size
+        if self.narrow and n > 1:
+            # exponent slot s is byte len(rows) + s of the key: past the
+            # weight rows' 2-byte slots, each later slot is one byte
+            pick = itemgetter(*(len(rows) + s for s in slots))
+            exponents = lambda k: pick(k.to_bytes(size, "big"))
+        else:
+            # the exponent slots in variable order, and the degree slot, which
+            # keeps the getter's result a tuple when there is one variable
+            unpack, pick = layout.unpack, itemgetter(*slots, len(widths) - 1)
+            exponents = lambda k: pick(unpack(k.to_bytes(size, "big")))[:-1]
+        object.__setattr__(self, "exponents", exponents)
+        guards = layout.pack(*[FIELD_MASK + 1] * len(rows), *[exp_mask + 1] * n, FIELD_MASK + 1)
+        object.__setattr__(self, "guards", int.from_bytes(guards, "big"))
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "bits", 8 * size)
-        if self.key is None:
+        # an order's own key, built for this layout or another, runs this
+        # code; a key given in, such as a tracer's wrapper, does not
+        if self.key is None or getattr(self.key, "__code__", None) is key.__code__:
             object.__setattr__(self, "key", key)
 
 
@@ -188,7 +203,8 @@ def weight_refined_order(
     if any(x < 0 for x in w):
         raise ValueError("negative weights rejected")
     tie = tie_break if tie_break is not None else lex_order(vs)
-    rows = ((1,) * len(w), tuple(max(w) - x for x in w)) + tie.weights
+    top = max(w, default=0)
+    rows = ((1,) * len(w), tuple(top - x for x in w)) + tie.weights
     return TermOrder(vs, rows, tie.ranking, f"weight{w}/{tie.name}", narrow=tie.narrow)
 
 
@@ -205,7 +221,8 @@ def weight_mask(order: TermOrder, weights: Sequence[int]) -> int:
     rows of weight_refined_order(vs, w, ...), so that it refines w on
     homogeneous polynomials."""
     w = tuple(int(x) for x in weights)
-    if order.weights[:2] != ((1,) * len(w), tuple(max(w, default=0) - x for x in w)):
+    top = max(w, default=0)
+    if order.weights[:2] != ((1,) * len(w), tuple(top - x for x in w)):
         raise ValueError("the order does not refine these weights")
     return -1 << order.bits - 2 * (FIELD_BITS + 1)
 

@@ -339,15 +339,25 @@ def _write_terms(names: Sequence[str], terms: Mapping[int, int | Fraction], expo
     """The text of a term dict over the variables `names`, whose keys
     `exponents` reads back as exponent tuples: a polynomial's keys, or a
     term order's, as the degeneration verifier writes G_L without building a
-    Polynomial.  Terms run by degree, then exponent tuple, both descending."""
+    Polynomial.  Terms run by degree, then exponent tuple, both descending:
+    they are sorted ascending and popped from the end, so each exponent
+    tuple is freed once its term is written, and the sorted terms and the
+    text never peak together.  A squarefree term, as every minor and
+    pfaffian term is, is the names its exponents pick (`compress`); any
+    other writes `^e` after each name whose exponent e is above 1."""
     if not terms:
         return "0"
     parts = []
     slots = range(len(names))
-    for _, mono, coeff in sorted(((sum(m), m, c) for k, c in terms.items() for m in [exponents(k)]), reverse=True):
-        body = "*".join(
-            names[v] if mono[v] == 1 else f"{names[v]}^{mono[v]}" for v in compress(slots, mono)
-        )
+    rows = sorted((sum(m), m, c) for m, c in zip(map(exponents, terms), terms.values()))
+    while rows:
+        degree, mono, coeff = rows.pop()
+        if degree == len(mono) - mono.count(0):
+            body = "*".join(compress(names, mono))
+        else:
+            body = "*".join(
+                names[v] if mono[v] == 1 else f"{names[v]}^{mono[v]}" for v in compress(slots, mono)
+            )
         mag = abs(coeff)
         if not body:
             piece = str(mag)

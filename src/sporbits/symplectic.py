@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -164,11 +165,24 @@ def _minor(units: Sequence[int], size: int, rows: Sequence[int], cols: Sequence[
 
 @functools.cache
 def _signed_cells(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(sign of s, row-major cells a * k + s(a)) per permutation s of range(k)."""
-    return tuple(
-        ((-1) ** sum(x > y for x, y in itertools.combinations(s, 2)), tuple(a * k + x for a, x in enumerate(s)))
-        for s in itertools.permutations(range(k))
-    )
+    """(sign of s, row-major cells a * k + s(a)) per permutation s of
+    range(k), in lexicographic order.
+
+    The signs come by blocks, not by counting inversions: the permutations
+    starting with x form the x-th block of k, and each has x inversions at
+    its first place (the x smaller values all come later), while its tail
+    runs over the permutations of the other k - 1 values in lexicographic
+    order, which have the signs of those of range(k - 1) in order, as
+    relabelling the values monotonically keeps every inversion.  So the sign
+    sequence for k is that for k - 1 repeated k times, negated in every odd
+    block, from the single sign 1 of the empty permutation."""
+    signs = [1]
+    for j in range(2, k + 1):
+        flipped = list(map(operator.neg, signs))
+        signs = list(itertools.chain.from_iterable(flipped if x & 1 else signs for x in range(j)))
+    rows = [a * k for a in range(k)]
+    cells = map(map, itertools.repeat(operator.add), itertools.repeat(rows), itertools.permutations(range(k)))
+    return tuple(zip(signs, map(tuple, cells)))
 
 
 def _mjmt_pfaffian(units: Sequence[int], T: Sequence[int], n: int) -> dict[int, int]:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import struct
 from bisect import insort
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -542,6 +543,48 @@ class TestNarrowKeys:
         assert normal_form(poly(xy, "x*y"), G, narrow) == poly(xy, "x^65 + x^64")
         with pytest.raises(KeyOverflow, match=f"^{_OVERFLOW}$"):
             normal_form(poly(xy, "x^64*y"), G, narrow)
+
+    @pytest.mark.parametrize(
+        "order",
+        [pytest.param(param.values[0], id=param.id) for param in _ref_presets(narrow=True)]
+        + [
+            pytest.param(antidiagonal_order(VariableSet.matrix(1), narrow=True), id="1x1-antidiagonal-narrow"),
+            pytest.param(
+                weight_refined_order(VariableSet.matrix(1), (1,), antidiagonal_order(VariableSet.matrix(1), narrow=True)),
+                id="1x1-weight-narrow",
+            ),
+        ],
+    )
+    def test_narrow_exponents_are_the_struct_read_back(self, order):
+        # the struct read-back of the layout: unpack every slot, pick the
+        # exponent slots and place each at its variable
+        n, r = len(order.vs), len(order.weights)
+        layout = struct.Struct(f">{r}H{n}BH")
+
+        def unpacked(k):
+            out = [0] * n
+            for v, e in zip(order.ranking, layout.unpack(k.to_bytes(layout.size, "big"))[r : r + n]):
+                out[v] = e
+            return tuple(out)
+
+        assert order.narrow and order.bits == 8 * layout.size
+        for m in itertools.product((0, 1, 2, 126, 127), repeat=n):
+            k = order.key(m)
+            assert order.exponents(k) == unpacked(k) == m
+
+    def test_replace_rebuilds_an_own_key_and_keeps_a_given_one(self):
+        xy = VariableSet.named("x", "y")
+        wide = lex_order(xy)
+        narrow = dataclasses.replace(wide, narrow=True)
+        assert narrow.key((1, 2)) == _narrow(wide).key((1, 2)) != wide.key((1, 2))
+        assert narrow.exponents(narrow.key((1, 2))) == (1, 2)
+        assert dataclasses.replace(narrow, narrow=False).key((1, 2)) == wide.key((1, 2))
+
+        def given_key(m):
+            return wide.key(m)
+
+        for changed in ({"narrow": True}, {"name": "again"}):
+            assert dataclasses.replace(dataclasses.replace(wide, key=given_key), **changed).key is given_key
 
     def test_narrow_survives_replace_and_refinement(self):
         vs = VariableSet.matrix(2)

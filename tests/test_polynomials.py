@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sporbits.orders import FIELD_MASK, lex_order
-from sporbits.polynomials import MAX_EXPONENT, Polynomial, VariableSet, parse_polynomial
+from sporbits.orders import FIELD_MASK, antidiagonal_order, lex_order
+from sporbits.polynomials import MAX_EXPONENT, Polynomial, VariableSet, _write_terms, parse_polynomial
 
 
 def evaluate(f, values):
@@ -87,6 +87,9 @@ def _ref_str(p):
         piece = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
         parts.append(("-" if coeff < 0 else "+") + piece)
     return "".join(parts).removeprefix("+")
+
+
+_NONZERO_COEFF = st.integers(-4, 4).filter(bool) | st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
 
 def term_dicts(nvars, max_terms=5):
@@ -345,6 +348,20 @@ class TestParsing:
     def test_str_matches_tuple_sort_reference(self, terms):
         p = Polynomial(VariableSet.named("x", "y", "z"), terms)
         assert str(p) == _ref_str(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.dictionaries(st.tuples(*[st.integers(0, 1) | st.integers(0, 3)] * 4), _NONZERO_COEFF, max_size=8),
+        _NONZERO_COEFF,
+    )
+    def test_squarefree_terms_write_as_the_general_branch_does(self, terms, constant):
+        # exponents 0-3, many terms squarefree, always with a constant term;
+        # the text is the same from polynomial keys and from narrow order keys
+        vs = VariableSet.matrix(2)
+        p = Polynomial(vs, {**terms, (0, 0, 0, 0): constant})
+        assert str(p) == _ref_str(p)
+        order = antidiagonal_order(vs, narrow=True)
+        assert _write_terms(vs.names, {order.key(m): c for m, c in p.terms.items()}, order.exponents) == str(p)
 
     @pytest.mark.parametrize(
         "vs, text, expected",

@@ -266,6 +266,35 @@ def _expanded_minor(vs, rows, cols):
     return determinant([[Polynomial.variable(vs, vs.matrix_var(a, b)) for b in cols] for a in rows])
 
 
+def _inversion_signed_cells(k):
+    """The sign table by counting each permutation's inversions."""
+    return tuple(
+        ((-1) ** sum(x > y for x, y in itertools.combinations(s, 2)), tuple(a * k + x for a, x in enumerate(s)))
+        for s in itertools.permutations(range(k))
+    )
+
+
+class TestSignTable:
+    @pytest.mark.parametrize("k", range(9))
+    def test_lex_blocks_give_the_inversion_signs(self, k):
+        assert symplectic._signed_cells(k) == _inversion_signed_cells(k)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_minor_items_are_the_leibniz_terms_in_order(self, k):
+        # a k x k minor of the 8 x 8 matrix on spread-out rows and columns,
+        # term by term in lexicographic order of the permutations
+        vs = VariableSet.matrix(8)
+        rows, cols = [1, 2, 4, 5, 7, 8][:k], [2, 3, 5, 6, 7, 8][-k:]
+        expected = [
+            (
+                sum(vs.units[vs.matrix_var(a, cols[s[i]])] for i, a in enumerate(rows)),
+                (-1) ** sum(x > y for x, y in itertools.combinations(s, 2)),
+            )
+            for s in itertools.permutations(range(k))
+        ]
+        assert list(symplectic._minor(vs.units, 8, rows, cols).items()) == expected
+
+
 class TestFultonGenerators:
     def test_2143(self):
         vs = VariableSet.matrix(4)
