@@ -36,12 +36,14 @@ two entries' terms.  Buchberger keeps each element as it was found and
 makes the reduced basis monic on exit (`_reduce_basis`), the one place an
 element is scaled.
 
-Everything is deterministic: the pair queue, the one S-pair loop that
-Buchberger and the certificate share, is a heap under the normal selection
-strategy (lowest lcm degree first, ties by the term order, then by index),
-each pair entering it once, when it is created, its lcm keyed from the two
-lead keys (`_lcm`); reduced bases are
-sorted by leading monomial.  Budgets cap the number of S-pairs processed, the
+Everything is deterministic: the pair queue (`_pairs`), the one S-pair
+loop that Buchberger and the certificate share, is a heap under the normal
+selection strategy (lowest lcm degree first, ties by the term order, then by
+index), each pair entering it once, made with the other new pairs when the
+basis has grown, its lcm keyed from the two lead keys by an inline loop over
+the variables the leads share; most pairs it takes end there, skipped by a
+criterion with no S-polynomial built.  Reduced bases are sorted by leading
+monomial.  Budgets cap the number of S-pairs processed, the
 total degree of intermediate polynomials, and wall time; exceeding one raises
 BudgetExceeded carrying the partial statistics, never a silently truncated
 answer.  One check (`_check_budget`) decides every cap.  Its deadline is
@@ -60,8 +62,8 @@ from bisect import insort
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
-from operator import itemgetter, or_
+from itertools import compress, repeat
+from operator import and_, itemgetter, or_
 from typing import Callable, Iterator, Sequence
 
 from sporbits.orders import FIELD_BITS, FIELD_MASK, TermOrder, elimination_order, weight_mask, weight_refined_order
@@ -184,16 +186,25 @@ def _s_pair(f: Entry, g: Entry, lcm: int, guards: int) -> dict[int, Coeff]:
     """The S-polynomial of two entries with leads dividing `lcm`: each
     entry's terms shifted to the lcm and divided by its lead coefficient,
     g's subtracted from f's.  Both leads land on the lcm with coefficient 1,
-    so the lcm key cancels to 0 and is dropped with every other zero."""
+    so the lcm key cancels to 0; it is deleted as it cancels, as is every
+    other term that does, and a shifted key that sets a guard bit raises
+    KeyOverflow."""
     (_, lf, cf, tf), (_, lg, cg, tg) = f, g
     shift_f, shift_g = lcm - lf, lcm - lg
     out = {k + shift_f: _div(c, cf) for k, c in tf.items()}
+    # a g term that cancels has the key of an f term, so the two ORs read
+    # every shifted key
+    overflow = reduce(or_, out, 0)
     for k, c in tg.items():
         k += shift_g
-        out[k] = out.get(k, 0) - _div(c, cg)
-    if reduce(or_, out, 0) & guards:
+        c = out.get(k, 0) - _div(c, cg)
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    if (overflow | reduce(or_, out, 0)) & guards:
         raise KeyOverflow(_OVERFLOW)
-    return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _reduce_terms(work: dict[int, Coeff], divisors: list[Entry], guards: int, check: Callable[[], float] | None = None) -> dict[int, Coeff]:
@@ -307,40 +318,59 @@ def _check_budget(budget: GBBudget, stats: dict) -> Callable[[], float]:
 def _pairs(basis: list[Entry], order: TermOrder, stats: dict, check: Callable[[], float]) -> Iterator[tuple[Entry, Entry, int]]:
     """The S-pairs of `basis` that neither of Buchberger's criteria skips
     (EUROSAM 1979; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 2
-    Sec. 10), as (f, g, lcm of their leads).  A pair (i, j) enters a heap
-    once, when j arrives; the caller may append to `basis` between pairs.
-    Its lcm is keyed then from the two lead keys, as the key is linear: their
-    sum for coprime leads, less the key of their gcd (`_lcm`) otherwise, an
-    lcm that sets a guard bit raising ValueError.  Pairs leave lowest lcm
-    degree first, ties by the term order, then by index, each counted in
+    Sec. 10), as (f, g, lcm of their leads).  A pair (i, j) is created once,
+    when j arrives; the caller may append to `basis` between pairs, and the
+    pairs of the new elements are made in one batch when the next pair is
+    asked for.  Its lcm is keyed then from the two lead keys, as the key is
+    linear: their sum for coprime leads, less the key of their gcd
+    otherwise, summed over the bits of the variables both leads contain
+    (as `_lcm` keys it), an lcm that sets a guard bit raising KeyOverflow.
+    Pairs wait in one heap of (degree, lcm, i, j) tuples and leave lowest
+    lcm degree first, ties by the term order, then by index, each counted in
     stats["pairs_processed"] and followed by `check`.  Product: coprime
     leads, whose lcm is their product.  Chain: a third lead k divides the
     lcm, and the pairs of k with i and with j were already taken; bit k of
     done[i] is set once the pair of i and k is, so the candidates k are the
-    bits of done[i] & done[j]."""
-    guards, units = order.guards, order.units
+    bits of done[i] & done[j], tried against the lead keys `keys`."""
+    guards, units, exponents = order.guards, order.units, order.exponents
     bits = [1 << v for v in range(len(units))]
+    # per element: its lead key, lead exponents, the bitmask of the
+    # variables in its lead, and the bitmask of the elements it was paired with
+    keys: list[int] = []
     leads: list[Monomial] = []
     supports: list[int] = []
-    heap: list[tuple[int, int, int, int]] = []
     done: list[int] = []
+    heap: list[tuple[int, int, int, int]] = []
     while True:
-        for j in range(len(leads), len(basis)):
-            key = basis[j][1]
-            lead = order.exponents(key)
-            support = sum(compress(bits, lead))
-            leads.append(lead)
-            supports.append(support)
-            done.append(0)
-            for i in range(j):
-                common = supports[i] & support
-                if common:
-                    lcm = _lcm(basis[i][1], key, leads[i], lead, common, units)
-                    if lcm & guards:
-                        raise KeyOverflow(_OVERFLOW)
-                else:
-                    lcm = basis[i][1] + key
-                heapq.heappush(heap, (lcm & FIELD_MASK, lcm, i, j))
+        if len(keys) < len(basis):
+            new = []
+            for j in range(len(keys), len(basis)):
+                key = basis[j][1]
+                lead = exponents(key)
+                support = sum(compress(bits, lead))
+                for i, (lcm, common) in enumerate(zip(keys, map(and_, supports, repeat(support)))):
+                    lcm += key
+                    if common:
+                        other = leads[i]
+                        while common:
+                            low = common & -common
+                            v = low.bit_length() - 1
+                            x, y = other[v], lead[v]
+                            lcm -= (x if x < y else y) * units[v]
+                            common ^= low
+                        if lcm & guards:
+                            raise KeyOverflow(_OVERFLOW)
+                    new.append((lcm & FIELD_MASK, lcm, i, j))
+                keys.append(key)
+                leads.append(lead)
+                supports.append(support)
+                done.append(0)
+            if len(new) > len(heap):
+                heap += new
+                heapq.heapify(heap)
+            else:
+                for pair in new:
+                    heapq.heappush(heap, pair)
         if not heap:
             return
         _, lcm, i, j = heapq.heappop(heap)
@@ -348,18 +378,23 @@ def _pairs(basis: list[Entry], order: TermOrder, stats: dict, check: Callable[[]
         done[j] |= 1 << i
         stats["pairs_processed"] += 1
         check()
-        if not supports[i] & supports[j] or any(
-            not (lcm - basis[k][1]) & guards for k in _bits(done[i] & done[j])
-        ):
-            continue
-        yield basis[i], basis[j], lcm
+        if supports[i] & supports[j]:
+            chain = done[i] & done[j]
+            while chain:
+                low = chain & -chain
+                if not (lcm - keys[low.bit_length() - 1]) & guards:
+                    break
+                chain ^= low
+            else:
+                yield basis[i], basis[j], lcm
 
 
 def _lcm(a: int, b: int, lead_a: Monomial, lead_b: Monomial, common: int, units: Sequence[int]) -> int:
     """The key of the lcm of two monomials keyed a and b, from their keys,
     their exponents and the bitmask of the variables both contain: a + b
-    less the key of their gcd, summed over those variables only.  An
-    overflowing field is left to set its guard bit."""
+    less the key of their gcd, summed over those variables only, as
+    `_pairs` keys its lcms inline.  An overflowing field is left to set its
+    guard bit."""
     for v in _bits(common):
         a -= min(lead_a[v], lead_b[v]) * units[v]
     return a + b

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 from operator import itemgetter, mul
 from typing import Callable, Sequence
 
@@ -99,17 +99,25 @@ class TermOrder:
             raise ValueError("every weight row needs one entry per variable")
         if min(chain.from_iterable(rows), default=0) < 0:
             raise ValueError("weight rows must be non-negative")
-        # each field's slot width, most significant first, and its shift
+        # the degree slot is lowest, at shift 0; above it the exponent slots,
+        # the s-th holding ranking[s], each `step` bits wide, then the rows,
+        # the last lowest.  A variable's key is its degree 1, its exponent
+        # bit, set in one pass over the ranking, and its column of the rows,
+        # added a row at a time.  slots[v] is where `exponents` reads v: its
+        # byte, past the rows' 2-byte slots, when it reads a narrow key's
+        # bytes, else its field among the key's struct fields
         exp_bits = NARROW_BITS if self.narrow else FIELD_BITS
-        widths = [FIELD_BITS + 1] * len(rows) + [exp_bits + 1] * n + [FIELD_BITS + 1]
-        shifts = list(accumulate(reversed(widths[1:]), initial=0))[::-1]
-        # per variable: its slot, from one pass over the ranking, and its key
-        # (packed matrix column + degree 1), the rows added one at a time
+        step, low = exp_bits + 1, FIELD_BITS + 1
+        by_bytes = self.narrow and n > 1
         slots, units = [0] * n, [1] * n
-        for s, v in enumerate(rank, len(rows)):
+        shift = low + step * (n - 1)
+        for s, v in enumerate(rank, (2 if by_bytes else 1) * len(rows)):
             slots[v] = s
-            units[v] += 1 << shifts[s]
-        for row, shift in zip(rows, shifts):
+            units[v] = (1 << shift) + 1
+            shift -= step
+        shift = low + step * n + low * len(rows)
+        for row in rows:
+            shift -= low
             units = [u + (x << shift) for u, x in zip(units, row)]
         units = tuple(units)
         # every field fits up to this degree
@@ -125,15 +133,14 @@ class TermOrder:
 
         layout = struct.Struct(f">{len(rows)}H{n}{'B' if self.narrow else 'H'}H")
         size = layout.size
-        if self.narrow and n > 1:
-            # exponent slot s is byte len(rows) + s of the key: past the
-            # weight rows' 2-byte slots, each later slot is one byte
-            pick = itemgetter(*(len(rows) + s for s in slots))
+        if by_bytes:
+            # a narrow exponent is one whole byte of the key
+            pick = itemgetter(*slots)
             exponents = lambda k: pick(k.to_bytes(size, "big"))
         else:
             # the exponent slots in variable order, and the degree slot, which
             # keeps the getter's result a tuple when there is one variable
-            unpack, pick = layout.unpack, itemgetter(*slots, len(widths) - 1)
+            unpack, pick = layout.unpack, itemgetter(*slots, len(rows) + n)
             exponents = lambda k: pick(unpack(k.to_bytes(size, "big")))[:-1]
         object.__setattr__(self, "exponents", exponents)
         guards = layout.pack(*[FIELD_MASK + 1] * len(rows), *[exp_mask + 1] * n, FIELD_MASK + 1)
@@ -162,17 +169,13 @@ def grevlex_order(vs: VariableSet) -> TermOrder:
 
 def antidiagonal_ranking(vs: VariableSet) -> tuple[int, ...]:
     """Variable ranking m[1,N] > ... > m[1,1] > m[2,N] > ...; any names past
-    the matrix variables rank below them, in index order."""
+    the matrix variables rank below them, in index order.  m[i,j] has index
+    (i - 1) * N + j - 1, so each matrix row is one descending range."""
     n = vs.matrix_size
     if not n:
         raise ValueError("antidiagonal order needs matrix variables")
-    rank = [
-        vs.matrix_var(i, j)
-        for i in range(1, n + 1)
-        for j in range(n, 0, -1)
-    ]
-    rank.extend(k for k in range(len(vs)) if k >= n * n)
-    return tuple(rank)
+    rows = (range(r + n - 1, r - 1, -1) for r in range(0, n * n, n))
+    return (*chain.from_iterable(rows), *range(n * n, len(vs)))
 
 
 def antidiagonal_order(vs: VariableSet, narrow: bool = False) -> TermOrder:

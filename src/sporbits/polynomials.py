@@ -24,9 +24,9 @@ from __future__ import annotations
 import re
 import struct
 from collections.abc import Callable, ItemsView, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
 
@@ -43,31 +43,40 @@ class VariableSet:
 
     Matrix variables are laid out row-major as m[1,1] ... m[N,N]; a set with
     a matrix_size may list further names after them.  `units[v]` is the
-    packed key of variable v alone.
+    packed key of variable v alone.  The per-variable tables (`index`,
+    `packer`, `guards`, `units`) are built when first read, so a set whose
+    terms are keyed by a term order's units never builds them.
     """
 
     names: tuple[str, ...]
     matrix_size: int = 0
-    index: dict = field(init=False, repr=False, compare=False, hash=False)
-    packer: struct.Struct = field(init=False, repr=False, compare=False, hash=False)
-    guards: int = field(init=False, repr=False, compare=False, hash=False)
-    units: tuple[int, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
-        object.__setattr__(self, "index", {nm: k for k, nm in enumerate(self.names)})
-        packer = struct.Struct(f">{len(self.names)}H")
-        object.__setattr__(self, "packer", packer)
-        guards = packer.pack(*[MAX_EXPONENT + 1] * len(self.names))
-        object.__setattr__(self, "guards", int.from_bytes(guards, "big"))
-        n = len(self.names)
-        object.__setattr__(self, "units", tuple(1 << (FIELD_BITS + 1) * (n - 1 - v) for v in range(n)))
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return dict(zip(self.names, range(len(self.names))))
+
+    @cached_property
+    def packer(self) -> struct.Struct:
+        return struct.Struct(f">{len(self.names)}H")
+
+    @cached_property
+    def guards(self) -> int:
+        return int.from_bytes((MAX_EXPONENT + 1).to_bytes(2, "big") * len(self.names), "big")
+
+    @cached_property
+    def units(self) -> tuple[int, ...]:
+        # variable v's 16-bit slot is the (n - 1 - v)-th from the bottom
+        return tuple([1 << shift for shift in range((FIELD_BITS + 1) * (len(self.names) - 1), -1, -(FIELD_BITS + 1))])
 
     @staticmethod
     def matrix(n: int) -> "VariableSet":
-        names = tuple(f"m[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1))
-        return VariableSet(names, matrix_size=n)
+        rows = [f"m[{i}," for i in range(1, n + 1)]
+        cols = [f"{j}]" for j in range(1, n + 1)]
+        return VariableSet(tuple([row + col for row in rows for col in cols]), matrix_size=n)
 
     @staticmethod
     def named(*names: str) -> "VariableSet":

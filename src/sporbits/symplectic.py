@@ -158,7 +158,12 @@ def _keyed_minors(p: Permutation, units: Sequence[int]) -> list[tuple[tuple[int,
 def _minor(units: Sequence[int], size: int, rows: Sequence[int], cols: Sequence[int]) -> dict[int, int]:
     """The generic minor on equally many 1-based rows and columns of the
     size x size matrix, by Leibniz: one squarefree term per permutation, with
-    its sign, keyed as the sum of units[v] over its variables v."""
+    its sign, keyed as the sum of units[v] over its variables v.  The terms
+    are written in the lexicographic order of the permutations
+    (`_signed_cells`), so the antidiagonal term, of the reversal, is written
+    last."""
+    if len(rows) == 1:
+        return {units[(rows[0] - 1) * size + cols[0] - 1]: 1}
     entries = [units[(a - 1) * size + b - 1] for a in rows for b in cols]
     return {sum(map(entries.__getitem__, cells)): s for s, cells in _signed_cells(len(rows))}
 
@@ -241,11 +246,17 @@ def _meet(A: Sequence[int], B: Sequence[int], check: Callable[[], float] | None 
     ideals, given by minimal generators as bitmasks: the lcms a | b, minimal
     among them (`_minimal`, which reads `check`).  A generator of A that some
     b divides lies in B, and every lcm a | b' is a multiple of it, so it is
-    kept as it is; only the others are ORed with B."""
+    kept as it is; only the others are ORed with B, `check` read before
+    each of them, as one generator's ORs can run past a deadline."""
     kept, rest = [], []
     for a in A:
         (kept if any(a & b == b for b in B) else rest).append(a)
-    return _minimal(itertools.chain(kept, (a | b for a in rest for b in B)), check)
+    candidates = set(kept)
+    for a in rest:
+        if check:
+            check()
+        candidates.update(map(operator.or_, itertools.repeat(a), B))
+    return _minimal(candidates, check)
 
 
 def fulton_generators(p: Permutation) -> Ideal:
@@ -473,7 +484,8 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
     """Check that the Fulton generators are a Groebner basis under the
     antidiagonal order (Knutson-Miller, Annals 2005, Thm B).  The minors are
     written keyed by the order's units: each minor's lead, the largest of its
-    keys, must be its antidiagonal term, and keyed_certificate must hold on
+    keys, must be its antidiagonal term, the key `_minor` writes last (the
+    sum of the units of its cells), and keyed_certificate must hold on
     the same term dicts, which reduces only the pairs the product and chain
     criteria leave but counts all it examines against the budget (its
     BudgetExceeded passes through).  The time cap counts from this call:
@@ -489,10 +501,11 @@ def verify_knutson_miller(p: Permutation, budget: GBBudget | None = None) -> boo
     if terms > MAX_EXPANDED_TERMS:
         raise ValueError(f"{p} needs {terms} minor terms, over {MAX_EXPANDED_TERMS}")
     order = antidiagonal_order(VariableSet.matrix(p.size), narrow=True)
-    minors = _keyed_minors(p, order.units)
-    if any(max(terms) != _mask_key(order, _antidiagonal(order.vs, rows, cols)) for rows, cols, terms in minors):
+    minors = [terms for *_, terms in _keyed_minors(p, order.units)]
+    # _minor writes a minor's antidiagonal term last
+    if any(max(terms) != next(reversed(terms)) for terms in minors):
         return False
-    return keyed_certificate([terms for *_, terms in minors], order, replace(budget, max_seconds=check()))
+    return keyed_certificate(minors, order, replace(budget, max_seconds=check()))
 
 
 def column_weights(vs: VariableSet) -> tuple[int, ...]:

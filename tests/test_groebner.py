@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import itertools
 import random
 import struct
@@ -17,11 +18,13 @@ from sporbits.groebner import (
     Ideal,
     KeyOverflow,
     _OVERFLOW,
+    _bits,
     _div,
     _divisors,
     _entry,
     _lcm,
     _pack,
+    _pairs,
     _reduce_terms,
     _s_pair,
     _unpack,
@@ -317,6 +320,110 @@ class TestTermOrder:
         assert traced == order and traced.key is spy
         assert max(poly(xy, "x*y + y^3").terms, key=traced.key) == (0, 3)
         assert calls
+
+
+def _reference_order_tables(order):
+    """(units, guards, bits, exponents, key) of `order` as the TermOrder
+    builder made them with one Python step per variable and per row, kept
+    as the oracle of the builder that replaced it."""
+    rows, rank, n, narrow = order.weights, order.ranking, len(order.vs), order.narrow
+    exp_bits = NARROW_BITS if narrow else FIELD_BITS
+    widths = [FIELD_BITS + 1] * len(rows) + [exp_bits + 1] * n + [FIELD_BITS + 1]
+    shifts = list(itertools.accumulate(reversed(widths[1:]), initial=0))[::-1]
+    slots, units = [0] * n, [1] * n
+    for s, v in enumerate(rank, len(rows)):
+        slots[v] = s
+        units[v] += 1 << shifts[s]
+    for row, shift in zip(rows, shifts):
+        units = [u + (x << shift) for u, x in zip(units, row)]
+    layout = struct.Struct(f">{len(rows)}H{n}{'B' if narrow else 'H'}H")
+    exp_mask = (1 << exp_bits) - 1
+    guards = int.from_bytes(layout.pack(*[FIELD_MASK + 1] * len(rows), *[exp_mask + 1] * n, FIELD_MASK + 1), "big")
+
+    def exponents(k):
+        fields = layout.unpack(k.to_bytes(layout.size, "big"))
+        return tuple(fields[s] for s in slots)
+
+    def key(m):
+        return sum(e * u for e, u in zip(m, units))
+
+    return tuple(units), guards, 8 * layout.size, exponents, key
+
+
+def _reference_variable_tables(vs):
+    """(index, packer format, guards, units) of a VariableSet as its
+    constructor built them, one generator step per variable."""
+    n = len(vs.names)
+    packer = struct.Struct(f">{n}H")
+    guards = int.from_bytes(packer.pack(*[FIELD_MASK + 1] * n), "big")
+    units = tuple(1 << (FIELD_BITS + 1) * (n - 1 - v) for v in range(n))
+    return {nm: k for k, nm in enumerate(vs.names)}, packer.format, guards, units
+
+
+def _reference_antidiagonal_ranking(vs):
+    n = vs.matrix_size
+    rank = [vs.matrix_var(i, j) for i in range(1, n + 1) for j in range(n, 0, -1)]
+    return tuple(rank + [k for k in range(len(vs)) if k >= n * n])
+
+
+def _builder_presets(size):
+    """Every preset on the size x size matrix ring, and elimination of t
+    over it, in the 16-bit layout and the narrow one."""
+    vs = VariableSet.matrix(size)
+    ext = VariableSet(vs.names + ("t",), matrix_size=size)
+    anti, w = antidiagonal_order(vs), column_weights(vs)
+    refined = weight_refined_order(vs, w, anti)
+    orders = [
+        lex_order(vs),
+        lex_order(vs, random.Random(size).sample(range(len(vs)), len(vs))),
+        grevlex_order(vs),
+        anti,
+        antidiagonal_order(ext),
+        weight_refined_order(vs, w),
+        refined,
+        elimination_order(ext, anti),
+        elimination_order(ext, refined),
+    ]
+    return orders + [_narrow(order) for order in orders]
+
+
+class TestOrderBuilders:
+    """The order and variable-set builders against the per-variable loops
+    they replaced, at every matrix size a verifier takes."""
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_order_tables(self, size):
+        rng = random.Random(size)
+        for order in _builder_presets(size):
+            units, guards, bits, exponents, key = _reference_order_tables(order)
+            assert (order.units, order.guards, order.bits) == (units, guards, bits), order.name
+            n = len(order.vs)
+            for m in [(0,) * n, (1,) * n] + [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(4)]:
+                k = order.key(m)
+                assert k == key(m) and order.exponents(k) == exponents(k) == m, (order.name, m)
+            # a given key is kept, a change of layout rebuilds the order's own
+            def given(m, key=order.key):
+                return key(m)
+
+            assert dataclasses.replace(order, key=given).key is given
+            other = dataclasses.replace(order, narrow=not order.narrow)
+            assert other.key is not order.key and other.units == _reference_order_tables(other)[0]
+            assert other.exponents(other.key(m)) == m
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_variable_sets_and_rankings(self, size):
+        vs = VariableSet.matrix(size)
+        assert vs.names == tuple(f"m[{i},{j}]" for i in range(1, size + 1) for j in range(1, size + 1))
+        ext = VariableSet(vs.names + ("t", "u"), matrix_size=size)
+        for s in (vs, ext, VariableSet.named(*vs.names[:size])):
+            assert (s.index, s.packer.format, s.guards, s.units) == _reference_variable_tables(s)
+        for s in (vs, ext):
+            assert antidiagonal_ranking(s) == _reference_antidiagonal_ranking(s)
+
+    def test_empty_variable_set(self):
+        assert _reference_variable_tables(VariableSet.named()) == ({}, ">0H", 0, ())
+        empty = VariableSet.named()
+        assert (empty.index, empty.packer.format, empty.guards, empty.units) == ({}, ">0H", 0, ())
 
 
 class TestPairLcm:
@@ -1107,6 +1214,54 @@ class TestSympyOracle:
                 matched += 1
         assert matched >= 135, (matched, exhausted)
 
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_initial_ideals_under_the_antidiagonal_tie_break(self, size):
+        # sympy's variables listed in the antidiagonal ranking, so that its
+        # lex order in them is the antidiagonal order; compared as text
+        sympy = pytest.importorskip("sympy")
+        vs = VariableSet.matrix(size)
+        tie = antidiagonal_order(vs)
+        ranking = tie.ranking
+        syms = sympy.symbols(" ".join(f"m{v}" for v in ranking))
+        rng = random.Random(20261022 + size)
+        budget = GBBudget(max_pairs=500, max_degree=8, max_seconds=2.0)
+
+        def from_sympy(g):
+            terms = {}
+            for m, c in sympy.Poly(g, *syms).terms():
+                exps = [0] * len(vs)
+                for v, e in zip(ranking, m):
+                    exps[v] = e
+                terms[tuple(exps)] = Fraction(int(c.p), int(c.q))
+            return Polynomial(vs, terms)
+
+        def to_sympy(f):
+            return sum(
+                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**m[v] for v, x in zip(ranking, syms)))
+                for m, c in f.terms.items()
+            )
+
+        matched = exhausted = 0
+        for _ in range(12 if size == 2 else 20):
+            gens = [_random_homogeneous_poly(vs, rng) for _ in range(rng.randint(2, 3))]
+            for w in (column_weights(vs), tuple(rng.randint(0, 2) for _ in vs.names)):
+                try:
+                    ours = initial_ideal(Ideal(vs, gens), w, tie, budget)
+                except BudgetExceeded:
+                    exhausted += 1
+                    continue
+                order = weight_refined_order(vs, w, tie)
+                basis = []
+                sympy_order = _sympy_weight_order(sympy, [w[v] for v in ranking])
+                for g in sympy.groebner([to_sympy(g) for g in gens], *syms, order=sympy_order).exprs:
+                    p = from_sympy(g)
+                    basis.append(p.scale(1 / p.terms[max(p.terms, key=order.key)]))
+                basis.sort(key=lambda p: max(map(order.key, p.terms)))
+                expected = [str(initial_form(g, w)) for g in basis]
+                assert [str(g) for g in ours.generators] == expected, (w, [str(g) for g in gens])
+                matched += 1
+        assert matched >= (20 if size == 2 else 30), (matched, exhausted)
+
 
 def _rescan_reduce_terms(terms, reducers, key):
     """The normal form before heap division, kept as the reference: rescan
@@ -1528,3 +1683,123 @@ class TestPairCriteria:
         assert not is_groebner_basis(G, order)
         assert len(reductions) == 1
         assert normal_form(s_polynomial(G[1], G[2], order), G, order) == poly(vs, "x - y")
+
+
+def _reference_pairs(basis, order, stats, check):
+    """The pair queue as it was before the batched one, kept as the
+    reference: one heappush per pair as j arrives, gcd keys by `_lcm` over
+    the bits of the common support, the chain test over `_bits`."""
+    guards, units = order.guards, order.units
+    bits = [1 << v for v in range(len(units))]
+    leads, supports, heap, done = [], [], [], []
+    while True:
+        for j in range(len(leads), len(basis)):
+            key = basis[j][1]
+            lead = order.exponents(key)
+            support = sum(itertools.compress(bits, lead))
+            leads.append(lead)
+            supports.append(support)
+            done.append(0)
+            for i in range(j):
+                common = supports[i] & support
+                if common:
+                    lcm = _lcm(basis[i][1], key, leads[i], lead, common, units)
+                    if lcm & guards:
+                        raise KeyOverflow(_OVERFLOW)
+                else:
+                    lcm = basis[i][1] + key
+                heapq.heappush(heap, (lcm & FIELD_MASK, lcm, i, j))
+        if not heap:
+            return
+        _, lcm, i, j = heapq.heappop(heap)
+        done[i] |= 1 << j
+        done[j] |= 1 << i
+        stats["pairs_processed"] += 1
+        check()
+        if not supports[i] & supports[j] or any(not (lcm - basis[k][1]) & guards for k in _bits(done[i] & done[j])):
+            continue
+        yield basis[i], basis[j], lcm
+
+
+def _queue_trace(queue, basis, order):
+    """(i, j, lcm) of every pair `queue` yields on a basis that stays as it
+    is, and pairs_processed after the last."""
+    stats = {"pairs_processed": 0}
+    index = {id(e): k for k, e in enumerate(basis)}
+    trace = [(index[id(f)], index[id(g)], lcm) for f, g, lcm in queue(basis, order, stats, lambda: 1.0)]
+    return trace, stats["pairs_processed"]
+
+
+def _buchberger_trace(queue, generators, order, budget=None):
+    """(i, j, lcm) of every pair Buchberger reduces with `queue` as its pair
+    queue, its basis growing as it goes, then how the run ended: the final
+    stats, or the BudgetExceeded reason and stats, or KeyOverflow."""
+    from sporbits import groebner
+
+    trace = []
+
+    def recording(basis, order, stats, check):
+        for f, g, lcm in queue(basis, order, stats, check):
+            index = {id(e): k for k, e in enumerate(basis)}
+            trace.append((index[id(f)], index[id(g)], lcm))
+            yield f, g, lcm
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_pairs", recording)
+        try:
+            end = [str(g) for g in buchberger(generators, order, budget)]
+        except BudgetExceeded as exc:
+            end = (exc.reason, exc.stats)
+        except KeyOverflow:
+            end = "overflow"
+    return trace, end
+
+
+class TestPairQueue:
+    """The batched pair queue takes the pairs of the one-push-per-pair
+    queue it replaced, in the same order, with the same counts."""
+
+    def _assert_same_queue(self, G, order):
+        entries = _divisors(G)
+        ours = _queue_trace(_pairs, entries, order)
+        assert ours == _queue_trace(_reference_pairs, entries, order)
+        return ours
+
+    def test_knutson_miller_words(self):
+        from sporbits import symplectic
+
+        words = list(itertools.permutations(range(1, 6))) + [(1, 2) + t for t in itertools.permutations(range(3, 7))]
+        rng = random.Random(37)
+        words += [tuple(rng.sample(range(1, 8), 7)) for _ in range(200)]
+        yielded = processed = 0
+        for word in words:
+            p = Permutation(word)
+            order = antidiagonal_order(VariableSet.matrix(p.size), narrow=True)
+            trace, pairs = self._assert_same_queue([t for *_, t in symplectic._keyed_minors(p, order.units)], order)
+            yielded, processed = yielded + len(trace), processed + pairs
+        # most pairs are skipped by a criterion, so both kinds are compared
+        assert 0 < 10 * yielded < processed
+
+    def test_weight_refined_basis(self):
+        gens, order = _pair_trace_case("216543-weight")
+        trace, _ = self._assert_same_queue([_pack(g, order) for g in buchberger(gens, order)], order)
+        assert trace
+
+    @pytest.mark.parametrize("name", sorted(_PAIR_TRACES))
+    def test_pair_trace_cases(self, name):
+        gens, order = _pair_trace_case(name)
+        ours = _buchberger_trace(_pairs, gens, order)
+        assert ours == _buchberger_trace(_reference_pairs, gens, order)
+        # the basis grew: pairs of elements that were not generators were taken
+        assert max(j for _, j, _ in ours[0]) >= len(gens)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ideal_cases())
+    def test_growing_bases(self, case):
+        # inhomogeneous generators: a later pair may have a smaller lcm
+        # than pairs taken before it; a pair or degree cap ends some runs
+        _, gens, name = case
+        order = _xyz_order(name)
+        budget = GBBudget(max_pairs=200, max_degree=10, max_seconds=3600.0)
+        ours = _buchberger_trace(_pairs, gens, order, budget)
+        assert ours == _buchberger_trace(_reference_pairs, gens, order, budget)

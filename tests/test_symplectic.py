@@ -747,6 +747,18 @@ class TestVerifiers:
         for word in itertools.permutations(range(1, 4)):
             assert verify_knutson_miller(Permutation(word))
 
+    def test_a_minor_writes_its_antidiagonal_term_last(self):
+        # the lead check of verify_knutson_miller reads the last key _minor
+        # wrote as the minor's antidiagonal term
+        for size in (1, 2, 3, 4, 5):
+            order = antidiagonal_order(VariableSet.matrix(size), narrow=True)
+            for k in range(1, size + 1):
+                for rows in itertools.combinations(range(1, size + 1), k):
+                    for cols in itertools.combinations(range(1, size + 1), k):
+                        terms = symplectic._minor(order.units, size, rows, cols)
+                        antidiagonal = symplectic._mask_key(order, symplectic._antidiagonal(order.vs, rows, cols))
+                        assert next(reversed(terms)) == antidiagonal == max(terms), (rows, cols)
+
     def test_knutson_miller_2143(self):
         assert verify_knutson_miller(perm("2143"))
 
@@ -954,6 +966,51 @@ class TestVerifiers:
                 old = symplectic._minimal(a | b for a in old for b in gens)
                 assert common == old
         assert kept
+
+    def test_meet_is_the_same_list_at_2n8(self):
+        # A, built one v at a time, equals as an ordered list the A of the
+        # rule that ORs every generator with B before reading any clock
+        def reference_meet(A, B):
+            kept = [a for a in A if any(a & b == b for b in B)]
+            rest = [a for a in A if not any(a & b == b for b in B)]
+            return symplectic._minimal(itertools.chain(kept, (a | b for a in rest for b in B)))
+
+        words = enumerate_fpf(4)
+        assert len(words) == 105
+        for iota in words:
+            vs = VariableSet.matrix(iota.size)
+            common = old = [0]
+            for v in pair_permutations(iota).perms:
+                gens = [symplectic._antidiagonal(vs, rows, cols) for rows, cols, _ in symplectic._keyed_minors(v, vs.units)]
+                common, old = symplectic._meet(common, gens, lambda: 1.0), reference_meet(old, gens)
+                assert common == old, (str(iota), str(v))
+
+    def test_meet_reads_the_clock_between_generators(self, monkeypatch):
+        # a fake clock that moves 1 s per read: the check made at 0 with a
+        # 2.5 s cap reads 1, 2, then 3, past the deadline, before the third
+        # generator of A is ORed with B, so the candidate set is never built
+        now = [0.0]
+
+        def tick():
+            now[0] += 1.0
+            return now[0] - 1.0
+
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=tick))
+        check = groebner._check_budget(GBBudget(max_seconds=2.5), {})
+        reads = []
+
+        def counted():
+            reads.append(now[0])
+            return check()
+
+        def unreached(*args):
+            raise AssertionError("_minimal was reached")
+
+        monkeypatch.setattr(symplectic, "_minimal", unreached)
+        A, B = [1 << k for k in range(40)], [1 << k for k in range(40, 80)]
+        with pytest.raises(BudgetExceeded) as exc:
+            symplectic._meet(A, B, counted)
+        assert exc.value.reason == "time cap" and len(reads) == 3
 
     def test_degeneration_never_packs_a_term(self, monkeypatch):
         # the pfaffians are written keyed and G_L's antidiagonal keys are
