@@ -55,7 +55,7 @@ from sporbits.orders import (
     weight_refined_order,
 )
 from sporbits.polynomials import Polynomial, VariableSet, parse_polynomial
-from sporbits.symplectic import column_weights, fulton_minors, orbit_ideal
+from sporbits.symplectic import _keyed_minors, column_weights, fulton_minors, orbit_ideal
 
 
 @pytest.fixture
@@ -1216,31 +1216,15 @@ class TestSympyOracle:
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_initial_ideals_under_the_antidiagonal_tie_break(self, size):
-        # sympy's variables listed in the antidiagonal ranking, so that its
+        # sympy's variables passed in the antidiagonal ranking, so that its
         # lex order in them is the antidiagonal order; compared as text
         sympy = pytest.importorskip("sympy")
         vs = VariableSet.matrix(size)
         tie = antidiagonal_order(vs)
-        ranking = tie.ranking
-        syms = sympy.symbols(" ".join(f"m{v}" for v in ranking))
+        syms = sympy.symbols(" ".join(f"m{v}" for v in range(len(vs))))
+        ranked = [syms[v] for v in tie.ranking]
         rng = random.Random(20261022 + size)
         budget = GBBudget(max_pairs=500, max_degree=8, max_seconds=2.0)
-
-        def from_sympy(g):
-            terms = {}
-            for m, c in sympy.Poly(g, *syms).terms():
-                exps = [0] * len(vs)
-                for v, e in zip(ranking, m):
-                    exps[v] = e
-                terms[tuple(exps)] = Fraction(int(c.p), int(c.q))
-            return Polynomial(vs, terms)
-
-        def to_sympy(f):
-            return sum(
-                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**m[v] for v, x in zip(ranking, syms)))
-                for m, c in f.terms.items()
-            )
-
         matched = exhausted = 0
         for _ in range(12 if size == 2 else 20):
             gens = [_random_homogeneous_poly(vs, rng) for _ in range(rng.randint(2, 3))]
@@ -1251,10 +1235,10 @@ class TestSympyOracle:
                     exhausted += 1
                     continue
                 order = weight_refined_order(vs, w, tie)
+                sympy_order = _sympy_weight_order(sympy, [w[v] for v in tie.ranking])
                 basis = []
-                sympy_order = _sympy_weight_order(sympy, [w[v] for v in ranking])
-                for g in sympy.groebner([to_sympy(g) for g in gens], *syms, order=sympy_order).exprs:
-                    p = from_sympy(g)
+                for g in sympy.groebner([_to_sympy(g, syms) for g in gens], *ranked, order=sympy_order).exprs:
+                    p = _from_sympy(g, vs, syms)
                     basis.append(p.scale(1 / p.terms[max(p.terms, key=order.key)]))
                 basis.sort(key=lambda p: max(map(order.key, p.terms)))
                 expected = [str(initial_form(g, w)) for g in basis]
@@ -1766,8 +1750,6 @@ class TestPairQueue:
         return ours
 
     def test_knutson_miller_words(self):
-        from sporbits import symplectic
-
         words = list(itertools.permutations(range(1, 6))) + [(1, 2) + t for t in itertools.permutations(range(3, 7))]
         rng = random.Random(37)
         words += [tuple(rng.sample(range(1, 8), 7)) for _ in range(200)]
@@ -1775,7 +1757,7 @@ class TestPairQueue:
         for word in words:
             p = Permutation(word)
             order = antidiagonal_order(VariableSet.matrix(p.size), narrow=True)
-            trace, pairs = self._assert_same_queue([t for *_, t in symplectic._keyed_minors(p, order.units)], order)
+            trace, pairs = self._assert_same_queue([t for *_, t in _keyed_minors(p, order.units)], order)
             yielded, processed = yielded + len(trace), processed + pairs
         # most pairs are skipped by a criterion, so both kinds are compared
         assert 0 < 10 * yielded < processed
