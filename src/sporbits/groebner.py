@@ -39,9 +39,9 @@ element is scaled.
 Everything is deterministic: the pair queue (`_pairs`), the one S-pair
 loop that Buchberger and the certificate share, is a heap under the normal
 selection strategy (lowest lcm degree first, ties by the term order, then by
-index), each pair entering it once, made with the other new pairs when the
-basis has grown, its lcm keyed from the two lead keys by an inline loop over
-the variables the leads share; most pairs it takes end there, skipped by a
+index), each pair entering it once, when its second element joins the
+basis, its lcm keyed from the two lead keys by an inline loop over the
+variables the leads share; most pairs it takes end there, skipped by a
 criterion with no S-polynomial built.  Reduced bases are sorted by leading
 monomial.  Budgets cap the number of S-pairs processed, the
 total degree of intermediate polynomials, and wall time; exceeding one raises
@@ -318,16 +318,16 @@ def _check_budget(budget: GBBudget, stats: dict) -> Callable[[], float]:
 def _pairs(basis: list[Entry], order: TermOrder, stats: dict, check: Callable[[], float]) -> Iterator[tuple[Entry, Entry, int]]:
     """The S-pairs of `basis` that neither of Buchberger's criteria skips
     (EUROSAM 1979; Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 2
-    Sec. 10), as (f, g, lcm of their leads).  A pair (i, j) is created once,
-    when j arrives; the caller may append to `basis` between pairs, and the
-    pairs of the new elements are made in one batch when the next pair is
-    asked for.  Its lcm is keyed then from the two lead keys, as the key is
-    linear: their sum for coprime leads, less the key of their gcd
-    otherwise, summed over the bits of the variables both leads contain
-    (as `_lcm` keys it), an lcm that sets a guard bit raising KeyOverflow.
-    Pairs wait in one heap of (degree, lcm, i, j) tuples and leave lowest
-    lcm degree first, ties by the term order, then by index, each counted in
-    stats["pairs_processed"] and followed by `check`.  Product: coprime
+    Sec. 10), as (f, g, lcm of their leads).  A pair (i, j) enters a heap
+    of (degree, lcm, i, j) tuples once, when j arrives; the caller may
+    append to `basis` between pairs, and the queue pairs new elements only
+    when the basis has grown.  Its lcm is keyed then from the two lead
+    keys, as the key is linear: their sum for coprime leads, less the key
+    of their gcd otherwise, summed over the bits of the variables both
+    leads contain (as `_lcm` keys it), an lcm that sets a guard bit raising
+    KeyOverflow.  Pairs leave lowest lcm degree first, ties by the term
+    order, then by index, each counted in stats["pairs_processed"] and
+    followed by `check`.  Product: coprime
     leads, whose lcm is their product.  Chain: a third lead k divides the
     lcm, and the pairs of k with i and with j were already taken; bit k of
     done[i] is set once the pair of i and k is, so the candidates k are the
@@ -343,7 +343,6 @@ def _pairs(basis: list[Entry], order: TermOrder, stats: dict, check: Callable[[]
     heap: list[tuple[int, int, int, int]] = []
     while True:
         if len(keys) < len(basis):
-            new = []
             for j in range(len(keys), len(basis)):
                 key = basis[j][1]
                 lead = exponents(key)
@@ -360,17 +359,11 @@ def _pairs(basis: list[Entry], order: TermOrder, stats: dict, check: Callable[[]
                             common ^= low
                         if lcm & guards:
                             raise KeyOverflow(_OVERFLOW)
-                    new.append((lcm & FIELD_MASK, lcm, i, j))
+                    heapq.heappush(heap, (lcm & FIELD_MASK, lcm, i, j))
                 keys.append(key)
                 leads.append(lead)
                 supports.append(support)
                 done.append(0)
-            if len(new) > len(heap):
-                heap += new
-                heapq.heapify(heap)
-            else:
-                for pair in new:
-                    heapq.heappush(heap, pair)
         if not heap:
             return
         _, lcm, i, j = heapq.heappop(heap)
